@@ -107,6 +107,14 @@ from .weights import (
     weight_square_sum,
 )
 
+import types as _types
+
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the import list above is the one source of the public names; the
+# submodules it binds as a side effect are not exported
+__all__ = [
+    name
+    for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _types.ModuleType)
+]

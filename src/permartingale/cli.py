@@ -30,6 +30,8 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .construction import (
     Basis,
     build_transition_system,
@@ -47,9 +49,11 @@ from .moments import moment_report
 from .population import (
     load_population,
     make_population,
+    parse_scalar_lines,
     random_centered_population,
+    read_text_file,
 )
-from .rationals import format_rational, parse_rational, parse_scalar
+from .rationals import format_rational, parse_rational
 
 _CSV_REPORT_FIELDS = ("id", "n", "mode", "lhs", "rhs", "holds", "seed", "samples")
 
@@ -168,24 +172,25 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.handler(args)
-    except Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
+def _emit(args, payload: dict, lines: Sequence[str], table=None) -> None:
+    """Write a command's result in ``args.format``: ``payload`` as JSON,
+    ``table`` = (header, rows) as CSV, or ``lines`` as text."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    elif args.format == "csv":
+        text = _csv_text(*table)
+    else:
+        text = "\n".join(lines) + "\n"
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -221,32 +226,21 @@ def _default_seed(explicit: int | None) -> int | None:
         ) from None
 
 
-def _read_scalars(path: str, lenient: bool = False) -> tuple[Fraction, ...]:
-    """One scalar per line; '#' comments and blank lines ignored."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read scalar file {path}: {exc}") from None
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            out.append(parse_scalar(line, lenient=lenient))
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"{path}, line {lineno}: {exc}") from None
-    return tuple(out)
+def _read_scalars(
+    path: str | None, lenient: bool = False
+) -> tuple[Fraction, ...] | None:
+    """One scalar per line; '#' comments and blank lines ignored.  None
+    when no file is given."""
+    if path is None:
+        return None
+    return parse_scalar_lines(read_text_file(path, "scalar"), lenient, f"{path}, ")
 
 
 def _cmd_verify_martingale(args) -> int:
     if args.format == "csv":
         raise InvalidInputError("verify-martingale does not support csv output")
     pop = load_population(args.population)
-    multipliers = (
-        _read_scalars(args.multipliers) if args.multipliers is not None else None
-    )
+    multipliers = _read_scalars(args.multipliers)
     spec = make_spec(args.kind, pop, multipliers)
     check = check_martingale(spec, cutoff=args.cutoff)
     payload = {
@@ -261,23 +255,20 @@ def _cmd_verify_martingale(args) -> int:
         ),
     }
     payload.update(check.to_dict())
-    if args.format == "json":
-        _emit(_json_text(payload), args.output)
-    else:
-        lines = [
-            f"kind: {spec.kind.value}",
-            f"n: {pop.n}",
-            f"holds: {'yes' if check.holds else 'no'}",
-            f"states checked: {check.states_checked}",
-        ]
-        if check.worst_history is not None:
-            w = check.worst_history.to_dict()
-            lines.append(
-                f"violation at k={w['k']} after prefix "
-                f"({', '.join(w['prefix'])}): value {w['value']}, "
-                f"conditional mean {w['conditional_mean']}"
-            )
-        _emit("\n".join(lines) + "\n", args.output)
+    lines = [
+        f"kind: {spec.kind.value}",
+        f"n: {pop.n}",
+        f"holds: {'yes' if check.holds else 'no'}",
+        f"states checked: {check.states_checked}",
+    ]
+    w = payload["worst_history"]
+    if w is not None:
+        lines.append(
+            f"violation at k={w['k']} after prefix "
+            f"({', '.join(w['prefix'])}): value {w['value']}, "
+            f"conditional mean {w['conditional_mean']}"
+        )
+    _emit(args, payload, lines)
     return 0 if check.holds else 1
 
 
@@ -305,11 +296,7 @@ def _cmd_check_inequality(args) -> int:
         if args.population is not None
         else None
     )
-    weights = (
-        _read_scalars(args.weights, lenient=lenient)
-        if args.weights is not None
-        else None
-    )
+    weights = _read_scalars(args.weights, lenient=lenient)
     seed = _default_seed(args.seed) if mode is VerifyMode.MONTE_CARLO else args.seed
     report = verify(
         args.id,
@@ -322,14 +309,12 @@ def _cmd_check_inequality(args) -> int:
         cutoff=args.cutoff,
     )
     rd = report.to_dict()
-    if args.format == "json":
-        payload = {"command": "check-inequality"}
-        payload.update(rd)
-        _emit(_json_text(payload), args.output)
-    elif args.format == "csv":
-        _emit(_csv_text(_CSV_REPORT_FIELDS, [_report_csv_row(rd)]), args.output)
-    else:
-        _emit("\n".join(_report_text_lines(rd)) + "\n", args.output)
+    _emit(
+        args,
+        {"command": "check-inequality", **rd},
+        _report_text_lines(rd),
+        (_CSV_REPORT_FIELDS, [_report_csv_row(rd)]),
+    )
     return 0 if report.holds else 1
 
 
@@ -339,41 +324,25 @@ def _cmd_moments(args) -> int:
         pop, partial_sum_size=args.partial_sum_size, cutoff=args.cutoff
     )
     all_equal = all(r.equal for r in rows)
-    if args.format == "json":
-        payload = {
-            "command": "moments",
-            "n": pop.n,
-            "population": [format_rational(v) for v in pop.values],
-            "rows": [r.to_dict() for r in rows],
-            "all_equal": all_equal,
-        }
-        _emit(_json_text(payload), args.output)
-    elif args.format == "csv":
-        _emit(
-            _csv_text(
-                ("name", "formula", "oracle", "equal"),
-                [
-                    [
-                        r.name,
-                        format_rational(r.formula),
-                        format_rational(r.oracle),
-                        _csv_cell(r.equal),
-                    ]
-                    for r in rows
-                ],
-            ),
-            args.output,
-        )
-    else:
-        width = max(len(r.name) for r in rows)
-        lines = [
-            f"{r.name:<{width}}  formula {format_rational(r.formula)}"
-            f"  oracle {format_rational(r.oracle)}"
-            f"  {'ok' if r.equal else 'MISMATCH'}"
-            for r in rows
-        ]
-        lines.append(f"all equal: {'yes' if all_equal else 'no'}")
-        _emit("\n".join(lines) + "\n", args.output)
+    payload = {
+        "command": "moments",
+        "n": pop.n,
+        "population": [format_rational(v) for v in pop.values],
+        "rows": [r.to_dict() for r in rows],
+        "all_equal": all_equal,
+    }
+    width = max(len(r.name) for r in rows)
+    lines = [
+        f"{r['name']:<{width}}  formula {r['formula']}  oracle {r['oracle']}"
+        f"  {'ok' if r['equal'] else 'MISMATCH'}"
+        for r in payload["rows"]
+    ]
+    lines.append(f"all equal: {'yes' if all_equal else 'no'}")
+    table = [
+        [r["name"], r["formula"], r["oracle"], _csv_cell(r["equal"])]
+        for r in payload["rows"]
+    ]
+    _emit(args, payload, lines, (("name", "formula", "oracle", "equal"), table))
     return 0 if all_equal else 1
 
 
@@ -381,9 +350,7 @@ def _cmd_dump_matrices(args) -> int:
     if args.format == "csv":
         raise InvalidInputError("dump-matrices does not support csv output")
     basis = Basis(args.basis)
-    multipliers = (
-        _read_scalars(args.multipliers) if args.multipliers is not None else None
-    )
+    multipliers = _read_scalars(args.multipliers)
     if args.population is not None:
         if args.n is not None or args.total is not None or args.square_sum is not None:
             raise InvalidInputError(
@@ -418,11 +385,7 @@ def _cmd_dump_matrices(args) -> int:
         total = None
         square_sum = None
         system = build_transition_system(
-            basis,
-            n=args.n,
-            total=0,
-            square_sum=0,
-            multipliers=multipliers,
+            basis, n=args.n, total=0, square_sum=0, multipliers=multipliers
         )
     transitions = [
         matrix_as_strings(system.step_matrix(k))
@@ -451,34 +414,20 @@ def _cmd_dump_matrices(args) -> int:
         "inverse_products_first_index": 1,
         "inverse_products": products,
     }
-    if args.format == "json":
-        _emit(_json_text(payload), args.output)
-    else:
-        lines = [f"basis: {basis.value}", f"n: {system.n}"]
-        for k, mat in enumerate(transitions):
-            lines.append(f"step matrix after {k} draws:")
-            lines.extend("  [" + "  ".join(row) + "]" for row in mat)
-        for k, mat in enumerate(products, start=1):
-            lines.append(f"inverse product through step {k}:")
-            lines.extend("  [" + "  ".join(row) + "]" for row in mat)
-        _emit("\n".join(lines) + "\n", args.output)
+    lines = [f"basis: {basis.value}", f"n: {system.n}"]
+    for k, mat in enumerate(transitions):
+        lines.append(f"step matrix after {k} draws:")
+        lines.extend("  [" + "  ".join(row) + "]" for row in mat)
+    for k, mat in enumerate(products, start=1):
+        lines.append(f"inverse product through step {k}:")
+        lines.extend("  [" + "  ".join(row) + "]" for row in mat)
+    _emit(args, payload, lines)
     return 0
 
 
 _SWEEP_ROW_KEYS = frozenset(
-    {
-        "id",
-        "mode",
-        "population",
-        "population_file",
-        "random",
-        "bridge_m",
-        "weights",
-        "weights_file",
-        "samples",
-        "seed",
-        "cutoff",
-    }
+    {"id", "mode", "population", "population_file", "random", "bridge_m",
+     "weights", "weights_file", "samples", "seed", "cutoff"}
 )
 _SWEEP_RANDOM_KEYS = frozenset({"n", "seed", "max_numerator", "max_denominator"})
 
@@ -522,6 +471,14 @@ def _sweep_population(row: dict, index: int, master_seed: int):
     return None  # bridge_m rows build their population inside verify
 
 
+def _sweep_row_seed(master_seed: int, index: int) -> int:
+    """Monte Carlo seed of a sweep row that gives none: a 64-bit word
+    hashed from SeedSequence((master, index)), unlike an affine mix of
+    the two, which maps distinct (master, index) pairs to one seed."""
+    seq = np.random.SeedSequence((master_seed, index))
+    return int(seq.generate_state(1, np.uint64)[0])
+
+
 def _run_sweep_row(
     row, index: int, master_seed: int, cutoff: int | None
 ) -> InequalityReport:
@@ -546,8 +503,7 @@ def _run_sweep_row(
     samples = row.get("samples")
     seed = row.get("seed")
     if mode is VerifyMode.MONTE_CARLO and seed is None:
-        # deterministic per-row derivation from the master seed
-        seed = master_seed * 1_000_003 + index
+        seed = _sweep_row_seed(master_seed, index)
     return verify(
         row["id"],
         population=pop,
@@ -561,28 +517,23 @@ def _run_sweep_row(
 
 
 def _cmd_sweep(args) -> int:
+    text = read_text_file(args.specfile, "spec")
     try:
-        with open(args.specfile, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read spec file {args.specfile}: {exc}") from None
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"spec file is not valid JSON: {exc}") from None
-    if isinstance(data, dict):
-        rows = data.get("rows")
-        if rows is None or set(data) != {"rows"}:
-            raise InvalidInputError(
-                "spec file must be a JSON list of rows or {\"rows\": [...]}"
-            )
-    elif isinstance(data, list):
-        rows = data
-    else:
+    rows = data["rows"] if isinstance(data, dict) and set(data) == {"rows"} else data
+    if not isinstance(rows, list):
         raise InvalidInputError(
             "spec file must be a JSON list of rows or {\"rows\": [...]}"
         )
     master_seed = _default_seed(args.seed)
     if master_seed is None:
         master_seed = 0
+    elif master_seed < 0:
+        raise InvalidInputError(
+            f"the sweep master seed must be a nonnegative int, got {master_seed}"
+        )
     entries = []
     passed = failed = errored = 0
     for i, row in enumerate(rows):
@@ -605,33 +556,26 @@ def _cmd_sweep(args) -> int:
         "errors": errored,
         "rows": entries,
     }
-    if args.format == "json":
-        _emit(_json_text(payload), args.output)
-    elif args.format == "csv":
-        csv_rows = [
-            _report_csv_row(e["report"]) for e in entries if "report" in e
-        ]
-        _emit(_csv_text(_CSV_REPORT_FIELDS, csv_rows), args.output)
+    lines = []
+    for e in entries:
+        if "error" in e:
+            lines.append(f"row {e['row']}: error: {e['error']}")
+        else:
+            rd = e["report"]
+            lines.append(
+                f"row {e['row']}: id={rd['id']} mode={rd['mode']} "
+                f"n={rd['n']} lhs={rd['lhs']} rhs={rd['rhs']} "
+                f"status={rd['status']}"
+            )
+    lines.append(
+        f"total {len(rows)}, passed {passed}, failed {failed}, errors {errored}"
+    )
+    table = [_report_csv_row(e["report"]) for e in entries if "report" in e]
+    _emit(args, payload, lines, (_CSV_REPORT_FIELDS, table))
+    if args.format == "csv":
         for e in entries:
             if "error" in e:
                 print(f"row {e['row']}: error: {e['error']}", file=sys.stderr)
-    else:
-        lines = []
-        for e in entries:
-            if "error" in e:
-                lines.append(f"row {e['row']}: error: {e['error']}")
-            else:
-                rd = e["report"]
-                lines.append(
-                    f"row {e['row']}: id={rd['id']} mode={rd['mode']} "
-                    f"n={rd['n']} lhs={rd['lhs']} rhs={rd['rhs']} "
-                    f"status={rd['status']}"
-                )
-        lines.append(
-            f"total {len(rows)}, passed {passed}, failed {failed}, "
-            f"errors {errored}"
-        )
-        _emit("\n".join(lines) + "\n", args.output)
     return 0 if failed == 0 and errored == 0 else 1
 
 

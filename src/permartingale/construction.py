@@ -14,10 +14,13 @@ S_k, running square sum T_k, grand total M, and grand square total B:
                     [ 0       0     0     n-k ]
 
 * weighted basis, state (W_k, S_k) with W_k = a_1 X_1 + ... + a_k X_k
-  for deterministic multipliers a_i:
+  for deterministic multipliers a_i, on a centered population (M = 0):
 
       A = [ 1   -a_{k+1}/(n-k) ]
           [ 0   (n-k-1)/(n-k)  ]
+
+  For M != 0 the affine terms a_{k+1} M/(n-k) and M/(n-k) would be
+  missing, so the weighted basis refuses an uncentered total.
 
 Indexing convention: ``quadratic_transition(n, total, square_sum, k)``
 and ``weighted_transition(n, multiplier, k)`` take the index k of the
@@ -38,7 +41,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainError, InvalidInputError, coerce_enum
+from .errors import DomainError, InvalidInputError, PreconditionError, coerce_enum
 from .population import PathState, Population
 from .rationals import as_fraction, format_rational
 from .weights import validate_weights, weight_prefix_sum
@@ -277,10 +280,7 @@ class TransitionSystem:
         s = state.partial_sum
         if self.basis is Basis.QUADRATIC:
             return (s * s, s, state.partial_square_sum, Fraction(1))
-        w = sum(
-            (a * x for a, x in zip(self.multipliers, state.drawn)),
-            Fraction(0),
-        )
+        w = sum((a * x for a, x in zip(self.multipliers, state.drawn)), Fraction(0))
         return (w, s)
 
 
@@ -295,7 +295,7 @@ def build_transition_system(
     """Assemble a :class:`TransitionSystem`.
 
     Pass either ``population`` or explicit ``(n, total, square_sum)``.
-    The weighted basis requires ``multipliers`` of length n.
+    The weighted basis requires ``multipliers`` of length n and total 0.
     """
     basis = coerce_enum(Basis, basis, "basis")
     if population is not None:
@@ -319,6 +319,11 @@ def build_transition_system(
     if basis is Basis.WEIGHTED:
         if multipliers is None:
             raise InvalidInputError("the weighted basis needs multipliers")
+        if total != 0:
+            raise PreconditionError(
+                "the weighted basis requires a centered population (total 0); "
+                f"this one sums to {format_rational(total)}"
+            )
         ws = validate_weights(multipliers, n)
         products = tuple(
             weighted_inverse_product(n, ws, k) for k in range(1, n)

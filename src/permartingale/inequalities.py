@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import permutations
-from math import factorial, lcm, sqrt
+from math import factorial, isfinite, lcm, sqrt
 from typing import Callable, Sequence
 
 import numpy as np
@@ -86,25 +86,21 @@ class VerifyMode(str, Enum):
     MONTE_CARLO = "mc"
 
 
-_NEEDS_WEIGHTS = frozenset(
-    {InequalityId.VNA_WEIGHTED, InequalityId.GARSIA_WEIGHTED}
-)
-_WEIGHTED_STATISTIC = _NEEDS_WEIGHTS | {InequalityId.ALTERNATING}
-
-
 def _resolve(
     id,
     population: Population | None,
     weights: Sequence | None,
     bridge_m: int | None,
-) -> tuple[InequalityId, Population, tuple[Fraction, ...] | None, int | None]:
+) -> tuple[InequalityId, _Rule, Population, tuple[Fraction, ...] | None, int | None]:
     """Validate the (id, population, weights, bridge_m) combination.
 
-    Returns the effective weights (the fixed alternating signs for
-    ``alternating``) and the bridge parameter m for ``bridge``.
+    Returns the id's rule record, the effective weights (the fixed
+    alternating signs for ``alternating``) and the bridge parameter m
+    for ``bridge``.
     """
     iid = coerce_enum(InequalityId, id, "inequality id")
-    if iid is InequalityId.BRIDGE:
+    rule = _RULES[iid]
+    if rule.bridge:
         if weights is not None:
             raise InvalidInputError("the bridge inequality takes no weights")
         if population is None:
@@ -123,7 +119,7 @@ def _resolve(
             raise InvalidInputError(
                 f"bridge_m={bridge_m} does not match the population (m={m})"
             )
-        return iid, population, None, m
+        return iid, rule, population, None, m
     if bridge_m is not None:
         raise InvalidInputError(
             f"bridge_m only applies to the bridge inequality, not {iid.value!r}"
@@ -131,22 +127,18 @@ def _resolve(
     if population is None:
         raise InvalidInputError("a population is required")
     population.require_centered(f"the {iid.value} inequality")
-    if iid in _NEEDS_WEIGHTS:
+    if rule.weights == "given":
         if weights is None:
             raise InvalidInputError(f"the {iid.value} inequality needs weights")
-        return iid, population, validate_weights(weights, population.n), None
+        return iid, rule, population, validate_weights(weights, population.n), None
     if weights is not None:
-        detail = (
-            "; its signs (-1)^i are fixed"
-            if iid is InequalityId.ALTERNATING
-            else ""
-        )
+        detail = "; its signs (-1)^i are fixed" if rule.weights == "alternating" else ""
         raise InvalidInputError(
             f"the {iid.value} inequality takes no weights{detail}"
         )
-    if iid is InequalityId.ALTERNATING:
-        return iid, population, alternating_weights(population.n), None
-    return iid, population, None, None
+    if rule.weights == "alternating":
+        return iid, rule, population, alternating_weights(population.n), None
+    return iid, rule, population, None, None
 
 
 def lhs_statistic(
@@ -158,69 +150,25 @@ def lhs_statistic(
 ) -> Fraction:
     """Exact per-permutation path statistic, the reference route.
 
-    This straightforward rational evaluation is kept independent of the
-    integer enumeration kernels so each can check the other.
+    This straightforward rational evaluation of the id's per-step term
+    is kept independent of the integer enumeration kernels and the
+    float statistics so each can check the other.
     """
-    iid, pop, ws, m = _resolve(id, population, weights, bridge_m)
+    iid, rule, pop, ws, m = _resolve(id, population, weights, bridge_m)
     n = pop.n
     perm = validate_permutation(permutation, n)
-    xs = [pop.values[i - 1] for i in perm]
-    if iid is InequalityId.HARDY:
-        s = Fraction(0)
-        total = Fraction(0)
-        for k, x in enumerate(xs, 1):
-            s += x
-            total += (s / k) ** 2
-        return total
-    if iid in _WEIGHTED_STATISTIC:
-        w = Fraction(0)
-        best = None
-        for a, x in zip(ws, xs):
-            w += a * x
-            v = w * w
-            if best is None or v > best:
-                best = v
-        return best
-    if iid is InequalityId.MAX_AVERAGES:
-        s = Fraction(0)
-        best = None
-        for k, x in enumerate(xs, 1):
-            s += x
-            v = (s / k) ** 2
-            if best is None or v > best:
-                best = v
-        return best
-    if iid is InequalityId.GARSIA_UNWEIGHTED:
-        s = Fraction(0)
-        best = None
-        for x in xs:
-            s += x
-            v = s * s
-            if best is None or v > best:
-                best = v
-        return best
-    if iid is InequalityId.QUADRATIC:
-        s = Fraction(0)
-        t = Fraction(0)
-        best = None
-        for k, x in enumerate(xs, 1):
-            s += x
-            t += x * x
-            if k < 2:
-                continue
-            v = ((s * s - Fraction(n - k, n - 1) * t) / Fraction(k * (k - 1))) ** 2
-            if best is None or v > best:
-                best = v
-        return best
-    # bridge
-    s = Fraction(0)
-    best = None
-    for k, x in enumerate(xs[: 2 * m - 1], 1):
+    ks = rule.ks(n, m)
+    s = t = w = Fraction(0)
+    terms = []
+    for k in range(1, ks.stop):
+        x = pop.values[perm[k - 1] - 1]
         s += x
-        v = (s * s - Fraction(k * (2 * m - k), 2 * m - 1)) ** 2
-        if best is None or v > best:
-            best = v
-    return best
+        t += x * x
+        if ws is not None:
+            w += ws[k - 1] * x
+        if k in ks:
+            terms.append(rule.term(n, m, k, s, t, w))
+    return rule.reduce(terms)
 
 
 def vna(weights: Sequence) -> Fraction:
@@ -249,29 +197,16 @@ def rhs_value(
     bridge_m: int | None = None,
 ) -> Fraction:
     """Exact right-hand side for an inequality id."""
-    iid, pop, ws, m = _resolve(id, population, weights, bridge_m)
+    iid, rule, pop, ws, m = _resolve(id, population, weights, bridge_m)
+    return rule.rhs(pop, ws, m)
+
+
+def _vna_weighted_rhs(pop: Population, ws, m) -> Fraction:
     n = pop.n
-    b = pop.square_sum
-    if iid is InequalityId.MAX_AVERAGES:
-        return Fraction(4, n) * b
-    if iid is InequalityId.GARSIA_UNWEIGHTED:
-        return Fraction(41, 5) * b
-    if iid is InequalityId.QUADRATIC:
-        return Fraction(4, (n - 1) ** 2) * (b * b - pop.fourth_sum)
-    if iid is InequalityId.BRIDGE:
-        return Fraction(128 * m * m)
-    if iid is InequalityId.ALTERNATING:
-        return Fraction(305, 17) * b
-    if iid is InequalityId.VNA_WEIGHTED:
-        a2 = weight_square_sum(ws, n)
-        if a2 == 0:
-            raise DomainError(
-                "the vna_weighted bound needs a nonzero weight"
-            )
-        return Fraction(16, n - 1) * (1 + 2 * vna(ws)) * a2 * b
-    if iid is InequalityId.GARSIA_WEIGHTED:
-        return Fraction(16404, 205) * weight_square_sum(ws, n) * b / (n - 1)
-    return 4 * b  # hardy
+    a2 = weight_square_sum(ws, n)
+    if a2 == 0:
+        raise DomainError("the vna_weighted bound needs a nonzero weight")
+    return Fraction(16, n - 1) * (1 + 2 * vna(ws)) * a2 * pop.square_sum
 
 
 def folding_constant(id, n: int, m: int | None = None) -> Fraction:
@@ -371,123 +306,120 @@ class InequalityReport:
         }
 
 
-def _exact_lhs(
-    iid: InequalityId,
-    pop: Population,
-    ws: tuple[Fraction, ...] | None,
-    m: int | None,
-    cutoff: int | None,
-) -> Fraction:
-    """Exact LHS by full enumeration with integer kernels.
+# The integer kernels and the float statistics below restate each id's
+# statistic on purpose: they are independent routes that the tests check
+# against the Fraction reference ``lhs_statistic``.
+#
+# Integer kernels: (xs, d, count, ws, m) -> exact LHS over all count = n!
+# orderings of the values xs, scaled to integers by their common
+# denominator d (weights by e).  Statistics become integer numerators
+# over per-k constant denominators, maxima are taken by
+# cross-multiplication, and the scale is divided out once at the end.
+# The loops stay inline, with no per-step callback, because they run n!
+# times.
 
-    Values are scaled to integers by their common denominator d (and
-    weights by e); statistics become integer numerators over per-k
-    constant denominators, maxima are taken by cross-multiplication,
-    and the scale is divided out once at the end.
-    """
-    n = pop.n
-    ensure_enumerable(n, cutoff, f"exact verification of {iid.value!r}")
-    if iid is InequalityId.HARDY and n > HARDY_EXACT_LIMIT:
-        raise EnumerationLimitError(
-            f"exact maximization for 'hardy' is provided for "
-            f"n <= {HARDY_EXACT_LIMIT} only; use Monte Carlo mode or the "
-            f"per-permutation statistic"
-        )
-    xs, d = scaled_integers(pop.values)
-    count = factorial(n)
 
-    if iid is InequalityId.MAX_AVERAGES:
-        k2 = [k * k for k in range(n + 1)]
-        acc: dict[int, int] = {}
-        for perm in permutations(xs):
-            s = 0
-            k = 0
-            bn = -1
-            bd = 1
-            for x in perm:
-                k += 1
-                s += x
-                n2 = s * s
-                d2 = k2[k]
-                if n2 * bd > bn * d2:
-                    bn = n2
-                    bd = d2
-            acc[bd] = acc.get(bd, 0) + bn
-        total = sum((Fraction(v, dk) for dk, v in acc.items()), Fraction(0))
-        return total / (count * d * d)
+def _exact_max_averages(xs, d, count, ws, m) -> Fraction:
+    n = len(xs)
+    k2 = [k * k for k in range(n + 1)]
+    acc: dict[int, int] = {}
+    for perm in permutations(xs):
+        s = 0
+        k = 0
+        bn = -1
+        bd = 1
+        for x in perm:
+            k += 1
+            s += x
+            n2 = s * s
+            d2 = k2[k]
+            if n2 * bd > bn * d2:
+                bn = n2
+                bd = d2
+        acc[bd] = acc.get(bd, 0) + bn
+    total = sum((Fraction(v, dk) for dk, v in acc.items()), Fraction(0))
+    return total / (count * d * d)
 
-    if iid is InequalityId.GARSIA_UNWEIGHTED:
-        total_int = 0
-        for perm in permutations(xs):
-            s = 0
-            best = 0
-            for x in perm:
-                s += x
-                n2 = s * s
-                if n2 > best:
-                    best = n2
-            total_int += best
-        return Fraction(total_int, count * d * d)
 
-    if iid is InequalityId.QUADRATIC:
-        c1 = n - 1
-        dens = [0, 0] + [(c1 * k * (k - 1)) ** 2 for k in range(2, n + 1)]
-        acc = {}
-        for perm in permutations(xs):
-            s = 0
-            t = 0
-            k = 0
-            bn = -1
-            bd = 1
-            for x in perm:
-                k += 1
-                s += x
-                t += x * x
-                if k < 2:
-                    continue
-                u = c1 * s * s - (n - k) * t
-                n2 = u * u
-                d2 = dens[k]
-                if n2 * bd > bn * d2:
-                    bn = n2
-                    bd = d2
-            acc[bd] = acc.get(bd, 0) + bn
-        total = sum((Fraction(v, dk) for dk, v in acc.items()), Fraction(0))
-        return total / (count * d**4)
+def _exact_garsia_unweighted(xs, d, count, ws, m) -> Fraction:
+    total_int = 0
+    for perm in permutations(xs):
+        s = 0
+        best = 0
+        for x in perm:
+            s += x
+            n2 = s * s
+            if n2 > best:
+                best = n2
+        total_int += best
+    return Fraction(total_int, count * d * d)
 
-    if iid is InequalityId.BRIDGE:
-        two_m = 2 * m
-        dd = d * d
-        comp = [k * (two_m - k) * dd for k in range(two_m)]
-        last = two_m - 1
-        total_int = 0
-        for perm in permutations(xs):
-            s = 0
-            best = -1
-            for k in range(1, last + 1):
-                s += perm[k - 1]
-                u = (two_m - 1) * s * s - comp[k]
-                n2 = u * u
-                if n2 > best:
-                    best = n2
-            total_int += best
-        return Fraction(total_int, count * ((two_m - 1) * dd) ** 2)
 
-    if iid in _WEIGHTED_STATISTIC:
-        wsc, e = scaled_integers(ws)
-        total_int = 0
-        for perm in permutations(xs):
-            w = 0
-            best = 0
-            for a, x in zip(wsc, perm):
-                w += a * x
-                n2 = w * w
-                if n2 > best:
-                    best = n2
-            total_int += best
-        return Fraction(total_int, count * (d * e) ** 2)
+def _exact_quadratic(xs, d, count, ws, m) -> Fraction:
+    n = len(xs)
+    c1 = n - 1
+    dens = [0, 0] + [(c1 * k * (k - 1)) ** 2 for k in range(2, n + 1)]
+    acc: dict[int, int] = {}
+    for perm in permutations(xs):
+        s = 0
+        t = 0
+        k = 0
+        bn = -1
+        bd = 1
+        for x in perm:
+            k += 1
+            s += x
+            t += x * x
+            if k < 2:
+                continue
+            u = c1 * s * s - (n - k) * t
+            n2 = u * u
+            d2 = dens[k]
+            if n2 * bd > bn * d2:
+                bn = n2
+                bd = d2
+        acc[bd] = acc.get(bd, 0) + bn
+    total = sum((Fraction(v, dk) for dk, v in acc.items()), Fraction(0))
+    return total / (count * d**4)
 
-    # hardy: max over orderings of sum_k (S_k/k)^2
+
+def _exact_bridge(xs, d, count, ws, m) -> Fraction:
+    two_m = 2 * m
+    dd = d * d
+    comp = [k * (two_m - k) * dd for k in range(two_m)]
+    last = two_m - 1
+    total_int = 0
+    for perm in permutations(xs):
+        s = 0
+        best = -1
+        for k in range(1, last + 1):
+            s += perm[k - 1]
+            u = (two_m - 1) * s * s - comp[k]
+            n2 = u * u
+            if n2 > best:
+                best = n2
+        total_int += best
+    return Fraction(total_int, count * ((two_m - 1) * dd) ** 2)
+
+
+def _exact_weighted(xs, d, count, ws, m) -> Fraction:
+    wsc, e = scaled_integers(ws)
+    total_int = 0
+    for perm in permutations(xs):
+        w = 0
+        best = 0
+        for a, x in zip(wsc, perm):
+            w += a * x
+            n2 = w * w
+            if n2 > best:
+                best = n2
+        total_int += best
+    return Fraction(total_int, count * (d * e) ** 2)
+
+
+def _exact_hardy(xs, d, count, ws, m) -> Fraction:
+    # max over orderings of sum_k (S_k/k)^2
+    n = len(xs)
     big = lcm(*range(1, n + 1))
     mult = [0] + [(big // k) ** 2 for k in range(1, n + 1)]
     best_total = -1
@@ -504,46 +436,146 @@ def _exact_lhs(
     return Fraction(best_total, (big * d) ** 2)
 
 
-def _float_statistic(
-    iid: InequalityId,
-    n: int,
-    ws: tuple[Fraction, ...] | None,
-    m: int | None,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized float statistic over a (block, n) matrix of orderings."""
-    ks = np.arange(1, n + 1, dtype=np.float64)
-    if iid in (InequalityId.MAX_AVERAGES, InequalityId.HARDY):
-        if iid is InequalityId.MAX_AVERAGES:
-            return lambda X: ((np.cumsum(X, axis=1) / ks) ** 2).max(axis=1)
-        return lambda X: ((np.cumsum(X, axis=1) / ks) ** 2).sum(axis=1)
-    if iid is InequalityId.GARSIA_UNWEIGHTED:
-        return lambda X: (np.cumsum(X, axis=1) ** 2).max(axis=1)
-    if iid is InequalityId.QUADRATIC:
-        coef = (n - ks) / (n - 1)
-        den = ks * (ks - 1)
+# Float statistics: (n, ws, m) -> vectorized statistic over a (block, n)
+# matrix of orderings.
 
-        def stat(X: np.ndarray) -> np.ndarray:
-            s = np.cumsum(X, axis=1)
-            t = np.cumsum(X * X, axis=1)
-            vals = (s[:, 1:] ** 2 - coef[1:] * t[:, 1:]) / den[1:]
-            return (vals**2).max(axis=1)
 
-        return stat
-    if iid is InequalityId.BRIDGE:
-        last = 2 * m - 1
-        comp = ks[:last] * (2 * m - ks[:last]) / (2 * m - 1)
+def _float_ks(n: int) -> np.ndarray:
+    return np.arange(1, n + 1, dtype=np.float64)
 
-        def stat(X: np.ndarray) -> np.ndarray:
-            s = np.cumsum(X[:, :last], axis=1)
-            return ((s * s - comp) ** 2).max(axis=1)
 
-        return stat
+def _float_quadratic(n, ws, m):
+    ks = _float_ks(n)
+    coef = (n - ks) / (n - 1)
+    den = ks * (ks - 1)
+
+    def stat(X: np.ndarray) -> np.ndarray:
+        s = np.cumsum(X, axis=1)
+        t = np.cumsum(X * X, axis=1)
+        vals = (s[:, 1:] ** 2 - coef[1:] * t[:, 1:]) / den[1:]
+        return (vals**2).max(axis=1)
+
+    return stat
+
+
+def _float_bridge(n, ws, m):
+    ks = _float_ks(n)
+    last = 2 * m - 1
+    comp = ks[:last] * (2 * m - ks[:last]) / (2 * m - 1)
+
+    def stat(X: np.ndarray) -> np.ndarray:
+        s = np.cumsum(X[:, :last], axis=1)
+        return ((s * s - comp) ** 2).max(axis=1)
+
+    return stat
+
+
+def _float_weighted(n, ws, m):
     a = np.array([float(w) for w in ws])
     return lambda X: (np.cumsum(X * a, axis=1) ** 2).max(axis=1)
 
 
+@dataclass(frozen=True)
+class _Rule:
+    """Everything that differs between inequality ids, written once.
+
+    ``weights`` is the weight policy: "none", "given" (the caller must
+    pass them) or "alternating" (the fixed signs (-1)^i).  ``bridge``
+    means the id needs the ±1 bridge population.  ``rhs(pop, ws, m)`` is
+    the closed-form bound.  The reference statistic of one ordering
+    reduces ``term(n, m, k, S_k, T_k, W_k)`` over k in ``ks(n, m)`` with
+    ``reduce``; ``over_orderings`` says whether the LHS is its mean or
+    its max over all orderings.  ``exact`` and ``floats`` are the
+    id's integer kernel and float statistic.
+    """
+
+    rhs: Callable[[Population, tuple[Fraction, ...] | None, int | None], Fraction]
+    term: Callable[..., Fraction]
+    exact: Callable[..., Fraction]
+    floats: Callable[..., Callable[[np.ndarray], np.ndarray]]
+    weights: str = "none"
+    bridge: bool = False
+    ks: Callable[[int, int | None], range] = lambda n, m: range(1, n + 1)
+    reduce: Callable = max
+    over_orderings: str = "mean"
+
+
+def _w_squared(n, m, k, s, t, w) -> Fraction:
+    return w * w
+
+
+_RULES: dict[InequalityId, _Rule] = {
+    InequalityId.MAX_AVERAGES: _Rule(
+        rhs=lambda pop, ws, m: Fraction(4, pop.n) * pop.square_sum,
+        term=lambda n, m, k, s, t, w: (s / k) ** 2,
+        exact=_exact_max_averages,
+        floats=lambda n, ws, m: lambda X: (
+            (np.cumsum(X, axis=1) / _float_ks(n)) ** 2
+        ).max(axis=1),
+    ),
+    InequalityId.GARSIA_UNWEIGHTED: _Rule(
+        rhs=lambda pop, ws, m: Fraction(41, 5) * pop.square_sum,
+        term=lambda n, m, k, s, t, w: s * s,
+        exact=_exact_garsia_unweighted,
+        floats=lambda n, ws, m: lambda X: (np.cumsum(X, axis=1) ** 2).max(axis=1),
+    ),
+    InequalityId.QUADRATIC: _Rule(
+        rhs=lambda pop, ws, m: Fraction(4, (pop.n - 1) ** 2)
+        * (pop.square_sum**2 - pop.fourth_sum),
+        term=lambda n, m, k, s, t, w: (
+            (s * s - Fraction(n - k, n - 1) * t) / Fraction(k * (k - 1))
+        ) ** 2,
+        ks=lambda n, m: range(2, n + 1),
+        exact=_exact_quadratic,
+        floats=_float_quadratic,
+    ),
+    InequalityId.BRIDGE: _Rule(
+        bridge=True,
+        rhs=lambda pop, ws, m: Fraction(128 * m * m),
+        term=lambda n, m, k, s, t, w: (
+            s * s - Fraction(k * (2 * m - k), 2 * m - 1)
+        ) ** 2,
+        ks=lambda n, m: range(1, 2 * m),
+        exact=_exact_bridge,
+        floats=_float_bridge,
+    ),
+    InequalityId.ALTERNATING: _Rule(
+        weights="alternating",
+        rhs=lambda pop, ws, m: Fraction(305, 17) * pop.square_sum,
+        term=_w_squared,
+        exact=_exact_weighted,
+        floats=_float_weighted,
+    ),
+    InequalityId.VNA_WEIGHTED: _Rule(
+        weights="given",
+        rhs=_vna_weighted_rhs,
+        term=_w_squared,
+        exact=_exact_weighted,
+        floats=_float_weighted,
+    ),
+    InequalityId.GARSIA_WEIGHTED: _Rule(
+        weights="given",
+        rhs=lambda pop, ws, m: Fraction(16404, 205)
+        * weight_square_sum(ws, pop.n) * pop.square_sum / (pop.n - 1),
+        term=_w_squared,
+        exact=_exact_weighted,
+        floats=_float_weighted,
+    ),
+    InequalityId.HARDY: _Rule(
+        rhs=lambda pop, ws, m: 4 * pop.square_sum,
+        term=lambda n, m, k, s, t, w: (s / k) ** 2,
+        reduce=sum,
+        over_orderings="max",
+        exact=_exact_hardy,
+        floats=lambda n, ws, m: lambda X: (
+            (np.cumsum(X, axis=1) / _float_ks(n)) ** 2
+        ).sum(axis=1),
+    ),
+}
+
+
 def _mc_lhs(
-    iid: InequalityId,
+    rule: _Rule,
     pop: Population,
     ws: tuple[Fraction, ...] | None,
     m: int | None,
@@ -559,8 +591,8 @@ def _mc_lhs(
     """
     n = pop.n
     base = np.array(pop.as_floats(), dtype=np.float64)
-    stat = _float_statistic(iid, n, ws, m)
-    take_max = iid is InequalityId.HARDY
+    stat = rule.floats(n, ws, m)
+    take_max = rule.over_orderings == "max"
     done = 0
     block = 0
     total = 0.0
@@ -606,58 +638,70 @@ def verify(
     ``seed`` and reports a verdict that is never stronger than
     "consistent".
     """
-    iid, pop, ws, m = _resolve(id, population, weights, bridge_m)
+    iid, rule, pop, ws, m = _resolve(id, population, weights, bridge_m)
     mode = coerce_enum(VerifyMode, mode, "verification mode")
-    rhs = rhs_value(iid, pop, weights=weights, bridge_m=bridge_m)
+    rhs = rule.rhs(pop, ws, m)
+    n = pop.n
     if mode is VerifyMode.EXACT:
         if samples is not None or seed is not None:
             raise InvalidInputError("samples and seed only apply to Monte Carlo mode")
-        lhs = _exact_lhs(iid, pop, ws, m, cutoff)
+        ensure_enumerable(n, cutoff, f"exact verification of {iid.value!r}")
+        if rule.over_orderings == "max" and n > HARDY_EXACT_LIMIT:
+            raise EnumerationLimitError(
+                f"exact maximization for {iid.value!r} is provided for "
+                f"n <= {HARDY_EXACT_LIMIT} only; use Monte Carlo mode or the "
+                f"per-permutation statistic"
+            )
+        xs, d = scaled_integers(pop.values)
+        lhs = rule.exact(xs, d, factorial(n), ws, m)
+        stderr = None
         holds = lhs <= rhs
-        return InequalityReport(
-            id=iid,
-            mode=mode,
-            n=pop.n,
-            lhs=lhs,
-            rhs=rhs,
-            holds=holds,
-            status="holds" if holds else "fails",
-            weights=ws if iid in _NEEDS_WEIGHTS else None,
-            bridge_m=m,
-        )
-    if samples is None or seed is None:
-        raise InvalidInputError("Monte Carlo mode needs samples and seed")
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
-        raise InvalidInputError(f"samples must be a positive int, got {samples!r}")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise InvalidInputError(f"seed must be a nonnegative int, got {seed!r}")
-    estimate, stderr = _mc_lhs(iid, pop, ws, m, samples, seed)
-    rhs_f = float(rhs)
-    if iid is InequalityId.HARDY:
-        # sampled maximum: only a violation can ever be concluded
-        suspected = estimate > rhs_f
-        status = "violation-suspected" if suspected else "consistent"
-        holds = not suspected
-    elif stderr is not None and estimate + 4 * stderr <= rhs_f:
-        status = "consistent"
-        holds = True
-    elif stderr is not None and estimate - 4 * stderr > rhs_f:
-        status = "violation-suspected"
-        holds = False
+        status = "holds" if holds else "fails"
     else:
-        status = "inconclusive"
-        holds = False
+        if samples is None or seed is None:
+            raise InvalidInputError("Monte Carlo mode needs samples and seed")
+        if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
+            raise InvalidInputError(f"samples must be a positive int, got {samples!r}")
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise InvalidInputError(f"seed must be a nonnegative int, got {seed!r}")
+        try:
+            rhs_f = float(rhs)
+        except OverflowError:
+            raise InvalidInputError(
+                f"the {iid.value} bound is beyond float range; Monte Carlo "
+                "mode needs values whose statistic fits in a float"
+            ) from None
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs, stderr = _mc_lhs(rule, pop, ws, m, samples, seed)
+        if not isfinite(lhs) or (stderr is not None and not isfinite(stderr)):
+            raise InvalidInputError(
+                f"the Monte Carlo {iid.value} statistic overflows float range "
+                "on this population; rescale the values or use exact mode"
+            )
+        if rule.over_orderings == "max":
+            # sampled maximum: only a violation can ever be concluded
+            holds = not lhs > rhs_f
+            status = "consistent" if holds else "violation-suspected"
+        elif stderr is not None and lhs + 4 * stderr <= rhs_f:
+            status = "consistent"
+            holds = True
+        elif stderr is not None and lhs - 4 * stderr > rhs_f:
+            status = "violation-suspected"
+            holds = False
+        else:
+            status = "inconclusive"
+            holds = False
     return InequalityReport(
         id=iid,
         mode=mode,
-        n=pop.n,
-        lhs=estimate,
+        n=n,
+        lhs=lhs,
         rhs=rhs,
         holds=holds,
         status=status,
         stderr=stderr,
         samples=samples,
         seed=seed,
-        weights=ws if iid in _NEEDS_WEIGHTS else None,
+        weights=ws if rule.weights == "given" else None,
         bridge_m=m,
     )

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 from .construction import (
     Basis,
@@ -58,9 +58,30 @@ class MartingaleKind(str, Enum):
     CHAIN_QUADRATIC = "chain_quadratic"
 
 
-_ORDER_FREE = frozenset(
-    {MartingaleKind.M2, MartingaleKind.M3, MartingaleKind.MTILDE}
-)
+def _m2_value(pop: Population) -> Callable[[int, Fraction, Fraction], Fraction]:
+    n, m = pop.n, pop.total
+    return lambda k, s, t: Fraction(n * s - k * m, n - k)
+
+
+def _m3_value(pop: Population) -> Callable[[int, Fraction, Fraction], Fraction]:
+    n, b = pop.n, pop.square_sum
+    return lambda k, s, t: Fraction(n * t - k * b, n - k)
+
+
+def _mtilde_value(pop: Population) -> Callable[[int, Fraction, Fraction], Fraction]:
+    n, b = pop.n, pop.square_sum
+    return lambda k, s, t: ((n - 1) * s * s - k * (b - t)) / Fraction(
+        (n - k) * (n - k - 1)
+    )
+
+
+# The one definition of each order-free closed form: kind -> factory that
+# binds a population and returns (k, S_k, T_k) -> value.
+ORDER_FREE_VALUES = {
+    MartingaleKind.M2: _m2_value,
+    MartingaleKind.M3: _m3_value,
+    MartingaleKind.MTILDE: _mtilde_value,
+}
 
 
 @dataclass(frozen=True)
@@ -75,9 +96,7 @@ class MartingaleSpec:
     population: Population
     multipliers: tuple[Fraction, ...] | None = None
 
-    @property
-    def k_min(self) -> int:
-        return 1
+    k_min: ClassVar[int] = 1
 
     @property
     def k_max(self) -> int:
@@ -99,69 +118,36 @@ def make_spec(
             raise InvalidInputError("the weighted martingale needs multipliers")
         ws = validate_weights(multipliers, n)
     elif multipliers is not None:
+        chain = kind is MartingaleKind.CHAIN_QUADRATIC
+        detail = "; the chain rule derives them from the drawn prefix" if chain else ""
         raise InvalidInputError(
-            f"martingale kind {kind.value!r} takes no multipliers"
-            + (
-                "; the chain rule derives them from the drawn prefix"
-                if kind is MartingaleKind.CHAIN_QUADRATIC
-                else ""
-            )
+            f"martingale kind {kind.value!r} takes no multipliers{detail}"
         )
-    if kind in (
-        MartingaleKind.MTILDE,
-        MartingaleKind.WEIGHTED,
-        MartingaleKind.CHAIN_QUADRATIC,
-    ):
+    if kind not in (MartingaleKind.M2, MartingaleKind.M3):
         population.require_centered(f"martingale kind {kind.value!r}")
     if kind is MartingaleKind.MTILDE and n < 3:
         raise DomainError(f"kind 'mtilde' needs n >= 3, got n={n}")
     return MartingaleSpec(kind=kind, population=population, multipliers=ws)
 
 
-def _check_range(spec: MartingaleSpec, k: int) -> None:
-    if not spec.k_min <= k <= spec.k_max:
-        detail = ""
-        if spec.kind is MartingaleKind.MTILDE and k == spec.k_max + 1:
-            detail = " (k = n-1 would divide by n-k-1 = 0)"
-        raise DomainError(
-            f"kind {spec.kind.value!r} is defined for "
-            f"{spec.k_min} <= k <= {spec.k_max}, got k={k}{detail}"
-        )
-
-
 def evaluate(spec: MartingaleSpec, state: PathState) -> Fraction:
     """Closed-form martingale value at one history."""
     if state.population.values != spec.population.values:
         raise InvalidInputError("state and spec come from different populations")
-    _check_range(spec, state.k)
-    return _evaluate_prefix(spec, state.drawn, state.partial_sum,
-                            state.partial_square_sum)
-
-
-def evaluate_prefix(spec: MartingaleSpec, prefix: Sequence) -> Fraction:
-    """Closed-form value after drawing ``prefix`` in order."""
-    return evaluate(spec, state_for_prefix(spec.population, prefix))
-
-
-def _evaluate_prefix(
-    spec: MartingaleSpec,
-    drawn: tuple[Fraction, ...],
-    s: Fraction,
-    t: Fraction,
-) -> Fraction:
-    pop = spec.population
-    n = pop.n
-    k = len(drawn)
-    kind = spec.kind
-    if kind is MartingaleKind.M2:
-        return Fraction(n * s - k * pop.total, n - k)
-    if kind is MartingaleKind.M3:
-        return Fraction(n * t - k * pop.square_sum, n - k)
-    if kind is MartingaleKind.MTILDE:
-        return ((n - 1) * s * s - k * (pop.square_sum - t)) / Fraction(
-            (n - k) * (n - k - 1)
+    if not spec.k_min <= state.k <= spec.k_max:
+        detail = ""
+        if spec.kind is MartingaleKind.MTILDE and state.k == spec.k_max + 1:
+            detail = " (k = n-1 would divide by n-k-1 = 0)"
+        raise DomainError(
+            f"kind {spec.kind.value!r} is defined for "
+            f"{spec.k_min} <= k <= {spec.k_max}, got k={state.k}{detail}"
         )
-    if kind is MartingaleKind.WEIGHTED:
+    n, k, s, drawn = spec.population.n, state.k, state.partial_sum, state.drawn
+    if spec.kind in ORDER_FREE_VALUES:
+        return ORDER_FREE_VALUES[spec.kind](spec.population)(
+            k, s, state.partial_square_sum
+        )
+    if spec.kind is MartingaleKind.WEIGHTED:
         ws = spec.multipliers
         w = sum((a * x for a, x in zip(ws, drawn)), Fraction(0))
         return w + weight_prefix_sum(ws, k) * s / (n - k)
@@ -172,6 +158,11 @@ def _evaluate_prefix(
         Fraction(0),
     )
     return w + (s - drawn[k - 1]) * s / (n - k)
+
+
+def evaluate_prefix(spec: MartingaleSpec, prefix: Sequence) -> Fraction:
+    """Closed-form value after drawing ``prefix`` in order."""
+    return evaluate(spec, state_for_prefix(spec.population, prefix))
 
 
 @dataclass(frozen=True)
@@ -264,6 +255,14 @@ def _vdiv(a, c):
     return a / c
 
 
+def _violation(prefix, k: int, v, acc, n: int) -> MartingaleViolation:
+    """The failed one-step identity at a history of value ``v`` whose n-k
+    next-draw values sum to ``acc``."""
+    return MartingaleViolation(
+        prefix=tuple(prefix), k=k, value=v, conditional_mean=_vdiv(acc, n - k)
+    )
+
+
 def _check_order_free(
     population: Population,
     value_fn: Callable[[int, Fraction, Fraction], object],
@@ -297,12 +296,7 @@ def _check_order_free(
                     cv = value_fn(k + 1, s + x, t + x * x)
                     acc = cv if acc is None else _vadd(acc, cv)
             if acc != _vscale(v, n - k):
-                violation = MartingaleViolation(
-                    prefix=tuple(prefix),
-                    k=k,
-                    value=v,
-                    conditional_mean=_vdiv(acc, n - k),
-                )
+                violation = _violation(prefix, k, v, acc, n)
                 return
         if k >= k_max - 1:
             return
@@ -349,12 +343,7 @@ def _check_ordered(
                 cv = value_fn(tuple(prefix) + (vals[i],))
                 acc = cv if acc is None else _vadd(acc, cv)
             if acc != _vscale(v, n - k):
-                violation = MartingaleViolation(
-                    prefix=tuple(prefix),
-                    k=k,
-                    value=v,
-                    conditional_mean=_vdiv(acc, n - k),
-                )
+                violation = _violation(prefix, k, v, acc, n)
                 return
         if k >= k_max - 1:
             return
@@ -475,18 +464,8 @@ def check_martingale(spec: MartingaleSpec, cutoff: int | None = None) -> Marting
     """
     pop = spec.population
     ensure_enumerable(pop.n, cutoff, "the exhaustive martingale check")
-    if spec.kind in _ORDER_FREE:
-        n = pop.n
-        b = pop.square_sum
-        m = pop.total
-        if spec.kind is MartingaleKind.M2:
-            fn = lambda k, s, t: Fraction(n * s - k * m, n - k)  # noqa: E731
-        elif spec.kind is MartingaleKind.M3:
-            fn = lambda k, s, t: Fraction(n * t - k * b, n - k)  # noqa: E731
-        else:
-            fn = lambda k, s, t: ((n - 1) * s * s - k * (b - t)) / Fraction(  # noqa: E731
-                (n - k) * (n - k - 1)
-            )
+    if spec.kind in ORDER_FREE_VALUES:
+        fn = ORDER_FREE_VALUES[spec.kind](pop)
         return _check_order_free(pop, fn, spec.k_min, spec.k_max)
     return _check_weighted_fast(
         pop,
@@ -586,6 +565,7 @@ def counterexample_suite(population: Population | None = None) -> Counterexample
     pop.require_centered("the counterexample suite")
     n = pop.n
     b = pop.square_sum
+    mtilde = _mtilde_value(pop)
     # The expected outcomes below are calibrated: with n < 4 the shifted
     # compensated-square entry has no step to check, and with constant
     # squares the drift entry is identically zero (a true martingale).
@@ -613,8 +593,7 @@ def counterexample_suite(population: Population | None = None) -> Counterexample
          lambda k, s, t: t - k * b / n),
         # compensated-square martingale shifted by k
         ("compensated_square_plus_k", False, 1, n - 2,
-         lambda k, s, t: ((n - 1) * s * s - k * (b - t))
-         / Fraction((n - k) * (n - k - 1)) + k),
+         lambda k, s, t: mtilde(k, s, t) + k),
     ]
     entries = []
     for name, expected, k_min, k_max, fn in library:

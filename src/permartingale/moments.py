@@ -11,10 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import mul
 from typing import Sequence
 
 from .errors import DomainError, InvalidInputError
+from .martingales import ORDER_FREE_VALUES, MartingaleKind
 from .population import (
     Population,
     ensure_enumerable,
@@ -76,17 +79,17 @@ def isserlis_oracle(population: Population, pattern) -> Fraction:
     """The same moment by direct enumeration of ordered distinct draws."""
     p = _normalize_pattern(pattern)
     population.require_centered(f"the pattern-{p} moment")
-    if p == "1111":
-        return mean_over_ordered_draws(
-            population, 4, lambda a, b, c, d: a * b * c * d
-        )
-    if p == "211":
-        return mean_over_ordered_draws(population, 3, lambda a, b, c: a * a * b * c)
-    if p == "22":
-        return mean_over_ordered_draws(population, 2, lambda a, b: a * a * b * b)
-    if p == "31":
-        return mean_over_ordered_draws(population, 2, lambda a, b: a * a * a * b)
-    return mean_over_ordered_draws(population, 1, lambda a: a**4)
+    # draw i appears as a factor int(p[i]) times
+    factors = [i for i, e in enumerate(p) for _ in range(int(e))]
+    return mean_over_ordered_draws(
+        population, len(p), lambda *draws: reduce(mul, [draws[i] for i in factors])
+    )
+
+
+def _pattern_label(p: str) -> str:
+    """``"211"`` -> ``"E[X1^2 X2 X3]"``."""
+    draws = (f"X{i}" if e == "1" else f"X{i}^{e}" for i, e in enumerate(p, 1))
+    return "E[" + " ".join(draws) + "]"
 
 
 def partial_sum_second_moment(population: Population, m: int) -> Fraction:
@@ -176,12 +179,11 @@ def mtilde_terminal_oracle(population: Population) -> Fraction:
     if n < 4:
         raise DomainError(f"need n >= 4, got n={n}")
     b = population.square_sum
+    mtilde = ORDER_FREE_VALUES[MartingaleKind.MTILDE](population)
     total = Fraction(0)
     count = 0
     for x, y in combinations(population.values, 2):
-        s = -(x + y)
-        t = b - x * x - y * y
-        value = ((n - 1) * s * s - (n - 2) * (b - t)) / Fraction(2)
+        value = mtilde(n - 2, -(x + y), b - x * x - y * y)
         total += value * value
         count += 1
     return 4 * total / count
@@ -296,19 +298,12 @@ def moment_report(
     ensure_enumerable(n, cutoff, "the moment oracle")
     m = partial_sum_size if partial_sum_size is not None else n // 2
     rows: list[MomentRow] = []
-    labels = {
-        "1111": "E[X1 X2 X3 X4]",
-        "211": "E[X1^2 X2 X3]",
-        "22": "E[X1^2 X2^2]",
-        "31": "E[X1^3 X2]",
-        "4": "E[X1^4]",
-    }
     for p in PATTERNS:
         if p in ("1111", "211") and n < 4:
             continue
         rows.append(
             MomentRow(
-                name=labels[p],
+                name=_pattern_label(p),
                 formula=isserlis_moment(population, p),
                 oracle=isserlis_oracle(population, p),
             )

@@ -24,7 +24,7 @@ from .errors import (
     InvalidInputError,
     PreconditionError,
 )
-from .rationals import as_fraction, format_rational, parse_rational, parse_scalar
+from .rationals import as_fraction, format_rational, parse_scalar
 
 DEFAULT_ENUMERATION_CUTOFF = 10
 MAX_ENUMERATION_CUTOFF = 12
@@ -104,7 +104,13 @@ class Population:
 
     def as_floats(self) -> tuple[float, ...]:
         """Float image of the values, for Monte Carlo estimators only."""
-        return tuple(float(v) for v in self.values)
+        try:
+            return tuple(float(v) for v in self.values)
+        except OverflowError:
+            raise InvalidInputError(
+                "a population value is beyond float range; Monte Carlo "
+                "mode works in floating point"
+            ) from None
 
     def __str__(self) -> str:
         return "{" + ", ".join(format_rational(v) for v in self.values) + "}"
@@ -143,9 +149,9 @@ def bridge_parameter(population: Population) -> int | None:
 class PathState:
     """One history of draws: k values drawn, the rest remaining.
 
-    ``partial_sum``, ``partial_square_sum``, and ``partial_cube_sum``
-    are the running sums of x, x^2, x^3 over the drawn prefix; they are
-    maintained incrementally so a path of length n costs O(n) updates.
+    ``partial_sum`` and ``partial_square_sum`` are the running sums of
+    x and x^2 over the drawn prefix; they are maintained incrementally
+    so a path of length n costs O(n) updates.
     """
 
     population: Population
@@ -153,7 +159,6 @@ class PathState:
     remaining: tuple[Fraction, ...]
     partial_sum: Fraction
     partial_square_sum: Fraction
-    partial_cube_sum: Fraction
 
     @property
     def k(self) -> int:
@@ -167,7 +172,6 @@ class PathState:
             remaining=population.values,
             partial_sum=Fraction(0),
             partial_square_sum=Fraction(0),
-            partial_cube_sum=Fraction(0),
         )
 
     def extend(self, value) -> "PathState":
@@ -185,7 +189,6 @@ class PathState:
             remaining=self.remaining[:i] + self.remaining[i + 1 :],
             partial_sum=self.partial_sum + v,
             partial_square_sum=self.partial_square_sum + v * v,
-            partial_cube_sum=self.partial_cube_sum + v * v * v,
         )
 
 
@@ -222,10 +225,6 @@ class PathTrajectory:
     @property
     def square_sums(self) -> tuple[Fraction, ...]:
         return tuple(st.partial_square_sum for st in self.states)
-
-    @property
-    def cube_sums(self) -> tuple[Fraction, ...]:
-        return tuple(st.partial_cube_sum for st in self.states)
 
 
 def path_for(population: Population, permutation: Sequence[int]) -> PathTrajectory:
@@ -293,8 +292,13 @@ def random_centered_population(
             return make_population(vals)
 
 
-def parse_population_text(text: str, lenient: bool = False) -> Population:
-    """Parse one value per line; '#' starts a comment, blanks ignored."""
+def parse_scalar_lines(
+    text: str, lenient: bool = False, where: str = ""
+) -> tuple[Fraction, ...]:
+    """Parse one scalar per line; '#' starts a comment, blanks ignored.
+
+    A bad line is reported by number, after ``where`` when given.
+    """
     vals: list[Fraction] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -303,18 +307,29 @@ def parse_population_text(text: str, lenient: bool = False) -> Population:
         try:
             vals.append(parse_scalar(line, lenient=lenient))
         except InvalidInputError as exc:
-            raise InvalidInputError(f"line {lineno}: {exc}") from None
-    return make_population(vals)
+            raise InvalidInputError(f"{where}line {lineno}: {exc}") from None
+    return tuple(vals)
+
+
+def read_text_file(path: str, what: str) -> str:
+    """Whole text of a file; ``what`` names its kind in the error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"cannot read {what} file {path}: {exc}") from None
+
+
+def parse_population_text(text: str, lenient: bool = False) -> Population:
+    """Parse one value per line; '#' starts a comment, blanks ignored."""
+    return make_population(parse_scalar_lines(text, lenient=lenient))
 
 
 def load_population(path: str, lenient: bool = False) -> Population:
     """Read a population file (one value per line)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read population file {path}: {exc}") from None
-    return parse_population_text(text, lenient=lenient)
+    return parse_population_text(
+        read_text_file(path, "population"), lenient=lenient
+    )
 
 
 def mean_over_orderings(
@@ -362,10 +377,7 @@ def mean_over_ordered_draws(
         (fn(*draw) for draw in itertools.permutations(population.values, r)),
         Fraction(0),
     )
-    count = 1
-    for i in range(n, n - r, -1):
-        count *= i
-    return Fraction(total, count)
+    return Fraction(total, factorial(n) // factorial(n - r))
 
 
 def mean_over_subsets(

@@ -46,17 +46,12 @@ def parse_scalar(text: str, lenient: bool = False) -> Fraction:
     the exact rational they denote (``"1.25e-3"`` becomes ``1/800``).
     """
     s = text.strip()
-    if _EXACT_RE.match(s):
-        return parse_rational(s)
-    if lenient:
+    if lenient and not _EXACT_RE.match(s):
         try:
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInputError(f"cannot parse scalar {text!r}") from exc
-    raise InvalidInputError(
-        f"expected an integer or p/q rational, got {text!r}"
-        " (decimals are not accepted in exact mode)"
-    )
+    return parse_rational(text)
 
 
 def as_fraction(value) -> Fraction:

@@ -4,9 +4,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from permartingale.cli import main
+from permartingale.cli import _sweep_row_seed, main
 
 from conftest import pop_file
 
@@ -304,6 +305,68 @@ def test_sweep_is_deterministic_under_master_seed(tmp_path):
     assert out3 != out1
 
 
+def test_sweep_derives_row_seeds_from_seed_sequence(tmp_path):
+    rows = [{"id": "max_averages", "mode": "mc", "population": [1, -1, 2, -2],
+             "samples": 500}] * 2
+    spec = tmp_path / "rows.json"
+    spec.write_text(json.dumps(rows), encoding="utf-8")
+    rc, out, _ = run_cli(["sweep", str(spec), "--seed", "7"])
+    assert rc == 0
+    seeds = [r["report"]["seed"] for r in json.loads(out)["rows"]]
+    want = [
+        int(np.random.SeedSequence((7, i)).generate_state(1, np.uint64)[0])
+        for i in range(2)
+    ]
+    assert seeds == want
+    # a pair that the affine mix master*1_000_003 + index would merge
+    assert _sweep_row_seed(0, 1_000_003) != _sweep_row_seed(1, 0)
+
+
+def test_sweep_refuses_a_negative_master_seed(tmp_path, monkeypatch):
+    rows = [{"id": "max_averages", "mode": "mc", "population": [1, -1, 2, -2],
+             "samples": 500}]
+    spec = tmp_path / "rows.json"
+    spec.write_text(json.dumps(rows), encoding="utf-8")
+    rc, out, err = run_cli(["sweep", str(spec), "--seed", "-1"])
+    assert rc == 2 and out == "" and "nonnegative" in err
+    monkeypatch.setenv("PERMARTINGALE_SEED", "-3")
+    rc, out, err = run_cli(["sweep", str(spec)])
+    assert rc == 2 and out == "" and "nonnegative" in err
+
+
+@pytest.mark.parametrize(
+    "iid, values",
+    [
+        ("max_averages", ["1e400", "-1e400"]),  # values beyond float range
+        ("garsia_unweighted", ["1e160", "-1e160"]),  # bound beyond float range
+        ("garsia_unweighted", ["1e100", "-1e100"]),  # squared statistic overflows
+    ],
+)
+def test_mc_overflow_is_an_input_error(tmp_path, iid, values):
+    path = pop_file(tmp_path, values)
+    result = subprocess.run(
+        [sys.executable, "-m", "permartingale", "check-inequality", "--id", iid,
+         "--population", path, "--mode", "mc", "--samples", "100", "--seed", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+    assert "Warning" not in result.stderr
+
+
+def test_dump_matrices_weighted_refuses_an_uncentered_population(tmp_path):
+    pop = pop_file(tmp_path, [1, 2, 3, 4])
+    mult = pop_file(tmp_path, [1, 1, 1, 1], name="w.txt")
+    rc, out, err = run_cli(
+        ["dump-matrices", "--basis", "weighted", "--population", pop,
+         "--multipliers", mult]
+    )
+    assert rc == 2 and out == "" and "centered" in err
+
+
 def test_sweep_records_per_row_errors(tmp_path):
     rows = [
         {"id": "max_averages", "mode": "exact",
@@ -334,6 +397,12 @@ def test_sweep_rejects_malformed_files(tmp_path):
     wrong_shape.write_text('{"entries": []}', encoding="utf-8")
     rc, _, err = run_cli(["sweep", str(wrong_shape)])
     assert rc == 2
+    for text in ('{"rows": 5}', '{"rows": {"id": "hardy"}}', '"rows"'):
+        wrong_shape.write_text(text, encoding="utf-8")
+        rc, out, err = run_cli(["sweep", str(wrong_shape)])
+        assert rc == 2 and out == "" and "JSON list of rows" in err
+    rc, _, err = run_cli(["sweep", str(tmp_path / "missing.json")])
+    assert rc == 2 and "cannot read spec file" in err
 
 
 def test_sweep_csv_format(tmp_path):

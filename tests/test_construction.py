@@ -7,7 +7,9 @@ from permartingale import (
     Basis,
     DomainError,
     InvalidInputError,
+    PreconditionError,
     build_transition_system,
+    check_vector_martingale,
     identity_matrix,
     make_population,
     matrix_as_strings,
@@ -182,6 +184,21 @@ def test_build_transition_system_input_validation():
         Basis.QUADRATIC, n=5, total=Fraction(0), square_sum=Fraction(10)
     )
     assert explicit.n == 5
+
+
+def test_weighted_basis_requires_a_centered_total():
+    # the weighted step matrix omits a_{k+1} M/(n-k) and M/(n-k)
+    uncentered = make_population([1, 2, 3, 4])
+    with pytest.raises(PreconditionError, match="centered"):
+        build_transition_system(
+            Basis.WEIGHTED, population=uncentered, multipliers=[1] * 4
+        )
+    with pytest.raises(PreconditionError):
+        build_transition_system(
+            Basis.WEIGHTED, n=4, total=1, square_sum=0, multipliers=[1] * 4
+        )
+    with pytest.raises(PreconditionError):
+        check_vector_martingale(uncentered, Basis.WEIGHTED, multipliers=[1] * 4)
 
 
 def test_vector_martingale_value_bounds():

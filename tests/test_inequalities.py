@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from permartingale import (
@@ -459,3 +460,34 @@ def test_exact_holds_on_many_random_populations():
         for iid in MEAN_IDS + (InequalityId.HARDY,):
             ws = weights_for(iid, n, rng)
             assert verify(iid, population=pop, weights=ws).holds, (iid, n)
+
+
+@pytest.mark.parametrize("iid", list(InequalityId))
+def test_float_statistic_matches_reference_on_every_ordering(iid):
+    # the float route of Monte Carlo mode, row by row, against the exact
+    # Fraction reference: n <= 6, bridge m <= 3
+    from permartingale.inequalities import _RULES
+
+    rng = random.Random(f"float-route:{iid.value}")
+    if iid is InequalityId.BRIDGE:
+        cases = [(make_bridge_population(m), None, m) for m in (1, 2, 3)]
+    else:
+        cases = []
+        for n in range(2, 7):
+            pop = random_centered_population(n, rng)
+            cases.append((pop, weights_for(iid, n, rng), None))
+    for pop, ws, m in cases:
+        n = pop.n
+        perms = list(iter_permutations(n))
+        rows = np.array(
+            [[float(pop.values[i - 1]) for i in perm] for perm in perms]
+        )
+        effective = ws
+        if iid is InequalityId.ALTERNATING:
+            effective = alternating_weights(n)
+        got = _RULES[iid].floats(n, effective, m)(rows)
+        for perm, value in zip(perms, got):
+            want = float(lhs_statistic(iid, pop, perm, weights=ws, bridge_m=m))
+            assert math.isclose(value, want, rel_tol=1e-12, abs_tol=0.0), (
+                iid, pop.values, perm, value, want
+            )

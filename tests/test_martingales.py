@@ -204,6 +204,23 @@ def test_corrupted_evaluator_fails_with_witness():
     assert set(d) == {"prefix", "k", "value", "conditional_mean"}
 
 
+def test_check_martingale_certifies_the_evaluator_it_returns(monkeypatch):
+    # a typo in an order-free closed form must reach both evaluate and the
+    # exhaustive check, since both read the one value table
+    from permartingale import martingales
+
+    def wrong_m2(pop):
+        n, m = pop.n, pop.total
+        return lambda k, s, t: Fraction(n * s - k * m, n - k + 1)
+
+    spec = make_spec(MartingaleKind.M2, FOUR)
+    right = evaluate_prefix(spec, (2,))
+    monkeypatch.setitem(martingales.ORDER_FREE_VALUES, MartingaleKind.M2, wrong_m2)
+    assert evaluate_prefix(spec, (2,)) != right
+    check = check_martingale(spec)
+    assert not check.holds and check.worst_history is not None
+
+
 def test_check_sequence_validation():
     with pytest.raises(InvalidInputError):
         check_sequence(FOUR, lambda p: Fraction(0), 3, 1)

@@ -75,7 +75,6 @@ def test_path_state_tracks_running_sums():
     assert st_.k == 2
     assert st_.partial_sum == 1
     assert st_.partial_square_sum == 5
-    assert st_.partial_cube_sum == 7
     assert sorted(st_.drawn + st_.remaining) == sorted(pop.values)
     ext = st_.extend(Fraction(-2))
     assert ext.k == 3 and ext.partial_sum == -1
@@ -149,6 +148,15 @@ def test_parse_population_text_handles_comments_and_blanks():
 def test_parse_population_text_reports_line_number():
     with pytest.raises(InvalidInputError, match="line 3"):
         parse_population_text("1\n-1\nbogus\n")
+
+
+def test_load_population_refuses_unreadable_files(tmp_path):
+    with pytest.raises(InvalidInputError, match="cannot read population file"):
+        load_population(str(tmp_path / "missing.txt"))
+    not_utf8 = tmp_path / "latin1.txt"
+    not_utf8.write_bytes(b"1\n\xff\n-1\n")
+    with pytest.raises(InvalidInputError, match="cannot read population file"):
+        load_population(str(not_utf8))
 
 
 def test_load_population_round_trip(tmp_path):
