@@ -30,8 +30,6 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .construction import (
     Basis,
     build_transition_system,
@@ -371,7 +369,8 @@ def _cmd_dump_matrices(args) -> int:
         total = parse_rational(args.total)
         square_sum = parse_rational(args.square_sum)
         system = build_transition_system(
-            basis, n=args.n, total=total, square_sum=square_sum
+            basis, n=args.n, total=total, square_sum=square_sum,
+            multipliers=multipliers,
         )
     else:
         if args.n is None:
@@ -475,6 +474,8 @@ def _sweep_row_seed(master_seed: int, index: int) -> int:
     """Monte Carlo seed of a sweep row that gives none: a 64-bit word
     hashed from SeedSequence((master, index)), unlike an affine mix of
     the two, which maps distinct (master, index) pairs to one seed."""
+    import numpy as np
+
     seq = np.random.SeedSequence((master_seed, index))
     return int(seq.generate_state(1, np.uint64)[0])
 

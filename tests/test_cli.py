@@ -254,6 +254,12 @@ def test_dump_matrices_input_validation(four_file):
          "--format", "csv"]
     )
     assert rc == 2
+    rc, out, err = run_cli(
+        ["dump-matrices", "--basis", "quadratic", "--n", "4", "--total", "0",
+         "--square-sum", "10", "--multipliers", four_file]
+    )
+    assert rc == 2 and out == ""
+    assert "the quadratic basis takes no multipliers" in err
 
 
 def test_sweep_empty_file(tmp_path):
@@ -427,3 +433,35 @@ def test_module_entry_point_runs_as_subprocess(four_file):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["all_equal"] is True
+
+
+def test_exact_paths_do_not_import_numpy(tmp_path, four_file):
+    # numpy is loaded only for Monte Carlo sampling and sweep seeds
+    weights = pop_file(tmp_path, [1, -1, 1, 1], name="w.txt")
+    probe = (
+        "import sys\n"
+        "from permartingale.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print('numpy' in sys.modules, rc, file=sys.stderr)\n"
+    )
+    runs = [
+        (["--help"], 0),
+        (["check-inequality", "--id", "quadratic", "--mode", "exact",
+          "--population", four_file], 0),
+        (["check-inequality", "--id", "garsia_weighted", "--mode", "exact",
+          "--population", four_file, "--weights", weights], 0),
+        (["verify-martingale", "--kind", "m2", "--population", four_file], 0),
+        (["moments", "--population", four_file], 0),
+        (["dump-matrices", "--basis", "quadratic", "--population", four_file], 0),
+        (["check-inequality", "--id", "quadratic", "--mode", "mc",
+          "--population", four_file, "--samples", "10", "--seed", "1"], None),
+    ]
+    for argv, rc in runs:
+        result = subprocess.run(
+            [sys.executable, "-c", probe, *argv], capture_output=True, text=True
+        )
+        loaded, code = result.stderr.split()[-2:]
+        if rc is None:
+            assert loaded == "True", argv
+        else:
+            assert (loaded, code) == ("False", str(rc)), (argv, result.stderr)

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permartingale import (
     DomainError,
@@ -29,6 +31,8 @@ from permartingale import (
 
 FOUR = make_population([1, -1, 2, -2])
 
+WEIGHTED_IDS = (InequalityId.VNA_WEIGHTED, InequalityId.GARSIA_WEIGHTED)
+
 MEAN_IDS = (
     InequalityId.MAX_AVERAGES,
     InequalityId.GARSIA_UNWEIGHTED,
@@ -40,7 +44,7 @@ MEAN_IDS = (
 
 
 def weights_for(iid, n, rng):
-    if iid in (InequalityId.VNA_WEIGHTED, InequalityId.GARSIA_WEIGHTED):
+    if iid in WEIGHTED_IDS:
         while True:
             ws = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
             if any(ws):
@@ -48,21 +52,39 @@ def weights_for(iid, n, rng):
     return None
 
 
-def test_exact_engine_agrees_with_reference_statistic():
+# repeated values and zeros, so that distinct subsets share keys
+TIED = tuple(
+    make_population(v)
+    for v in ([0, 0], [1, 1, -2], [0, 2, -2, 0], [1, 1, 1, -1, -1, -1],
+              [0, 2, 2, -1, -1, -1, -1])
+)
+
+
+def populations_n2_to_n7():
     rng = random.Random(500)
-    for n in (2, 3, 4, 5):
-        pop = random_centered_population(n, rng)
+    return [random_centered_population(n, rng) for n in range(2, 7)] + list(TIED)
+
+
+def reference_lhs(iid, pop, ws=None, m=None):
+    """Mean (max for hardy) of the Fraction reference statistic over
+    every ordering."""
+    values = [
+        lhs_statistic(iid, pop, perm, weights=ws, bridge_m=m)
+        for perm in iter_permutations(pop.n)
+    ]
+    if iid is InequalityId.HARDY:
+        return max(values)
+    return sum(values, Fraction(0)) / math.factorial(pop.n)
+
+
+def test_exact_engine_agrees_with_reference_statistic():
+    rng = random.Random(506)
+    for pop in populations_n2_to_n7():
+        n = pop.n
         for iid in MEAN_IDS:
             ws = weights_for(iid, n, rng)
             report = verify(iid, population=pop, weights=ws)
-            total = sum(
-                (
-                    lhs_statistic(iid, pop, perm, weights=ws)
-                    for perm in iter_permutations(n)
-                ),
-                Fraction(0),
-            )
-            assert report.lhs == total / math.factorial(n), (iid, n)
+            assert report.lhs == reference_lhs(iid, pop, ws), (iid, pop.values)
             assert report.rhs == rhs_value(iid, pop, weights=ws)
             assert report.holds and report.status == "holds"
 
@@ -71,29 +93,68 @@ def test_exact_engine_agrees_on_bridges():
     for m in (1, 2, 3):
         report = verify(InequalityId.BRIDGE, bridge_m=m)
         pop = make_bridge_population(m)
-        total = sum(
-            (
-                lhs_statistic(InequalityId.BRIDGE, pop, perm)
-                for perm in iter_permutations(2 * m)
-            ),
-            Fraction(0),
-        )
-        assert report.lhs == total / math.factorial(2 * m)
+        assert report.lhs == reference_lhs(InequalityId.BRIDGE, pop, m=m)
         assert report.rhs == 128 * m * m
 
 
 def test_exact_hardy_is_the_maximum_over_orderings():
-    rng = random.Random(501)
-    for n in (2, 3, 4, 5):
-        pop = random_centered_population(n, rng)
+    for pop in populations_n2_to_n7():
         report = verify(InequalityId.HARDY, population=pop)
-        best = max(
-            lhs_statistic(InequalityId.HARDY, pop, perm)
-            for perm in iter_permutations(n)
-        )
-        assert report.lhs == best
+        assert report.lhs == reference_lhs(InequalityId.HARDY, pop), pop.values
         assert report.rhs == 4 * pop.square_sum
         assert report.holds
+
+
+centered_rationals = st.lists(
+    st.fractions(min_value=-5, max_value=5, max_denominator=4),
+    min_size=1,
+    max_size=5,
+).map(lambda head: head + [-sum(head, Fraction(0))])
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    values=centered_rationals,
+    weights=st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+    m=st.integers(1, 3),
+)
+def test_every_exact_lhs_is_the_reference_over_orderings(values, weights, m):
+    pop = make_population(values)
+    ws = [Fraction(w) for w in weights[: pop.n]]
+    if not any(ws):
+        ws[0] = Fraction(1)
+    for iid in InequalityId:
+        if iid is InequalityId.BRIDGE:
+            report = verify(iid, bridge_m=m)
+            want = reference_lhs(iid, make_bridge_population(m), m=m)
+        else:
+            given_ws = ws if iid in WEIGHTED_IDS else None
+            report = verify(iid, population=pop, weights=given_ws)
+            want = reference_lhs(iid, pop, given_ws)
+        assert report.lhs == want, (iid, values)
+
+
+def test_exact_engine_at_n12_against_the_sign_sequences():
+    # every sign sequence of the ±1 population with m = 6 stands for
+    # 6!·6! orderings, so the mean over the C(12, 6) sequences is the
+    # mean over the 12! orderings
+    pop = make_bridge_population(6)
+    ones = [i + 1 for i, v in enumerate(pop.values) if v == 1]
+    minus = [i + 1 for i, v in enumerate(pop.values) if v == -1]
+    perms = []
+    for up in itertools.combinations(range(12), 6):
+        plus, neg = iter(ones), iter(minus)
+        perms.append([next(plus) if k in up else next(neg) for k in range(12)])
+    for iid in (
+        InequalityId.MAX_AVERAGES,
+        InequalityId.GARSIA_UNWEIGHTED,
+        InequalityId.QUADRATIC,
+        InequalityId.BRIDGE,
+    ):
+        want = sum(
+            (lhs_statistic(iid, pop, perm) for perm in perms), Fraction(0)
+        ) / len(perms)
+        assert verify(iid, population=pop, cutoff=12).lhs == want, iid
 
 
 def test_pinned_examples():
