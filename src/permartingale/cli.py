@@ -458,6 +458,8 @@ def _sweep_population(row: dict, index: int, master_seed: int):
         if "n" not in spec:
             raise InvalidInputError(f"row {index}: 'random' needs 'n'")
         seed = spec.get("seed")
+        if not isinstance(seed, (int, float, str, type(None))):
+            raise InvalidInputError(f"row {index}: 'seed' must be a number or string")
         rng = random.Random(
             seed if seed is not None else f"{master_seed}:{index}"
         )

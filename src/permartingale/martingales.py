@@ -12,16 +12,18 @@ With n items, grand total M, grand square sum B, and running sums S_k
 * ``WEIGHTED``: W_k + alpha_1(k) S_k / (n - k) with
                W_k = a_1 X_1 + ... + a_k X_k and fixed multipliers a_i,
                alpha_1(k) = a_1 + ... + a_k, centered, 1 <= k <= n-1
-* ``CHAIN_QUADRATIC``: the WEIGHTED family under the non-anticipating
-               rule a_1 = 0, a_k = X_{k-1}; equivalently
+* ``CHAIN_QUADRATIC``: the same definition with a_{k+1} = X_k and
+               a_1 = 0; equivalently
                X_1 X_2 + ... + X_{k-1} X_k + S_{k-1} S_k / (n - k)
 
 ``check_martingale`` certifies E[M_{k+1} | first k draws] = M_k on
 every history by enumeration, never by algebra, so a wrong evaluator
-cannot certify itself.  Two engines exist: a subset walker for
-evaluators that depend on the prefix only through (k, S_k, T_k), and an
-ordered-prefix walker for weight-dependent evaluators.  Both report the
-first violating history found.
+cannot certify itself.  Three walkers report the first violating
+history: a subset walker over (k, S_k, T_k) for M2, M3, MTILDE, the
+quadratic-basis vector and the negative controls; an integer walker
+over the weighted state (k, S_k, W_k, A_k) for WEIGHTED,
+CHAIN_QUADRATIC and the weighted-basis vector; and a generic
+``Fraction`` walker over prefixes for ``check_sequence``.
 """
 
 from __future__ import annotations
@@ -31,12 +33,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, ClassVar, Sequence
 
-from .construction import (
-    Basis,
-    build_transition_system,
-    matrix_vector,
-    vector_martingale_value,
-)
+from .construction import Basis, build_transition_system, matrix_vector
 from .errors import DomainError, InvalidInputError, PreconditionError, coerce_enum
 from .population import (
     PathState,
@@ -47,7 +44,7 @@ from .population import (
     state_for_prefix,
 )
 from .rationals import format_rational, scaled_integers
-from .weights import validate_weights, weight_prefix_sum
+from .weights import validate_weights
 
 
 class MartingaleKind(str, Enum):
@@ -82,6 +79,30 @@ ORDER_FREE_VALUES = {
     MartingaleKind.M3: _m3_value,
     MartingaleKind.MTILDE: _mtilde_value,
 }
+
+
+def weighted_value(n: int) -> Callable[[int, object, object, object], object]:
+    """The one definition of the weighted family, as (n - k) M_k, where
+    M_k = W_k + A_k S_k / (n - k), W_k = a_1 X_1 + ... + a_k X_k and
+    A_k = a_1 + ... + a_k.  Times n - k it is a polynomial in the state
+    (k, S_k, W_k, A_k), so it runs on Fractions and on scaled integers.
+    The two kinds differ only in :func:`_next_multiplier`."""
+    return lambda k, s, w, alpha: (n - k) * w + alpha * s
+
+
+def _next_multiplier(multipliers, k: int, last):
+    """a_{k+1} after k draws ending in ``last``: fixed for WEIGHTED; for
+    CHAIN_QUADRATIC (``multipliers`` None) the last draw, so a_1 = 0."""
+    return last if multipliers is None else multipliers[k]
+
+
+def weighted_prefix_value(n: int, multipliers, drawn: Sequence[Fraction]) -> Fraction:
+    """M_k after ``drawn``, walking (S_k, W_k, A_k) one draw at a time."""
+    s = w = alpha = last = Fraction(0)
+    for k, x in enumerate(drawn):
+        a = _next_multiplier(multipliers, k, last)
+        s, w, alpha, last = s + x, w + a * x, alpha + a, x
+    return weighted_value(n)(len(drawn), s, w, alpha) / (n - len(drawn))
 
 
 @dataclass(frozen=True)
@@ -142,22 +163,11 @@ def evaluate(spec: MartingaleSpec, state: PathState) -> Fraction:
             f"kind {spec.kind.value!r} is defined for "
             f"{spec.k_min} <= k <= {spec.k_max}, got k={state.k}{detail}"
         )
-    n, k, s, drawn = spec.population.n, state.k, state.partial_sum, state.drawn
     if spec.kind in ORDER_FREE_VALUES:
         return ORDER_FREE_VALUES[spec.kind](spec.population)(
-            k, s, state.partial_square_sum
+            state.k, state.partial_sum, state.partial_square_sum
         )
-    if spec.kind is MartingaleKind.WEIGHTED:
-        ws = spec.multipliers
-        w = sum((a * x for a, x in zip(ws, drawn)), Fraction(0))
-        return w + weight_prefix_sum(ws, k) * s / (n - k)
-    # chain rule: a_1 = 0, a_i = X_{i-1}, so W_k telescopes to adjacent
-    # products and alpha_1(k) = S_{k-1}
-    w = sum(
-        (drawn[i - 1] * drawn[i] for i in range(1, k)),
-        Fraction(0),
-    )
-    return w + (s - drawn[k - 1]) * s / (n - k)
+    return weighted_prefix_value(spec.population.n, spec.multipliers, state.drawn)
 
 
 def evaluate_prefix(spec: MartingaleSpec, prefix: Sequence) -> Fraction:
@@ -237,29 +247,28 @@ class MartingaleCheck:
         }
 
 
-def _vadd(a, b):
-    if isinstance(a, tuple):
-        return tuple(x + y for x, y in zip(a, b))
-    return a + b
+class _Vector(tuple):
+    """A vector value whose +, scaling and / act coordinatewise, so the
+    walkers treat scalars and vectors alike (``sum`` starts from 0)."""
 
+    def __add__(self, other):
+        return _Vector(x + y for x, y in zip(self, other))
 
-def _vscale(a, c):
-    if isinstance(a, tuple):
-        return tuple(x * c for x in a)
-    return a * c
+    def __radd__(self, other):
+        return self if other == 0 else NotImplemented
 
+    def __rmul__(self, c):
+        return _Vector(c * x for x in self)
 
-def _vdiv(a, c):
-    if isinstance(a, tuple):
-        return tuple(x / c for x in a)
-    return a / c
+    def __truediv__(self, c):
+        return _Vector(x / c for x in self)
 
 
 def _violation(prefix, k: int, v, acc, n: int) -> MartingaleViolation:
     """The failed one-step identity at a history of value ``v`` whose n-k
     next-draw values sum to ``acc``."""
     return MartingaleViolation(
-        prefix=tuple(prefix), k=k, value=v, conditional_mean=_vdiv(acc, n - k)
+        prefix=tuple(prefix), k=k, value=v, conditional_mean=acc / (n - k)
     )
 
 
@@ -289,13 +298,12 @@ def _check_order_free(
         if k_min <= k <= k_max - 1:
             states += 1
             v = value_fn(k, s, t)
-            acc = None
-            for j in range(n):
-                if not in_use[j]:
-                    x = vals[j]
-                    cv = value_fn(k + 1, s + x, t + x * x)
-                    acc = cv if acc is None else _vadd(acc, cv)
-            if acc != _vscale(v, n - k):
+            acc = sum(
+                value_fn(k + 1, s + x, t + x * x)
+                for x, used in zip(vals, in_use)
+                if not used
+            )
+            if acc != (n - k) * v:
                 violation = _violation(prefix, k, v, acc, n)
                 return
         if k >= k_max - 1:
@@ -325,11 +333,15 @@ def _check_ordered(
     """Check an arbitrary adapted evaluator over all ordered prefixes.
 
     ``value_fn`` maps a drawn prefix (tuple of values, in order) to a
-    scalar or vector.  Fully general and exact, at ordered-tree cost.
+    scalar or a tuple.  Fully general and exact, at ordered-tree cost.
     """
-    vals = list(population.values)
+
+    def fn(prefix: tuple[Fraction, ...]):
+        v = value_fn(prefix)
+        return _Vector(v) if isinstance(v, tuple) else v
+
+    vals = list(population.values)  # permuted in place: vals[:k] is the prefix
     n = population.n
-    prefix: list[Fraction] = []
     states = 0
     violation: MartingaleViolation | None = None
 
@@ -337,21 +349,17 @@ def _check_ordered(
         nonlocal states, violation
         if k_min <= k <= k_max - 1:
             states += 1
-            v = value_fn(tuple(prefix))
-            acc = None
-            for i in range(k, n):
-                cv = value_fn(tuple(prefix) + (vals[i],))
-                acc = cv if acc is None else _vadd(acc, cv)
-            if acc != _vscale(v, n - k):
+            prefix = tuple(vals[:k])
+            v = fn(prefix)
+            acc = sum(fn((*prefix, x)) for x in vals[k:])
+            if acc != (n - k) * v:
                 violation = _violation(prefix, k, v, acc, n)
                 return
         if k >= k_max - 1:
             return
         for i in range(k, n):
             vals[k], vals[i] = vals[i], vals[k]
-            prefix.append(vals[k])
             dfs(k + 1)
-            prefix.pop()
             vals[k], vals[i] = vals[i], vals[k]
             if violation is not None:
                 return
@@ -384,72 +392,47 @@ def check_sequence(
     return _check_ordered(population, value_fn, k_min, k_max)
 
 
-def _check_weighted_fast(
-    population: Population,
-    multipliers: tuple[Fraction, ...] | None,
-    chain: bool,
-) -> MartingaleCheck:
-    """Ordered-prefix check for the weighted families in pure integers.
-
-    Scale values by d and multipliers by e; then
-    g_k = (n-k) W'_k + alpha_1'(k) S'_k is an integer equal to
-    (n-k) d e M_k, and the one-step identity E[M_{k+1} | h] = M_k is
-    equivalent to sum over next draws of g_{k+1} == (n-k-1) g_k.
+def _walk_weighted(values, d: int, multipliers, value, scale: int) -> MartingaleCheck:
+    """Check ``value`` of the weighted state (k, S_k, W_k, A_k), carried
+    one draw at a time over every ordered prefix of ``values`` (the
+    population times d).  ``value`` must be (n - k) scale M_k, so
+    E[M_{k+1} | h] = M_k reads: next-draw values sum to (n-k-1) value_k.
     """
-    n = population.n
-    xs, d = scaled_integers(population.values)
-    if chain:
-        wsc: tuple[int, ...] = ()
-        e = d
-        alpha: list[int] = []
-    else:
-        wsc, e = scaled_integers(multipliers)
-        alpha = [0] * (n + 1)
-        for i, w in enumerate(wsc, 1):
-            alpha[i] = alpha[i - 1] + w
-    arr = list(xs)
-    prefix: list[int] = []
+    n = len(values)
+    arr = list(values)  # permuted in place: arr[:k] is the drawn prefix
     states = 0
     violation: MartingaleViolation | None = None
-    scale = d * e
 
-    def dfs(k: int, s: int, w: int, g: int, last: int) -> None:
+    def dfs(k: int, s, w, alpha, g, last) -> None:
         nonlocal states, violation
-        child: list[tuple[int, int, int]] = []
-        csum = 0
-        for i in range(k, n):
-            x = arr[i]
-            if chain:
-                w2 = w + (last if k >= 1 else 0) * x
-                g2 = (n - k - 1) * w2 + s * (s + x)
-            else:
-                w2 = w + wsc[k] * x
-                g2 = (n - k - 1) * w2 + alpha[k + 1] * (s + x)
-            child.append((x, w2, g2))
-            csum += g2
+        a = _next_multiplier(multipliers, k, last)
+        alpha2 = alpha + a
+        gs = []
+        for x in arr[k:]:
+            gs.append(value(k + 1, s + x, w + a * x, alpha2))
         if k >= 1:
             states += 1
+            csum = sum(gs)
             if csum != (n - k - 1) * g:
-                violation = MartingaleViolation(
-                    prefix=tuple(Fraction(v, d) for v in prefix),
-                    k=k,
-                    value=Fraction(g, (n - k) * scale),
-                    conditional_mean=Fraction(csum, (n - k) * (n - k - 1) * scale),
+                violation = _violation(
+                    [Fraction(v, d) for v in arr[:k]],
+                    k,
+                    g / Fraction((n - k) * scale),
+                    csum / Fraction((n - k - 1) * scale),
+                    n,
                 )
                 return
         if k > n - 3:
             return
-        for idx, i in enumerate(range(k, n)):
-            x, w2, g2 = child[idx]
-            arr[k], arr[i] = arr[i], arr[k]
-            prefix.append(x)
-            dfs(k + 1, s + x, w2, g2, x)
-            prefix.pop()
-            arr[k], arr[i] = arr[i], arr[k]
+        for i in range(k, n):
+            x = arr[i]
+            arr[k], arr[i] = x, arr[k]
+            dfs(k + 1, s + x, w + a * x, alpha2, gs[i - k], x)
+            arr[k], arr[i] = arr[i], x
             if violation is not None:
                 return
 
-    dfs(0, 0, 0, 0, 0)
+    dfs(0, 0, 0, 0, 0, 0)
     return MartingaleCheck(
         holds=violation is None, worst_history=violation, states_checked=states
     )
@@ -467,11 +450,10 @@ def check_martingale(spec: MartingaleSpec, cutoff: int | None = None) -> Marting
     if spec.kind in ORDER_FREE_VALUES:
         fn = ORDER_FREE_VALUES[spec.kind](pop)
         return _check_order_free(pop, fn, spec.k_min, spec.k_max)
-    return _check_weighted_fast(
-        pop,
-        spec.multipliers,
-        chain=spec.kind is MartingaleKind.CHAIN_QUADRATIC,
-    )
+    # values times d, multipliers times e (the chain's are draws: e = d)
+    xs, d = scaled_integers(pop.values)
+    ws, e = (None, d) if spec.multipliers is None else scaled_integers(spec.multipliers)
+    return _walk_weighted(xs, d, ws, weighted_value(pop.n), d * e)
 
 
 def check_vector_martingale(
@@ -484,8 +466,9 @@ def check_vector_martingale(
     vector martingale.
 
     The quadratic-basis vector depends on the prefix only through
-    (k, S_k, T_k), so the subset walker applies; the weighted basis
-    goes through the ordered walker.
+    (k, S_k, T_k), so the subset walker applies.  The weighted basis
+    goes through the ordered walker of the weighted state, which
+    applies each inverse product to (W_k, S_k) at every child history.
     """
     basis = coerce_enum(Basis, basis, "basis")
     ensure_enumerable(population.n, cutoff, "the exhaustive martingale check")
@@ -497,15 +480,27 @@ def check_vector_martingale(
 
         def fn(k: int, s: Fraction, t: Fraction):
             vec = (s * s, s, t, Fraction(1))
-            return matrix_vector(system.inverse_product(k), vec)
+            return _Vector(matrix_vector(system.inverse_product(k), vec))
 
         return _check_order_free(population, fn, 1, k_max)
 
-    def value_fn(prefix: tuple[Fraction, ...]):
-        state = state_for_prefix(population, prefix)
-        return vector_martingale_value(system, state)
+    # ``value`` gets w = d e W_k and s = d S_k.  Each inverse product
+    # times n - k, its S_k column also times e, has integer entries over
+    # one denominator c, so ``value`` is (n - k) c d e P_k (W_k, S_k).
+    xs, d = scaled_integers(population.values)
+    ws, e = scaled_integers(system.multipliers)
+    q, c = scaled_integers(
+        (system.n - k) * p * f
+        for k in range(1, k_max + 1)
+        for row in system.inverse_product(k)
+        for p, f in zip(row, (1, e))
+    )
 
-    return _check_ordered(population, value_fn, 1, k_max)
+    def value(k: int, s: int, w: int, alpha: int) -> _Vector:
+        i = 4 * k - 4  # q holds the 2x2 products row by row
+        return _Vector((q[i] * w + q[i + 1] * s, q[i + 2] * w + q[i + 3] * s))
+
+    return _walk_weighted(xs, d, ws, value, c * d * e)
 
 
 def initial_expectation(spec: MartingaleSpec) -> Fraction:

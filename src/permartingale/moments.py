@@ -17,7 +17,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import DomainError, InvalidInputError
-from .martingales import ORDER_FREE_VALUES, MartingaleKind
+from .martingales import ORDER_FREE_VALUES, MartingaleKind, weighted_prefix_value
 from .population import (
     Population,
     ensure_enumerable,
@@ -250,15 +250,9 @@ def weighted_second_moment_oracle(
     ws = validate_weights(multipliers, n)
     if not 1 <= k <= n - 1:
         raise DomainError(f"need 1 <= k <= {n - 1}, got k={k}")
-    a1 = weight_prefix_sum(ws, k)
-
-    def stat(*draws: Fraction) -> Fraction:
-        w = sum((a * x for a, x in zip(ws, draws)), Fraction(0))
-        s = sum(draws, Fraction(0))
-        m = w + a1 * s / (n - k)
-        return m * m
-
-    return mean_over_ordered_draws(population, k, stat)
+    return mean_over_ordered_draws(
+        population, k, lambda *draws: weighted_prefix_value(n, ws, draws) ** 2
+    )
 
 
 @dataclass(frozen=True)

@@ -278,8 +278,10 @@ def random_centered_population(
     the last is the negated sum, so the total is exactly 0 and the
     square sum is positive.
     """
-    if n < 2:
-        raise InvalidInputError(f"need n >= 2, got {n}")
+    for name, v, low in (("n", n, 2), ("max_numerator", max_numerator, 1),
+                         ("max_denominator", max_denominator, 1)):
+        if not isinstance(v, int) or isinstance(v, bool) or v < low:
+            raise InvalidInputError(f"need an int {name} >= {low}, got {v!r}")
     r = _as_rng(rng)
     while True:
         head = [

@@ -409,6 +409,17 @@ def test_sweep_rejects_malformed_files(tmp_path):
         assert rc == 2 and out == "" and "JSON list of rows" in err
     rc, _, err = run_cli(["sweep", str(tmp_path / "missing.json")])
     assert rc == 2 and "cannot read spec file" in err
+    # a malformed random object is an error entry for its row, not a crash
+    for random_spec in (
+        {"n": 4.0}, {"n": "5"}, {"n": 4, "seed": [1, 2]},
+        {"n": 4, "max_denominator": 0}, {"n": 4, "max_numerator": 0},
+    ):
+        row = {"id": "max_averages", "mode": "exact", "random": random_spec}
+        wrong_shape.write_text(json.dumps([row]), encoding="utf-8")
+        rc, out, err = run_cli(["sweep", str(wrong_shape)])
+        payload = json.loads(out)
+        assert rc == 1 and payload["errors"] == 1, random_spec
+        assert "error" in payload["rows"][0]
 
 
 def test_sweep_csv_format(tmp_path):

@@ -1,8 +1,11 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permartingale import (
     Basis,
@@ -28,6 +31,8 @@ from permartingale import (
     state_for_prefix,
     trajectory,
     vector_martingale_value,
+    weighted_second_moment,
+    weighted_second_moment_oracle,
 )
 
 from conftest import centered_pops
@@ -221,6 +226,56 @@ def test_check_martingale_certifies_the_evaluator_it_returns(monkeypatch):
     assert not check.holds and check.worst_history is not None
 
 
+def test_check_martingale_certifies_the_weighted_definition(monkeypatch):
+    # a typo in the one weighted definition must reach evaluate, the ordered
+    # check of both kinds and the moment oracle
+    from permartingale import martingales
+
+    def wrong(n):
+        return lambda k, s, w, alpha: (n - k) * w + alpha * s + k
+
+    ws = [1, -2, Fraction(1, 3), 0]
+    specs = [
+        make_spec(MartingaleKind.WEIGHTED, FOUR, ws),
+        make_spec(MartingaleKind.CHAIN_QUADRATIC, FOUR),
+    ]
+    right = [evaluate_prefix(spec, (2, -1)) for spec in specs]
+    moment = weighted_second_moment(FOUR, ws, 2)
+    assert weighted_second_moment_oracle(FOUR, ws, 2) == moment
+    monkeypatch.setattr(martingales, "weighted_value", wrong)
+    for spec, value in zip(specs, right):
+        assert evaluate_prefix(spec, (2, -1)) != value
+        check = check_martingale(spec)
+        assert not check.holds and check.worst_history is not None, spec.kind
+    assert weighted_second_moment_oracle(FOUR, ws, 2) != moment
+
+
+def test_weighted_vector_check_certifies_the_inverse_products(monkeypatch):
+    from permartingale import martingales
+
+    ws = [1, -2, Fraction(1, 3), 0]
+    build = martingales.build_transition_system
+    corrupted = []
+
+    def build_corrupted(*args, **kwargs):
+        system = build(*args, **kwargs)
+        products = list(system.inverse_products)
+        (a, b), row = products[1]
+        products[1] = ((a, b + Fraction(1, 7)), row)
+        corrupted.append(replace(system, inverse_products=tuple(products)))
+        return corrupted[-1]
+
+    assert check_vector_martingale(FOUR, Basis.WEIGHTED, ws).holds
+    monkeypatch.setattr(martingales, "build_transition_system", build_corrupted)
+    check = check_vector_martingale(FOUR, Basis.WEIGHTED, ws)
+    w = check.worst_history
+    assert not check.holds and w is not None
+    # the witness is the corrupted product applied to the witness history
+    state = state_for_prefix(FOUR, w.prefix)
+    assert w.value == vector_martingale_value(corrupted[0], state)
+    assert w.value != w.conditional_mean
+
+
 def test_check_sequence_validation():
     with pytest.raises(InvalidInputError):
         check_sequence(FOUR, lambda p: Fraction(0), 3, 1)
@@ -229,24 +284,49 @@ def test_check_sequence_validation():
         check_sequence(big, lambda p: Fraction(0), 1, 2)
 
 
-def test_weighted_checker_agrees_with_generic_route():
-    rng = random.Random(31)
-    for _ in range(5):
-        pop = random_centered_population(5, rng)
-        ws = [
-            Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            for _ in range(pop.n)
-        ]
-        spec = make_spec(MartingaleKind.WEIGHTED, pop, ws)
+centered_rationals = st.lists(
+    st.fractions(min_value=-5, max_value=5, max_denominator=4),
+    min_size=1,
+    max_size=5,
+).map(lambda head: head + [-sum(head, Fraction(0))])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    values=centered_rationals,
+    weights=st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        min_size=6,
+        max_size=6,
+    ),
+)
+def test_weighted_checker_agrees_with_generic_route(values, weights):
+    # the walker of the weighted state against the generic Fraction walker
+    # over prefixes, which rebuilds each history from scratch
+    pop = make_population(values)
+    n = pop.n
+    ws = weights[:n]
+    for spec in (
+        make_spec(MartingaleKind.WEIGHTED, pop, ws),
+        make_spec(MartingaleKind.CHAIN_QUADRATIC, pop),
+    ):
         fast = check_martingale(spec)
         generic = check_sequence(
-            pop,
-            lambda prefix: evaluate_prefix(spec, prefix),
-            1,
-            pop.n - 1,
+            pop, lambda prefix: evaluate_prefix(spec, prefix), 1, n - 1
         )
-        assert fast.holds == generic.holds == True  # noqa: E712
-        assert fast.states_checked == generic.states_checked
+        assert (fast.holds, fast.states_checked) == (
+            generic.holds,
+            generic.states_checked,
+        ), spec.kind
+    system = build_transition_system(Basis.WEIGHTED, population=pop, multipliers=ws)
+    fast = check_vector_martingale(pop, Basis.WEIGHTED, ws)
+    generic = check_sequence(
+        pop,
+        lambda prefix: vector_martingale_value(system, state_for_prefix(pop, prefix)),
+        1,
+        n - 1,
+    )
+    assert (fast.holds, fast.states_checked) == (generic.holds, generic.states_checked)
 
 
 def test_initial_expectation_is_zero_for_all_kinds():

@@ -133,6 +133,24 @@ def test_random_centered_population_contract():
         random_centered_population(1, rng)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"max_numerator": 0},
+        {"max_numerator": -3},
+        {"max_denominator": 0},
+        {"max_numerator": 2.5},
+        {"n": 4.0},
+        {"n": "5"},
+    ],
+)
+def test_random_centered_population_refuses_bad_bounds(kwargs):
+    # max_numerator 0 used to retry the all-zero draw forever
+    args = {"n": 4, **kwargs}
+    with pytest.raises(InvalidInputError, match="need an int"):
+        random_centered_population(args.pop("n"), random.Random(1), **args)
+
+
 def test_parse_population_text_handles_comments_and_blanks():
     pop = parse_population_text("# header\n 1 \n\n-1 # inline\n2\n-2\n")
     assert pop.values == (1, -1, 2, -2)
