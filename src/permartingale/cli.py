@@ -24,6 +24,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -458,8 +459,10 @@ def _sweep_population(row: dict, index: int, master_seed: int):
         if "n" not in spec:
             raise InvalidInputError(f"row {index}: 'random' needs 'n'")
         seed = spec.get("seed")
-        if not isinstance(seed, (int, float, str, type(None))):
-            raise InvalidInputError(f"row {index}: 'seed' must be a number or string")
+        if not isinstance(seed, (int, str, type(None))) and not (
+            isinstance(seed, float) and math.isfinite(seed)
+        ):
+            raise InvalidInputError(f"row {index}: 'seed' must be a finite number or string")
         rng = random.Random(
             seed if seed is not None else f"{master_seed}:{index}"
         )

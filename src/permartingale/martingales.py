@@ -252,13 +252,15 @@ class _Vector(tuple):
     walkers treat scalars and vectors alike (``sum`` starts from 0)."""
 
     def __add__(self, other):
-        return _Vector(x + y for x, y in zip(self, other))
+        return _Vector(x + y for x, y in zip(self, other, strict=True))
 
     def __radd__(self, other):
-        return self if other == 0 else NotImplemented
+        return self if other == 0 else self + other
 
     def __rmul__(self, c):
         return _Vector(c * x for x in self)
+
+    __mul__ = __rmul__
 
     def __truediv__(self, c):
         return _Vector(x / c for x in self)

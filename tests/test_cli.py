@@ -413,6 +413,7 @@ def test_sweep_rejects_malformed_files(tmp_path):
     for random_spec in (
         {"n": 4.0}, {"n": "5"}, {"n": 4, "seed": [1, 2]},
         {"n": 4, "max_denominator": 0}, {"n": 4, "max_numerator": 0},
+        {"n": 4, "seed": float("nan")}, {"n": 4, "seed": float("inf")},
     ):
         row = {"id": "max_averages", "mode": "exact", "random": random_spec}
         wrong_shape.write_text(json.dumps([row]), encoding="utf-8")

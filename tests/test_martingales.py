@@ -318,6 +318,7 @@ def test_weighted_checker_agrees_with_generic_route(values, weights):
             generic.holds,
             generic.states_checked,
         ), spec.kind
+        assert fast.holds, spec.kind  # every drawn population is centered
     system = build_transition_system(Basis.WEIGHTED, population=pop, multipliers=ws)
     fast = check_vector_martingale(pop, Basis.WEIGHTED, ws)
     generic = check_sequence(
@@ -327,6 +328,27 @@ def test_weighted_checker_agrees_with_generic_route(values, weights):
         n - 1,
     )
     assert (fast.holds, fast.states_checked) == (generic.holds, generic.states_checked)
+    assert fast.holds
+
+
+def test_weighted_checker_holds_on_seeded_populations():
+    rng = random.Random(31)
+    for _ in range(5):
+        pop = random_centered_population(5, rng)
+        ws = [
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            for _ in range(pop.n)
+        ]
+        spec = make_spec(MartingaleKind.WEIGHTED, pop, ws)
+        fast = check_martingale(spec)
+        generic = check_sequence(
+            pop,
+            lambda prefix: evaluate_prefix(spec, prefix),
+            1,
+            pop.n - 1,
+        )
+        assert fast.holds == generic.holds == True  # noqa: E712
+        assert fast.states_checked == generic.states_checked
 
 
 def test_initial_expectation_is_zero_for_all_kinds():
