@@ -31,7 +31,6 @@ from .errors import (
     PreconditionError,
 )
 from .inequalities import (
-    HARDY_EXACT_LIMIT,
     InequalityId,
     InequalityReport,
     VerifyMode,

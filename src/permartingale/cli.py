@@ -41,6 +41,7 @@ from .inequalities import (
     InequalityId,
     InequalityReport,
     VerifyMode,
+    ensure_exact_size,
     verify,
 )
 from .martingales import MartingaleKind, check_martingale, make_spec
@@ -432,7 +433,7 @@ _SWEEP_ROW_KEYS = frozenset(
 _SWEEP_RANDOM_KEYS = frozenset({"n", "seed", "max_numerator", "max_denominator"})
 
 
-def _sweep_population(row: dict, index: int, master_seed: int):
+def _sweep_population(row: dict, index: int, master_seed: int, mode, cutoff):
     sources = [
         k for k in ("population", "population_file", "random", "bridge_m") if k in row
     ]
@@ -446,7 +447,7 @@ def _sweep_population(row: dict, index: int, master_seed: int):
             raise InvalidInputError(f"row {index}: 'population' must be a list")
         return make_population(values)
     if "population_file" in row:
-        return load_population(row["population_file"])
+        return load_population(row["population_file"], mode is VerifyMode.MONTE_CARLO)
     if "random" in row:
         spec = row["random"]
         if not isinstance(spec, dict):
@@ -463,6 +464,9 @@ def _sweep_population(row: dict, index: int, master_seed: int):
             isinstance(seed, float) and math.isfinite(seed)
         ):
             raise InvalidInputError(f"row {index}: 'seed' must be a finite number or string")
+        if mode is VerifyMode.EXACT and isinstance(spec["n"], int):
+            # refuse before building the population
+            ensure_exact_size(row["id"], spec["n"], cutoff)
         rng = random.Random(
             seed if seed is not None else f"{master_seed}:{index}"
         )
@@ -496,7 +500,8 @@ def _run_sweep_row(
     if "id" not in row:
         raise InvalidInputError(f"row {index}: missing 'id'")
     mode = coerce_enum(VerifyMode, row.get("mode", "exact"), "verification mode")
-    pop = _sweep_population(row, index, master_seed)
+    cutoff = row.get("cutoff", cutoff)
+    pop = _sweep_population(row, index, master_seed, mode, cutoff)
     weights = None
     if "weights" in row and "weights_file" in row:
         raise InvalidInputError(f"row {index}: both 'weights' and 'weights_file'")
@@ -505,7 +510,7 @@ def _run_sweep_row(
             raise InvalidInputError(f"row {index}: 'weights' must be a list")
         weights = row["weights"]
     elif "weights_file" in row:
-        weights = _read_scalars(row["weights_file"])
+        weights = _read_scalars(row["weights_file"], mode is VerifyMode.MONTE_CARLO)
     samples = row.get("samples")
     seed = row.get("seed")
     if mode is VerifyMode.MONTE_CARLO and seed is None:
@@ -518,7 +523,7 @@ def _run_sweep_row(
         mode=mode,
         samples=samples,
         seed=seed,
-        cutoff=row.get("cutoff", cutoff),
+        cutoff=cutoff,
     )
 
 

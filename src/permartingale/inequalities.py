@@ -33,13 +33,12 @@ per threshold give the mean of the maximum, and a max-plus recursion
 gives the ``hardy`` maximum.  The weighted ids (``alternating``,
 ``vna_weighted``, ``garsia_weighted``) depend on the order of the draws
 and use a depth-first walk that shares each prefix between the
-orderings that extend it.  The size limits are the same for both: the
-enumeration cutoff (default 10, hard maximum 12), and n <= 10 for
-``hardy``.  Monte Carlo mode samples uniformly random orderings in
-floating point with a block-seeded generator, so results are
-reproducible bit-for-bit for a fixed seed and sample count.  A Monte
-Carlo run can never prove an inequality: its verdict is "consistent",
-"inconclusive", or "violation-suspected".
+orderings that extend it.  Both refuse n above the enumeration cutoff
+(default 10, hard maximum 12).  Monte Carlo mode samples uniformly
+random orderings in floating point with a block-seeded generator, so
+results are reproducible bit-for-bit for a fixed seed and sample count.
+A Monte Carlo run can never prove an inequality: its verdict is
+"consistent", "inconclusive", or "violation-suspected".
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from typing import Callable, Sequence
 
 from .errors import (
     DomainError,
-    EnumerationLimitError,
     InvalidInputError,
     PreconditionError,
     coerce_enum,
@@ -61,6 +59,7 @@ from .errors import (
 from .population import (
     Population,
     bridge_parameter,
+    drawn_set_values,
     ensure_enumerable,
     make_bridge_population,
     validate_permutation,
@@ -74,7 +73,6 @@ from .weights import (
 )
 
 MC_BLOCK_SIZE = 1 << 16
-HARDY_EXACT_LIMIT = 10
 
 
 class InequalityId(str, Enum):
@@ -326,7 +324,8 @@ class InequalityReport:
 # prefix of length k only through the drawn set S, via (k, S_k, T_k), so
 # the n! orderings are the maximal chains {} < S_1 < ... < S_n of the
 # subset lattice.  A key factory (n, m, d) -> (key, denominator) gives
-# key(k, S_k, T_k), an int, for every subset in the id's k-range.
+# key(k, S_k, T_k), an int, for every subset in the id's k-range, in the
+# drawn-set table of ``population.drawn_set_values``.
 
 
 def _averages_key(n, m, d):
@@ -356,21 +355,6 @@ def _bridge_key(n, m, d):
     return (lambda k, s, t: (c1 * s * s - k * (2 * m - k) * dd) ** 2), (c1 * dd) ** 2
 
 
-def _subset_keys(ks: range, key, xs) -> list:
-    """key(|S|, S_k, T_k) of every subset S (bit i = item i) with |S| in
-    ``ks``; None for the other subsets."""
-    s = [0]
-    t = [0]
-    for x in xs:
-        s += [v + x for v in s]
-        t += [v + x * x for v in t]
-    out = []
-    for mask in range(len(s)):
-        k = mask.bit_count()
-        out.append(key(k, s[mask], t[mask]) if k in ks else None)
-    return out
-
-
 def _one_less(mask: int):
     """The subsets of ``mask`` with one item fewer."""
     rest = mask
@@ -389,7 +373,7 @@ def _lattice_mean(ks, key_factory, xs, d, count, ws, m) -> Fraction:
     # r.  Only two sizes of sets are kept at a time.
     n = len(xs)
     key, den = key_factory(n, m, d)
-    keys = _subset_keys(ks(n, m), key, xs)
+    keys = drawn_set_values(xs, key, ks(n, m))
     values = sorted({v for v in keys if v is not None})
     width = count.bit_length()
     shift = {v: j * width for j, v in enumerate(values)}
@@ -424,7 +408,7 @@ def _lattice_max(ks, key_factory, xs, d, count, ws, m) -> Fraction:
     # Held and Karp, best[S] = key(S) + max_{i in S} best[S - i]
     n = len(xs)
     key, den = key_factory(n, m, d)
-    keys = _subset_keys(ks(n, m), key, xs)
+    keys = drawn_set_values(xs, key, ks(n, m))
     best = [0] * (1 << n)
     for mask in range(1, 1 << n):
         best[mask] = keys[mask] + max(best[sub] for sub in _one_less(mask))
@@ -677,8 +661,15 @@ def _mc_lhs(
             rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence(entropy=(seed, block)))
             )
-            x = rng.permuted(np.tile(base, (b, 1)), axis=1)
-            v = stat(x)
+            try:
+                x = rng.permuted(np.tile(base, (b, 1)), axis=1)
+                v = stat(x)
+            except MemoryError:
+                raise InvalidInputError(
+                    f"a Monte Carlo block of {b} x {pop.n} floats "
+                    f"({b * pop.n / 2**27:.2f} GiB) does not fit in memory; "
+                    "use fewer samples or a smaller population"
+                ) from None
             if take_max:
                 running_max = max(running_max, float(v.max()))
             else:
@@ -693,6 +684,13 @@ def _mc_lhs(
         return mean, None
     var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
     return mean, sqrt(var / samples)
+
+
+def ensure_exact_size(id, n: int, cutoff: int | None) -> None:
+    """Refuse exact verification of ``id`` over n items above the cutoff;
+    run before building a large population, it refuses at no cost."""
+    iid = coerce_enum(InequalityId, id, "inequality id")
+    ensure_enumerable(n, cutoff, f"exact verification of {iid.value!r}")
 
 
 def verify(
@@ -712,20 +710,18 @@ def verify(
     ``seed`` and reports a verdict that is never stronger than
     "consistent".
     """
-    iid, rule, pop, ws, m = _resolve(id, population, weights, bridge_m)
+    iid = coerce_enum(InequalityId, id, "inequality id")
     mode = coerce_enum(VerifyMode, mode, "verification mode")
+    if mode is VerifyMode.EXACT and population is None and _RULES[iid].bridge:
+        if isinstance(bridge_m, int):  # refused before its 2m items are built
+            ensure_exact_size(iid, 2 * bridge_m, cutoff)
+    iid, rule, pop, ws, m = _resolve(iid, population, weights, bridge_m)
     rhs = rule.rhs(pop, ws, m)
     n = pop.n
     if mode is VerifyMode.EXACT:
         if samples is not None or seed is not None:
             raise InvalidInputError("samples and seed only apply to Monte Carlo mode")
-        ensure_enumerable(n, cutoff, f"exact verification of {iid.value!r}")
-        if rule.over_orderings == "max" and n > HARDY_EXACT_LIMIT:
-            raise EnumerationLimitError(
-                f"exact maximization for {iid.value!r} is provided for "
-                f"n <= {HARDY_EXACT_LIMIT} only; use Monte Carlo mode or the "
-                f"per-permutation statistic"
-            )
+        ensure_exact_size(iid, n, cutoff)
         xs, d = scaled_integers(pop.values)
         lhs = rule.exact(xs, d, factorial(n), ws, m)
         stderr = None

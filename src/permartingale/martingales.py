@@ -18,12 +18,14 @@ With n items, grand total M, grand square sum B, and running sums S_k
 
 ``check_martingale`` certifies E[M_{k+1} | first k draws] = M_k on
 every history by enumeration, never by algebra, so a wrong evaluator
-cannot certify itself.  Three walkers report the first violating
-history: a subset walker over (k, S_k, T_k) for M2, M3, MTILDE, the
-quadratic-basis vector and the negative controls; an integer walker
-over the weighted state (k, S_k, W_k, A_k) for WEIGHTED,
-CHAIN_QUADRATIC and the weighted-basis vector; and a generic
-``Fraction`` walker over prefixes for ``check_sequence``.
+cannot certify itself.  Three routes report the first violating
+history: for M2, M3, MTILDE, the quadratic-basis vector and the
+negative controls, a pass over the drawn-set table of (k, S_k, T_k)
+values (``population.drawn_set_values``, shared with the exact
+inequality engine); an integer walker over the weighted state
+(k, S_k, W_k, A_k) for WEIGHTED, CHAIN_QUADRATIC and the weighted-basis
+vector; and a generic ``Fraction`` walker over prefixes for
+``check_sequence``.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .errors import DomainError, InvalidInputError, PreconditionError, coerce_en
 from .population import (
     PathState,
     Population,
+    drawn_set_values,
     ensure_enumerable,
     make_population,
     path_for,
@@ -281,49 +284,27 @@ def _check_order_free(
     k_max: int,
 ) -> MartingaleCheck:
     """Check a martingale whose value depends on the prefix only through
-    (k, S_k, T_k).
+    (k, S_k, T_k): M2, M3, MTILDE, the quadratic-basis vector and the
+    negative controls.
 
-    For such evaluators every ordering of a drawn set gives the same
-    value, so the 2^n drawn sets cover all n! histories; the identity
-    is still the exact one-step average over the n-k possible next
-    draws.
+    Every ordering of a drawn set gives the same value, so the 2^n drawn
+    sets cover all n! histories.  Each set's value is computed once, in
+    the drawn-set table the exact inequality engine also reads, and must
+    be the average over the set's n-k one-item extensions.  Sets are
+    visited in lexicographic order of their item indices (a set before
+    its extensions); a witness prefix lists the set's values in that order.
     """
-    vals = population.values
     n = population.n
-    in_use = [False] * n
-    prefix: list[Fraction] = []
-    states = 0
-    violation: MartingaleViolation | None = None
-
-    def dfs(start: int, k: int, s: Fraction, t: Fraction) -> None:
-        nonlocal states, violation
-        if k_min <= k <= k_max - 1:
-            states += 1
-            v = value_fn(k, s, t)
-            acc = sum(
-                value_fn(k + 1, s + x, t + x * x)
-                for x, used in zip(vals, in_use)
-                if not used
-            )
-            if acc != (n - k) * v:
-                violation = _violation(prefix, k, v, acc, n)
-                return
-        if k >= k_max - 1:
-            return
-        for j in range(start, n):
-            x = vals[j]
-            in_use[j] = True
-            prefix.append(x)
-            dfs(j + 1, k + 1, s + x, t + x * x)
-            prefix.pop()
-            in_use[j] = False
-            if violation is not None:
-                return
-
-    dfs(0, 0, Fraction(0), Fraction(0))
-    return MartingaleCheck(
-        holds=violation is None, worst_history=violation, states_checked=states
-    )
+    value = drawn_set_values(population.values, value_fn, range(k_min, k_max + 1))
+    sets = [mask for mask in range(1 << n) if k_min <= mask.bit_count() < k_max]
+    sets.sort(key=lambda mask: [i for i in range(n) if mask >> i & 1])
+    for states, mask in enumerate(sets, start=1):
+        k, v = mask.bit_count(), value[mask]
+        acc = sum(value[mask | 1 << i] for i in range(n) if not mask >> i & 1)
+        if acc != (n - k) * v:
+            prefix = [x for i, x in enumerate(population.values) if mask >> i & 1]
+            return MartingaleCheck(False, _violation(prefix, k, v, acc, n), states)
+    return MartingaleCheck(holds=True, worst_history=None, states_checked=len(sets))
 
 
 def _check_ordered(
@@ -468,7 +449,7 @@ def check_vector_martingale(
     vector martingale.
 
     The quadratic-basis vector depends on the prefix only through
-    (k, S_k, T_k), so the subset walker applies.  The weighted basis
+    (k, S_k, T_k), so it is checked on the drawn-set table.  The weighted basis
     goes through the ordered walker of the weighted state, which
     applies each inverse product to (W_k, S_k) at every child history.
     """

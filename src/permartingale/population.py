@@ -294,6 +294,21 @@ def random_centered_population(
             return make_population(vals)
 
 
+def drawn_set_values(values: Sequence, fn: Callable, ks: range) -> list:
+    """The drawn-set table, indexed by mask (bit i = item i): fn(|S|, sum
+    of S, sum of squares of S) for each subset S of ``values`` (Fractions
+    or scaled ints) with |S| in ``ks``, None for the other subsets."""
+    s, t = [0], [0]
+    for x in values:
+        s += [v + x for v in s]
+        t += [v + x * x for v in t]
+    out = []
+    for mask in range(len(s)):
+        k = mask.bit_count()
+        out.append(fn(k, s[mask], t[mask]) if k in ks else None)
+    return out
+
+
 def parse_scalar_lines(
     text: str, lenient: bool = False, where: str = ""
 ) -> tuple[Fraction, ...]:

@@ -280,19 +280,25 @@ def test_sweep_mixed_rows(tmp_path, four_file):
          "population_file": four_file},
         {"id": "quadratic", "mode": "mc",
          "random": {"n": 12}, "samples": 2000},
+        # Monte Carlo rows read decimals from their files, as the CLI does
+        {"id": "vna_weighted", "mode": "mc", "samples": 2000,
+         "population_file": pop_file(tmp_path, [0.5, -0.5, 1.5, -1.5], "dec.txt"),
+         "weights_file": pop_file(tmp_path, [1, -0.5, 1, 0.25], "decw.txt")},
     ]
     spec = tmp_path / "rows.json"
     spec.write_text(json.dumps(rows), encoding="utf-8")
     rc, out, _ = run_cli(["sweep", str(spec), "--seed", "99"])
     assert rc == 0
     payload = json.loads(out)
-    assert payload["total"] == 4
-    assert payload["passed"] == 4
+    assert payload["total"] == 5
+    assert payload["passed"] == 5
     assert payload["failed"] == 0 and payload["errors"] == 0
     reports = [r["report"] for r in payload["rows"]]
     assert reports[0]["lhs"] == "65/24"
     assert reports[1]["lhs"] == "32/9"
     assert reports[3]["mode"] == "mc" and reports[3]["n"] == 12
+    assert reports[4]["mode"] == "mc" and reports[4]["n"] == 4
+    assert reports[4]["params"]["weights"] == ["1", "-1/2", "1", "1/4"]
 
 
 def test_sweep_is_deterministic_under_master_seed(tmp_path):
@@ -380,18 +386,64 @@ def test_sweep_records_per_row_errors(tmp_path):
         {"id": "max_averages", "mode": "exact", "population": [1, -1]},
         {"id": "max_averages", "mode": "exact", "population": [1, -1],
          "bogus_key": 1},
+        # exact rows still refuse decimals in their files
+        {"id": "max_averages", "mode": "exact",
+         "population_file": pop_file(tmp_path, [0.5, -0.5], "dec.txt")},
+        {"id": "vna_weighted", "mode": "exact", "population": [1, -1],
+         "weights_file": pop_file(tmp_path, [1, 0.5], "decw.txt")},
     ]
     spec = tmp_path / "rows.json"
     spec.write_text(json.dumps(rows), encoding="utf-8")
     rc, out, _ = run_cli(["sweep", str(spec)])
     assert rc == 1
     payload = json.loads(out)
-    assert payload["total"] == 3
+    assert payload["total"] == 5
     assert payload["passed"] == 1
-    assert payload["errors"] == 2
+    assert payload["errors"] == 4
     error_rows = [r for r in payload["rows"] if "error" in r]
-    assert len(error_rows) == 2
+    assert len(error_rows) == 4
     assert error_rows[0]["row"] == 0
+    for r in error_rows[2:]:
+        assert "decimals are not accepted in exact mode" in r["error"]
+
+
+def test_oversized_exact_runs_are_refused_before_building(tmp_path, monkeypatch):
+    def builder(*args, **kwargs):
+        raise AssertionError("the population was built before the cutoff check")
+
+    monkeypatch.setattr("permartingale.inequalities.make_bridge_population", builder)
+    monkeypatch.setattr("permartingale.cli.random_centered_population", builder)
+    rc, out, err = run_cli(
+        ["check-inequality", "--id", "bridge", "--bridge-m", "100000",
+         "--mode", "exact"]
+    )
+    assert rc == 2 and out == ""
+    assert "population of size 200000, above the cutoff 10" in err
+    rows = [{"id": "max_averages", "mode": "exact", "random": {"n": 200000}},
+            {"id": "hardy", "mode": "exact", "random": {"n": 13}, "cutoff": 12}]
+    spec = tmp_path / "rows.json"
+    spec.write_text(json.dumps(rows), encoding="utf-8")
+    rc, out, _ = run_cli(["sweep", str(spec)])
+    errors = [r["error"] for r in json.loads(out)["rows"]]
+    assert rc == 1
+    assert "exact verification of 'max_averages'" in errors[0]
+    assert "size 200000, above the cutoff 10" in errors[0]
+    assert "exact verification of 'hardy'" in errors[1]
+    assert "size 13, above the cutoff 12" in errors[1]
+
+
+def test_mc_block_out_of_memory_is_an_input_error(four_file, monkeypatch):
+    def tile(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "tile", tile)
+    rc, out, err = run_cli(
+        ["check-inequality", "--id", "garsia_unweighted", "--population",
+         four_file, "--mode", "mc", "--samples", "100", "--seed", "1"]
+    )
+    assert rc == 2 and out == ""
+    assert err.count("error:") == 1 and err.startswith("error: ")
+    assert "block of 100 x 4" in err and "does not fit in memory" in err
 
 
 def test_sweep_rejects_malformed_files(tmp_path):

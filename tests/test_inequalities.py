@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from permartingale import (
     DomainError,
     EnumerationLimitError,
-    HARDY_EXACT_LIMIT,
     InequalityId,
     InvalidInputError,
     PreconditionError,
@@ -136,8 +135,8 @@ def test_every_exact_lhs_is_the_reference_over_orderings(values, weights, m):
 
 def test_exact_engine_at_n12_against_the_sign_sequences():
     # every sign sequence of the ±1 population with m = 6 stands for
-    # 6!·6! orderings, so the mean over the C(12, 6) sequences is the
-    # mean over the 12! orderings
+    # 6!·6! orderings, so the mean (for hardy, the max) over the C(12, 6)
+    # sequences is the mean (max) over the 12! orderings
     pop = make_bridge_population(6)
     ones = [i + 1 for i, v in enumerate(pop.values) if v == 1]
     minus = [i + 1 for i, v in enumerate(pop.values) if v == -1]
@@ -155,6 +154,8 @@ def test_exact_engine_at_n12_against_the_sign_sequences():
             (lhs_statistic(iid, pop, perm) for perm in perms), Fraction(0)
         ) / len(perms)
         assert verify(iid, population=pop, cutoff=12).lhs == want, iid
+    want = max(lhs_statistic(InequalityId.HARDY, pop, perm) for perm in perms)
+    assert verify(InequalityId.HARDY, population=pop, cutoff=12).lhs == want
 
 
 def test_pinned_examples():
@@ -399,15 +400,9 @@ def test_bridge_accepts_matching_population_and_m():
 
 def test_exact_mode_respects_enumeration_cutoff():
     big = make_population([1, -1] * 6)
-    with pytest.raises(EnumerationLimitError):
-        verify(InequalityId.GARSIA_UNWEIGHTED, population=big)
-
-
-def test_hardy_exact_has_a_hard_limit():
-    assert HARDY_EXACT_LIMIT == 10
-    big = make_population([1, -1] * 6)
-    with pytest.raises(EnumerationLimitError, match="[Hh]ardy|maximum"):
-        verify(InequalityId.HARDY, population=big, cutoff=12)
+    for iid in (InequalityId.GARSIA_UNWEIGHTED, InequalityId.HARDY):
+        with pytest.raises(EnumerationLimitError, match="above the cutoff 10"):
+            verify(iid, population=big)
 
 
 def test_mc_reports_are_deterministic_and_consistent():

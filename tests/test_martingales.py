@@ -331,6 +331,59 @@ def test_weighted_checker_agrees_with_generic_route(values, weights):
     assert fast.holds
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    values=st.lists(
+        st.fractions(min_value=-5, max_value=5, max_denominator=3),
+        min_size=3,
+        max_size=6,
+    ),
+    centered=st.booleans(),
+    shift=st.tuples(st.integers(min_value=1, max_value=4),
+                    st.sampled_from([-1, Fraction(1, 2), 3])),
+)
+def test_drawn_set_checker_agrees_with_check_sequence(values, centered, shift):
+    # the walker over the drawn-set table against the generic Fraction
+    # walker over ordered prefixes; uncentered populations make mtilde fail
+    from permartingale.martingales import ORDER_FREE_VALUES, _check_order_free
+
+    if centered:
+        values = values[:-1] + [-sum(values[:-1], Fraction(0))]
+    pop = make_population(values)
+    n = pop.n
+    j, c = shift
+    m2, m3, mtilde = (
+        ORDER_FREE_VALUES[kind](pop)
+        for kind in (MartingaleKind.M2, MartingaleKind.M3, MartingaleKind.MTILDE)
+    )
+    for fn, k_max in (
+        (m2, n - 1),
+        (m3, n - 1),
+        (mtilde, n - 2),
+        (lambda k, s, t: mtilde(k, s, t) + (c if k == j else 0), n - 2),
+    ):
+        table = _check_order_free(pop, fn, 1, k_max)
+        generic = check_sequence(
+            pop,
+            lambda prefix: fn(
+                len(prefix),
+                sum(prefix, Fraction(0)),
+                sum((x * x for x in prefix), Fraction(0)),
+            ),
+            1,
+            k_max,
+        )
+        assert table.holds == generic.holds, (values, k_max)
+        w = table.worst_history
+        if table.holds:
+            assert w is None
+            continue
+        assert w.value != w.conditional_mean
+        assert len(w.prefix) == w.k
+        s = sum(w.prefix, Fraction(0))
+        assert w.value == fn(w.k, s, sum((x * x for x in w.prefix), Fraction(0)))
+
+
 def test_weighted_checker_holds_on_seeded_populations():
     rng = random.Random(31)
     for _ in range(5):
