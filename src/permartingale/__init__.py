@@ -46,7 +46,6 @@ from .martingales import (
     MartingaleCheck,
     MartingaleKind,
     MartingaleSpec,
-    MartingaleTrajectory,
     MartingaleViolation,
     check_martingale,
     check_sequence,
@@ -56,7 +55,6 @@ from .martingales import (
     evaluate_prefix,
     initial_expectation,
     make_spec,
-    trajectory,
 )
 from .moments import (
     MomentRow,
@@ -87,14 +85,12 @@ from .population import (
     load_population,
     make_bridge_population,
     make_population,
-    max_over_orderings,
     mean_over_ordered_draws,
     mean_over_orderings,
     mean_over_subsets,
     parse_population_text,
     path_for,
     random_centered_population,
-    random_permutation,
     state_for_prefix,
     validate_permutation,
 )

@@ -712,8 +712,12 @@ def verify(
     """
     iid = coerce_enum(InequalityId, id, "inequality id")
     mode = coerce_enum(VerifyMode, mode, "verification mode")
-    if mode is VerifyMode.EXACT and population is None and _RULES[iid].bridge:
-        if isinstance(bridge_m, int):  # refused before its 2m items are built
+    if mode is VerifyMode.EXACT:
+        # refused before any sum of the population is read, and before
+        # a bridge's 2m items are built
+        if population is not None:
+            ensure_exact_size(iid, population.n, cutoff)
+        elif _RULES[iid].bridge and isinstance(bridge_m, int):
             ensure_exact_size(iid, 2 * bridge_m, cutoff)
     iid, rule, pop, ws, m = _resolve(iid, population, weights, bridge_m)
     rhs = rule.rhs(pop, ws, m)
@@ -721,7 +725,6 @@ def verify(
     if mode is VerifyMode.EXACT:
         if samples is not None or seed is not None:
             raise InvalidInputError("samples and seed only apply to Monte Carlo mode")
-        ensure_exact_size(iid, n, cutoff)
         xs, d = scaled_integers(pop.values)
         lhs = rule.exact(xs, d, factorial(n), ws, m)
         stderr = None

@@ -43,7 +43,6 @@ from .population import (
     drawn_set_values,
     ensure_enumerable,
     make_population,
-    path_for,
     state_for_prefix,
 )
 from .rationals import format_rational, scaled_integers
@@ -176,26 +175,6 @@ def evaluate(spec: MartingaleSpec, state: PathState) -> Fraction:
 def evaluate_prefix(spec: MartingaleSpec, prefix: Sequence) -> Fraction:
     """Closed-form value after drawing ``prefix`` in order."""
     return evaluate(spec, state_for_prefix(spec.population, prefix))
-
-
-@dataclass(frozen=True)
-class MartingaleTrajectory:
-    """Values of one martingale along one permutation."""
-
-    spec: MartingaleSpec
-    permutation: tuple[int, ...]
-    ks: tuple[int, ...]
-    values: tuple[Fraction, ...]
-
-
-def trajectory(spec: MartingaleSpec, permutation: Sequence[int]) -> MartingaleTrajectory:
-    """Evaluate the martingale at every k in its range along one path."""
-    path = path_for(spec.population, permutation)
-    ks = tuple(range(spec.k_min, spec.k_max + 1))
-    values = tuple(evaluate(spec, path.states[k]) for k in ks)
-    return MartingaleTrajectory(
-        spec=spec, permutation=path.permutation, ks=ks, values=values
-    )
 
 
 @dataclass(frozen=True)

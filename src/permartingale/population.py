@@ -1,9 +1,11 @@
 """Finite populations and sequential sampling without replacement.
 
-A population is a fixed multiset of rational values.  Drawing all of it
-in random order induces a filtration; the :class:`PathState` objects
-below realize one history through that filtration together with the
-running power sums that every formula in this package consumes.
+A population is a fixed multiset of rational values.  Its own sums are
+computed on first read, so a run that is refused before it reads them
+pays for none.  Drawing all of it in random order induces a
+filtration; the :class:`PathState` objects below realize one history
+through that filtration together with the running power sums that
+every formula in this package consumes.
 
 Enumeration over all ``n!`` orderings is the ground truth for exact
 checks, so it is guarded by a size cutoff with an explicit override,
@@ -13,9 +15,11 @@ never by silent sampling.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -56,40 +60,31 @@ def ensure_enumerable(n: int, cutoff: int | None, what: str) -> None:
 
 @dataclass(frozen=True)
 class Population:
-    """Immutable multiset of rational values with cached power sums.
+    """Immutable multiset of rational values.
 
-    ``power_sums[r-1]`` is ``sum(x**r)`` for r = 1..4.  Duplicated
-    values are distinct labeled items: the uniform random order is over
-    labels, so a repeated value gets proportionally higher draw weight.
+    ``total``, ``square_sum`` and ``fourth_sum`` are the sums of x, x^2
+    and x^4, computed on first read and cached.  Duplicated values are
+    distinct labeled items: the uniform random order is over labels, so
+    a repeated value gets proportionally higher draw weight.
     """
 
     values: tuple[Fraction, ...]
-    power_sums: tuple[Fraction, Fraction, Fraction, Fraction]
 
     @property
     def n(self) -> int:
         return len(self.values)
 
-    @property
+    @cached_property
     def total(self) -> Fraction:
-        return self.power_sums[0]
+        return sum(self.values, Fraction(0))
 
-    @property
+    @cached_property
     def square_sum(self) -> Fraction:
-        return self.power_sums[1]
+        return sum((v**2 for v in self.values), Fraction(0))
 
-    @property
-    def cube_sum(self) -> Fraction:
-        return self.power_sums[2]
-
-    @property
+    @cached_property
     def fourth_sum(self) -> Fraction:
-        return self.power_sums[3]
-
-    def power_sum(self, r: int) -> Fraction:
-        if not 1 <= r <= 4:
-            raise InvalidInputError(f"power sums cached for r in 1..4, got {r}")
-        return self.power_sums[r - 1]
+        return sum((v**4 for v in self.values), Fraction(0))
 
     @property
     def is_centered(self) -> bool:
@@ -121,10 +116,7 @@ def make_population(values: Iterable) -> Population:
     vals = tuple(as_fraction(v) for v in values)
     if len(vals) < 2:
         raise InvalidInputError("a population needs at least two values")
-    sums = tuple(
-        sum((v**r for v in vals), Fraction(0)) for r in (1, 2, 3, 4)
-    )
-    return Population(values=vals, power_sums=sums)  # type: ignore[arg-type]
+    return Population(vals)
 
 
 def make_bridge_population(m: int) -> Population:
@@ -218,14 +210,6 @@ class PathTrajectory:
     permutation: tuple[int, ...]
     states: tuple[PathState, ...]
 
-    @property
-    def sums(self) -> tuple[Fraction, ...]:
-        return tuple(st.partial_sum for st in self.states)
-
-    @property
-    def square_sums(self) -> tuple[Fraction, ...]:
-        return tuple(st.partial_square_sum for st in self.states)
-
 
 def path_for(population: Population, permutation: Sequence[int]) -> PathTrajectory:
     """Trajectory of PathStates for drawing order ``permutation``.
@@ -255,15 +239,6 @@ def _as_rng(rng) -> random.Random:
     if isinstance(rng, int) and not isinstance(rng, bool):
         return random.Random(rng)
     raise InvalidInputError(f"rng must be a random.Random or int seed, got {rng!r}")
-
-
-def random_permutation(n: int, rng) -> tuple[int, ...]:
-    """One uniform permutation of 1..n from the given seed or generator."""
-    if n < 1:
-        raise InvalidInputError(f"need n >= 1, got {n}")
-    items = list(range(1, n + 1))
-    _as_rng(rng).shuffle(items)
-    return tuple(items)
 
 
 def random_centered_population(
@@ -330,6 +305,9 @@ def parse_scalar_lines(
 
 def read_text_file(path: str, what: str) -> str:
     """Whole text of a file; ``what`` names its kind in the error."""
+    if not isinstance(path, (str, os.PathLike)):
+        # open() would take an int as a file descriptor, and close it
+        raise InvalidInputError(f"{what} file must be a path, got {path!r}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
@@ -362,18 +340,6 @@ def mean_over_orderings(
         Fraction(0),
     )
     return total / factorial(n)
-
-
-def max_over_orderings(
-    population: Population,
-    statistic: Callable[[tuple[Fraction, ...]], Fraction],
-    cutoff: int | None = None,
-) -> Fraction:
-    """Exact max of ``statistic(ordering)`` over all n! orderings."""
-    ensure_enumerable(population.n, cutoff, "max over orderings")
-    return max(
-        statistic(perm) for perm in itertools.permutations(population.values)
-    )
 
 
 def mean_over_ordered_draws(

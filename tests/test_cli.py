@@ -419,6 +419,14 @@ def test_oversized_exact_runs_are_refused_before_building(tmp_path, monkeypatch)
     )
     assert rc == 2 and out == ""
     assert "population of size 200000, above the cutoff 10" in err
+    # the cutoff comes before the centering check, which reads the total
+    uncentered = pop_file(tmp_path, range(11), name="uncentered.txt")
+    rc, out, err = run_cli(
+        ["check-inequality", "--id", "max_averages", "--population",
+         uncentered, "--mode", "exact"]
+    )
+    assert rc == 2 and out == ""
+    assert "population of size 11, above the cutoff 10" in err
     rows = [{"id": "max_averages", "mode": "exact", "random": {"n": 200000}},
             {"id": "hardy", "mode": "exact", "random": {"n": 13}, "cutoff": 12}]
     spec = tmp_path / "rows.json"
@@ -473,6 +481,37 @@ def test_sweep_rejects_malformed_files(tmp_path):
         payload = json.loads(out)
         assert rc == 1 and payload["errors"] == 1, random_spec
         assert "error" in payload["rows"][0]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sweep_refuses_file_fields_that_are_not_paths(tmp_path, fmt):
+    # a number would be opened as a file descriptor: 0 reads stdin, and
+    # 1 or 2 is closed after reading, so this runs in its own process
+    rows = [{"id": "max_averages", "mode": "exact", "population_file": fd}
+            for fd in (0, 1, 2)]
+    rows += [{"id": "vna_weighted", "mode": "exact", "population": [1, -1],
+              "weights_file": fd} for fd in (0, 1, 2)]
+    rows.append({"id": "max_averages", "mode": "exact", "population": [1, -1]})
+    spec = tmp_path / "rows.json"
+    spec.write_text(json.dumps(rows), encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "permartingale", "sweep", str(spec),
+         "--format", fmt],
+        stdin=subprocess.DEVNULL, capture_output=True, text=True,
+    )
+    assert result.returncode == 1, result.stderr
+    if fmt == "json":
+        payload = json.loads(result.stdout)
+        assert (payload["passed"], payload["errors"]) == (1, 6)
+        errors = [r["error"] for r in payload["rows"][:6]]
+        assert payload["rows"][6]["report"]["holds"] is True
+    else:
+        errors = result.stderr.splitlines()
+        assert len(errors) == 6
+        assert result.stdout.splitlines()[1].startswith("max_averages,2,exact,")
+    for i, fd in enumerate((0, 1, 2)):
+        assert f"population file must be a path, got {fd}" in errors[i]
+        assert f"scalar file must be a path, got {fd}" in errors[3 + i]
 
 
 def test_sweep_csv_format(tmp_path):

@@ -29,7 +29,6 @@ from permartingale import (
     path_for,
     random_centered_population,
     state_for_prefix,
-    trajectory,
     vector_martingale_value,
     weighted_second_moment,
     weighted_second_moment_oracle,
@@ -115,16 +114,6 @@ def test_quadratic_vector_first_coordinate_is_scaled_mtilde():
                 vec = vector_martingale_value(system, state)
                 assert vec[0] == n * evaluate(spec, state)
                 assert vec[-1] == 1
-
-
-def test_trajectory_matches_pointwise_evaluation():
-    spec = make_spec(MartingaleKind.MTILDE, FOUR)
-    traj = trajectory(spec, (3, 1, 4, 2))
-    assert traj.ks == (1, 2)
-    xs = [FOUR.values[i - 1] for i in (3, 1, 4, 2)]
-    assert traj.values == tuple(
-        evaluate_prefix(spec, xs[:k]) for k in traj.ks
-    )
 
 
 def test_make_spec_validation():

@@ -17,16 +17,15 @@ from permartingale import (
     load_population,
     make_bridge_population,
     make_population,
-    max_over_orderings,
     mean_over_ordered_draws,
     mean_over_orderings,
     mean_over_subsets,
     parse_population_text,
     path_for,
     random_centered_population,
-    random_permutation,
     state_for_prefix,
     validate_permutation,
+    verify,
 )
 from permartingale.population import ensure_enumerable, resolve_cutoff
 
@@ -38,10 +37,22 @@ def test_population_power_sums():
     assert pop.n == 4
     assert pop.total == 0
     assert pop.square_sum == 10
-    assert pop.cube_sum == 0
     assert pop.fourth_sum == 34
-    assert pop.power_sum(3) == 0
     assert pop.is_centered
+
+
+def test_population_sums_are_computed_on_first_read():
+    pop = make_population([1, -1, 2, -2])
+    assert vars(pop) == {"values": pop.values}
+    verify("max_averages", pop, mode="exact")
+    verify("max_averages", pop, mode="mc", samples=64, seed=3)
+    assert vars(pop)["square_sum"] == 10
+    assert "fourth_sum" not in vars(pop)
+    # an oversized exact run is refused before it reads any sum
+    big = make_population(range(11))
+    with pytest.raises(EnumerationLimitError, match="above the cutoff 10"):
+        verify("max_averages", big, mode="exact")
+    assert vars(big) == {"values": big.values}
 
 
 def test_population_requires_two_values():
@@ -91,8 +102,8 @@ def test_state_for_prefix_rejects_values_not_remaining():
 def test_path_for_walks_a_permutation():
     pop = make_population([1, -1, 2, -2])
     traj = path_for(pop, (3, 1, 4, 2))
-    assert traj.sums == (0, 2, 3, 1, 0)
-    assert traj.square_sums == (0, 4, 5, 9, 10)
+    assert [st_.partial_sum for st_ in traj.states] == [0, 2, 3, 1, 0]
+    assert [st_.partial_square_sum for st_ in traj.states] == [0, 4, 5, 9, 10]
     assert len(traj.states) == 5
 
 
@@ -109,14 +120,6 @@ def test_iter_permutations_is_exhaustive_and_lexicographic():
         (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)
     ]
     assert len(set(iter_permutations(4))) == 24
-
-
-def test_random_permutation_is_seed_deterministic():
-    assert random_permutation(6, 123) == random_permutation(6, 123)
-    assert random_permutation(6, random.Random(9)) == random_permutation(
-        6, random.Random(9)
-    )
-    assert sorted(random_permutation(8, 0)) == list(range(1, 9))
 
 
 def test_random_centered_population_contract():
@@ -199,7 +202,6 @@ def test_mean_and_max_over_orderings():
     pop = make_population([1, -1])
     assert mean_over_orderings(pop, lambda xs: xs[0]) == 0
     assert mean_over_orderings(pop, lambda xs: xs[0] * xs[0]) == 1
-    assert max_over_orderings(pop, lambda xs: xs[0]) == 1
     big = make_population(list(range(11)))
     with pytest.raises(EnumerationLimitError):
         mean_over_orderings(big, lambda xs: xs[0])
@@ -230,8 +232,9 @@ def test_mean_over_subsets_matches_symmetric_statistic():
 )
 def test_power_sums_match_direct_recomputation(values):
     pop = make_population(values)
-    for r in (1, 2, 3, 4):
-        assert pop.power_sum(r) == sum(v**r for v in values)
+    assert pop.total == sum(values)
+    assert pop.square_sum == sum(v * v for v in values)
+    assert pop.fourth_sum == sum(v * v * v * v for v in values)
 
 
 @given(st.integers(2, 7), st.integers(0, 10**6))
