@@ -705,8 +705,11 @@ def verify(
 ) -> InequalityReport:
     """Check one inequality and return an :class:`InequalityReport`.
 
-    Exact mode computes the LHS over all n! orderings (subject to the
-    cutoff) and decides lhs <= rhs exactly.  Monte Carlo mode needs ``samples`` and
+    Exact mode computes the LHS as an exact expectation (maximum for
+    ``hardy``) over the n! orderings without listing them: the subset
+    lattice serves the order-free ids and the prefix-sharing walk the
+    weighted ids, subject to the cutoff.  It decides lhs <= rhs exactly.
+    Monte Carlo mode needs ``samples`` and
     ``seed`` and reports a verdict that is never stronger than
     "consistent".
     """

@@ -290,34 +290,103 @@ centered_rationals = st.lists(
     ),
 )
 def test_weighted_checker_agrees_with_generic_route(values, weights):
-    # the walker of the weighted state against the generic Fraction walker
-    # over prefixes, which rebuilds each history from scratch
     pop = make_population(values)
-    n = pop.n
-    ws = weights[:n]
-    for spec in (
+    ws = weights[: pop.n]
+    reports = _walker_reports(pop, ws)
+    assert reports == _generic_reports(pop, ws)
+    assert all(r["holds"] for r in reports)  # every drawn population is centered
+
+
+def _walk_inputs():
+    # Centered populations of n = 3..6 with nonzero multipliers, each with
+    # a corruption index j at every depth, so that failures land on the
+    # nodes of depth n-3 and on each child of them, which the walker checks
+    # in straight-line code, and on the shallower ones it recurses through.
+    rng = random.Random(67)
+    for n in (3, 4, 4, 5, 5, 5, 6, 6, 6):
+        head = [Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(n - 1)]
+        values = head + [-sum(head, Fraction(0))]
+        ws = [Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(n)]
+        yield make_population(values), ws, range(1, n)
+
+
+def _weighted_specs(pop, ws):
+    return (
         make_spec(MartingaleKind.WEIGHTED, pop, ws),
         make_spec(MartingaleKind.CHAIN_QUADRATIC, pop),
-    ):
-        fast = check_martingale(spec)
-        generic = check_sequence(
-            pop, lambda prefix: evaluate_prefix(spec, prefix), 1, n - 1
-        )
-        assert (fast.holds, fast.states_checked) == (
-            generic.holds,
-            generic.states_checked,
-        ), spec.kind
-        assert fast.holds, spec.kind  # every drawn population is centered
-    system = build_transition_system(Basis.WEIGHTED, population=pop, multipliers=ws)
-    fast = check_vector_martingale(pop, Basis.WEIGHTED, ws)
-    generic = check_sequence(
-        pop,
-        lambda prefix: vector_martingale_value(system, state_for_prefix(pop, prefix)),
-        1,
-        n - 1,
     )
-    assert (fast.holds, fast.states_checked) == (generic.holds, generic.states_checked)
-    assert fast.holds
+
+
+def _walker_reports(pop, ws):
+    """Reports of the walker of the weighted state: both weighted kinds
+    and the weighted-basis vector."""
+    return [check_martingale(spec).to_dict() for spec in _weighted_specs(pop, ws)] + [
+        check_vector_martingale(pop, Basis.WEIGHTED, ws).to_dict()
+    ]
+
+
+def _generic_reports(pop, ws, system=None):
+    """The same reports from the generic Fraction walker over prefixes,
+    which rebuilds each history from scratch."""
+    n = pop.n
+    reports = [
+        check_sequence(pop, lambda p, spec=spec: evaluate_prefix(spec, p), 1, n - 1)
+        for spec in _weighted_specs(pop, ws)
+    ]
+    if system is None:
+        system = build_transition_system(Basis.WEIGHTED, population=pop, multipliers=ws)
+    reports.append(
+        check_sequence(
+            pop,
+            lambda p: vector_martingale_value(system, state_for_prefix(pop, p)),
+            1,
+            n - 1,
+        )
+    )
+    return [r.to_dict() for r in reports]
+
+
+def _corrupt(m, pop, ws, j):
+    """Patch faults that depend on W_k: the weighted definition doubles
+    at k = j where W_k > 0, and the W_k column of the vector's j-th
+    inverse product is shifted.  Returns the corrupted system."""
+    from permartingale import martingales
+
+    right = martingales.weighted_value
+
+    def wrong(n):
+        f = right(n)
+        return lambda k, s, w, a: f(k, s, w, a) * (2 if k == j and w > 0 else 1)
+
+    system = build_transition_system(Basis.WEIGHTED, population=pop, multipliers=ws)
+    products = list(system.inverse_products)
+    (a, b), row = products[j - 1]
+    products[j - 1] = ((a + Fraction(1, 7), b), row)
+    system = replace(system, inverse_products=tuple(products))
+    m.setattr(martingales, "weighted_value", wrong)
+    m.setattr(martingales, "build_transition_system", lambda *args, **kw: system)
+    return system
+
+
+def test_weighted_walk_matches_generic_route(monkeypatch):
+    # The walker's full reports, witness included, must equal the generic
+    # route's on holding checks and on failures that depend on W_k, at
+    # every depth.
+    failures, depths = 0, set()
+    for pop, ws, js in _walk_inputs():
+        generic = _generic_reports(pop, ws)
+        assert _walker_reports(pop, ws) == generic, (pop.values, ws)
+        assert all(r["holds"] for r in generic), (pop.values, ws)
+        for j in js:
+            with monkeypatch.context() as m:
+                generic = _generic_reports(pop, ws, _corrupt(m, pop, ws, j))
+                assert _walker_reports(pop, ws) == generic, (pop.values, ws, j)
+            for r in generic:
+                if not r["holds"]:
+                    failures += 1
+                    depths.add(pop.n - len(r["worst_history"]["prefix"]))
+    assert failures >= 20
+    assert {2, 3, 4} <= depths
 
 
 @settings(max_examples=40, deadline=None)
