@@ -68,25 +68,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("json", "csv", "text"),
-        default="json",
-        help="output format (default json)",
-    )
-    common.add_argument("--output", metavar="PATH", help="write output to a file")
-    common.add_argument(
-        "--cutoff",
-        type=int,
-        default=None,
-        metavar="N",
-        help="exact-enumeration size cutoff (default 10, hard maximum 12)",
-    )
+    def common(formats: tuple[str, ...], cutoff: bool = True):
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(
+            "--format",
+            choices=formats,
+            default="json",
+            help="output format (default json)",
+        )
+        parent.add_argument("--output", metavar="PATH", help="write output to a file")
+        if cutoff:
+            parent.add_argument(
+                "--cutoff",
+                type=int,
+                default=None,
+                metavar="N",
+                help="exact-enumeration size cutoff (default 10, hard maximum 12)",
+            )
+        return parent
+
+    all_formats = common(("json", "csv", "text"))
 
     vm = sub.add_parser(
         "verify-martingale",
-        parents=[common],
+        parents=[common(("json", "text"))],
         help="exhaustively check the martingale property of one kind",
     )
     vm.add_argument(
@@ -102,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ci = sub.add_parser(
         "check-inequality",
-        parents=[common],
+        parents=[all_formats],
         help="check one permutation inequality exactly or by Monte Carlo",
     )
     ci.add_argument(
@@ -118,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     mo = sub.add_parser(
         "moments",
-        parents=[common],
+        parents=[all_formats],
         help="print the moment formula-versus-oracle table",
     )
     mo.add_argument("--population", required=True, metavar="FILE")
@@ -133,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     dm = sub.add_parser(
         "dump-matrices",
-        parents=[common],
+        parents=[common(("json", "text"), cutoff=False)],
         help="dump transition matrices and inverse products",
     )
     dm.add_argument("--basis", required=True, choices=tuple(b.value for b in Basis))
@@ -146,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser(
         "sweep",
-        parents=[common],
+        parents=[all_formats],
         help="run a batch of inequality checks from a JSON spec file",
     )
     sw.add_argument("specfile", metavar="SPECFILE")
@@ -226,6 +231,16 @@ def _default_seed(explicit: int | None) -> int | None:
         ) from None
 
 
+def _optional(fn, value):
+    """fn(value), or None when no value is given."""
+    return None if value is None else fn(value)
+
+
+def _rationals(values) -> list[str] | None:
+    """The values as 'p/q' strings, or None when none are given."""
+    return _optional(lambda vs: [format_rational(v) for v in vs], values)
+
+
 def _read_scalars(
     path: str | None, lenient: bool = False
 ) -> tuple[Fraction, ...] | None:
@@ -237,8 +252,6 @@ def _read_scalars(
 
 
 def _cmd_verify_martingale(args) -> int:
-    if args.format == "csv":
-        raise InvalidInputError("verify-martingale does not support csv output")
     pop = load_population(args.population)
     multipliers = _read_scalars(args.multipliers)
     spec = make_spec(args.kind, pop, multipliers)
@@ -247,12 +260,8 @@ def _cmd_verify_martingale(args) -> int:
         "command": "verify-martingale",
         "kind": spec.kind.value,
         "n": pop.n,
-        "population": [format_rational(v) for v in pop.values],
-        "multipliers": (
-            None
-            if spec.multipliers is None
-            else [format_rational(w) for w in spec.multipliers]
-        ),
+        "population": _rationals(pop.values),
+        "multipliers": _rationals(spec.multipliers),
     }
     payload.update(check.to_dict())
     lines = [
@@ -291,11 +300,7 @@ def _report_text_lines(rd: dict) -> list[str]:
 def _cmd_check_inequality(args) -> int:
     mode = VerifyMode(args.mode)
     lenient = mode is VerifyMode.MONTE_CARLO
-    pop = (
-        load_population(args.population, lenient=lenient)
-        if args.population is not None
-        else None
-    )
+    pop = _optional(lambda path: load_population(path, lenient), args.population)
     weights = _read_scalars(args.weights, lenient=lenient)
     seed = _default_seed(args.seed) if mode is VerifyMode.MONTE_CARLO else args.seed
     report = verify(
@@ -327,7 +332,7 @@ def _cmd_moments(args) -> int:
     payload = {
         "command": "moments",
         "n": pop.n,
-        "population": [format_rational(v) for v in pop.values],
+        "population": _rationals(pop.values),
         "rows": [r.to_dict() for r in rows],
         "all_equal": all_equal,
     }
@@ -347,47 +352,20 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_dump_matrices(args) -> int:
-    if args.format == "csv":
-        raise InvalidInputError("dump-matrices does not support csv output")
-    basis = Basis(args.basis)
-    multipliers = _read_scalars(args.multipliers)
-    if args.population is not None:
-        if args.n is not None or args.total is not None or args.square_sum is not None:
-            raise InvalidInputError(
-                "pass either --population or explicit --n/--total/--square-sum"
-            )
-        pop = load_population(args.population)
-        system = build_transition_system(
-            basis, population=pop, multipliers=multipliers
+    if args.basis == Basis.WEIGHTED and (
+        args.total is not None or args.square_sum is not None
+    ):
+        raise InvalidInputError(
+            "the weighted matrices do not involve --total/--square-sum"
         )
-        total: Fraction | None = pop.total
-        square_sum: Fraction | None = pop.square_sum
-    elif basis is Basis.QUADRATIC:
-        if args.n is None or args.total is None or args.square_sum is None:
-            raise InvalidInputError(
-                "the quadratic basis needs --population or all of "
-                "--n, --total, --square-sum"
-            )
-        total = parse_rational(args.total)
-        square_sum = parse_rational(args.square_sum)
-        system = build_transition_system(
-            basis, n=args.n, total=total, square_sum=square_sum,
-            multipliers=multipliers,
-        )
-    else:
-        if args.n is None:
-            raise InvalidInputError(
-                "the weighted basis needs --population or --n with --multipliers"
-            )
-        if args.total is not None or args.square_sum is not None:
-            raise InvalidInputError(
-                "the weighted matrices do not involve --total/--square-sum"
-            )
-        total = None
-        square_sum = None
-        system = build_transition_system(
-            basis, n=args.n, total=0, square_sum=0, multipliers=multipliers
-        )
+    system = build_transition_system(
+        args.basis,
+        multipliers=_read_scalars(args.multipliers),
+        population=_optional(load_population, args.population),
+        n=args.n,
+        total=_optional(parse_rational, args.total),
+        square_sum=_optional(parse_rational, args.square_sum),
+    )
     transitions = [
         matrix_as_strings(system.step_matrix(k))
         for k in range(0, system.max_step_state + 1)
@@ -398,15 +376,11 @@ def _cmd_dump_matrices(args) -> int:
     ]
     payload = {
         "command": "dump-matrices",
-        "basis": basis.value,
+        "basis": system.basis.value,
         "n": system.n,
-        "total": None if total is None else format_rational(total),
-        "square_sum": None if square_sum is None else format_rational(square_sum),
-        "multipliers": (
-            None
-            if system.multipliers is None
-            else [format_rational(w) for w in system.multipliers]
-        ),
+        "total": _optional(format_rational, system.total),
+        "square_sum": _optional(format_rational, system.square_sum),
+        "multipliers": _rationals(system.multipliers),
         # transitions[k] maps the state after k draws to the expected
         # state after k+1 draws; inverse_products[k-1] is the product of
         # the first k inverted step matrices
@@ -415,7 +389,7 @@ def _cmd_dump_matrices(args) -> int:
         "inverse_products_first_index": 1,
         "inverse_products": products,
     }
-    lines = [f"basis: {basis.value}", f"n: {system.n}"]
+    lines = [f"basis: {system.basis.value}", f"n: {system.n}"]
     for k, mat in enumerate(transitions):
         lines.append(f"step matrix after {k} draws:")
         lines.extend("  [" + "  ".join(row) + "]" for row in mat)
@@ -470,12 +444,8 @@ def _sweep_population(row: dict, index: int, master_seed: int, mode, cutoff):
         rng = random.Random(
             seed if seed is not None else f"{master_seed}:{index}"
         )
-        return random_centered_population(
-            spec["n"],
-            rng,
-            max_numerator=spec.get("max_numerator", 9),
-            max_denominator=spec.get("max_denominator", 4),
-        )
+        bounds = {k: spec[k] for k in ("max_numerator", "max_denominator") if k in spec}
+        return random_centered_population(spec["n"], rng, **bounds)
     return None  # bridge_m rows build their population inside verify
 
 

@@ -244,8 +244,8 @@ class TransitionSystem:
 
     basis: Basis
     n: int
-    total: Fraction
-    square_sum: Fraction
+    total: Fraction | None
+    square_sum: Fraction | None
     multipliers: tuple[Fraction, ...] | None
     inverse_products: tuple[Matrix, ...]
 
@@ -294,8 +294,10 @@ def build_transition_system(
 ) -> TransitionSystem:
     """Assemble a :class:`TransitionSystem`.
 
-    Pass either ``population`` or explicit ``(n, total, square_sum)``.
-    The weighted basis requires ``multipliers`` of length n and total 0.
+    Pass either ``population`` or explicit inputs.  The quadratic basis
+    needs ``(n, total, square_sum)``; the weighted basis needs n and
+    ``multipliers`` of length n, and a total, if one is given, of 0.
+    Sums not given stay None on the system.
     """
     basis = coerce_enum(Basis, basis, "basis")
     if population is not None:
@@ -307,19 +309,20 @@ def build_transition_system(
         n = population.n
         total = population.total
         square_sum = population.square_sum
-    if n is None or total is None or square_sum is None:
+    if n is None or basis is Basis.QUADRATIC and (total is None or square_sum is None):
+        needs = "n" if basis is Basis.WEIGHTED else "all of (n, total, square_sum)"
         raise InvalidInputError(
-            "need a population or explicit (n, total, square_sum)"
+            f"the {basis.value} basis needs a population or {needs}"
         )
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise InvalidInputError(f"need integer n >= 2, got {n!r}")
-    total = as_fraction(total)
-    square_sum = as_fraction(square_sum)
+    total = None if total is None else as_fraction(total)
+    square_sum = None if square_sum is None else as_fraction(square_sum)
     ws: tuple[Fraction, ...] | None = None
     if basis is Basis.WEIGHTED:
         if multipliers is None:
             raise InvalidInputError("the weighted basis needs multipliers")
-        if total != 0:
+        if total is not None and total != 0:
             raise PreconditionError(
                 "the weighted basis requires a centered population (total 0); "
                 f"this one sums to {format_rational(total)}"

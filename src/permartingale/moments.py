@@ -214,7 +214,7 @@ def weighted_moment_parts(
 
         E[W_k^2]   = a2 B / n - (a1^2 - a2) B / (n(n-1))
         E[W_k S_k] = a1 (n-k) B / (n(n-1))
-        E[S_k^2]   = k (n-k) B / (n(n-1))
+        E[S_k^2]   = partial_sum_second_moment(population, k)
         E[M_k^2]   = a2 B / (n-1) + a1^2 B / ((n-1)(n-k))
     """
     population.require_centered("the weighted second moment")
@@ -229,7 +229,7 @@ def weighted_moment_parts(
     return WeightedMomentParts(
         w_square=a2 * b / n - (a1 * a1 - a2) * b / d,
         cross=a1 * (n - k) * b / d,
-        sum_square=Fraction(k * (n - k)) * b / d,
+        sum_square=partial_sum_second_moment(population, k),
         combined=a2 * b / (n - 1) + a1 * a1 * b / Fraction((n - 1) * (n - k)),
     )
 

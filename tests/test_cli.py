@@ -1,12 +1,24 @@
 import contextlib
 import io
 import json
+import math
+import random
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from permartingale import (
+    InequalityId,
+    check_martingale,
+    make_population,
+    make_spec,
+    random_centered_population,
+    verify,
+)
 from permartingale.cli import _sweep_row_seed, main
 
 from conftest import pop_file
@@ -107,6 +119,36 @@ def test_check_inequality_mc_accepts_decimal_populations(tmp_path):
     assert rc == 2 and "error:" in err
 
 
+def test_check_inequality_mc_verdicts_other_than_consistent(
+    four_file, monkeypatch
+):
+    from permartingale import inequalities
+
+    argv = ["check-inequality", "--id", "garsia_unweighted", "--population",
+            four_file, "--mode", "mc", "--seed", "3"]
+    # one sample gives no standard error, so nothing can be concluded
+    rc, out, _ = run_cli(argv + ["--samples", "1"])
+    rd = json.loads(out)
+    assert (rc, rd["status"], rd["holds"]) == (1, "inconclusive", False)
+    assert rd["stderr"] is None
+    base = verify("garsia_unweighted", population=make_population([1, -1, 2, -2]),
+                  mode="mc", samples=2000, seed=3)
+    assert base.status == "consistent" and base.stderr > 0
+    iid = InequalityId.GARSIA_UNWEIGHTED
+    rule = inequalities._RULES[iid]
+    # a bound below the estimate - 4 stderr, then one inside estimate ± 4 stderr
+    for bound, status in ((base.lhs - 5 * base.stderr, "violation-suspected"),
+                          (base.lhs, "inconclusive")):
+        rhs = Fraction(bound)
+        monkeypatch.setitem(inequalities._RULES, iid,
+                            replace(rule, rhs=lambda pop, ws, m: rhs))
+        rc, out, _ = run_cli(argv + ["--samples", "2000"])
+        rd = json.loads(out)
+        assert (rc, rd["status"], rd["holds"]) == (1, status, False)
+        assert rd["lhs"] == base.lhs and rd["stderr"] == base.stderr
+        assert math.isfinite(rd["stderr"])
+
+
 def test_verify_martingale_holds(four_file):
     rc, out, err = run_cli(
         ["verify-martingale", "--kind", "mtilde", "--population", four_file]
@@ -133,7 +175,38 @@ def test_verify_martingale_rejects_csv(four_file):
         ["verify-martingale", "--kind", "m2", "--population", four_file,
          "--format", "csv"]
     )
-    assert rc == 2 and "error:" in err
+    assert rc == 2 and "error:" in err and "invalid choice: 'csv'" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_martingale_reports_a_failing_check(
+    tmp_path, four_file, monkeypatch, fmt
+):
+    from permartingale import martingales
+
+    right = martingales.weighted_value
+
+    def wrong(n):
+        # the weighted definition doubles at k = 2 where W_k > 0
+        f = right(n)
+        return lambda k, s, w, a: f(k, s, w, a) * (2 if k == 2 and w > 0 else 1)
+
+    monkeypatch.setattr(martingales, "weighted_value", wrong)
+    ws = [1, -1, 2, 0]
+    rc, out, err = run_cli(
+        ["verify-martingale", "--kind", "weighted", "--population", four_file,
+         "--multipliers", pop_file(tmp_path, ws, name="w.txt"), "--format", fmt]
+    )
+    spec = make_spec("weighted", make_population([1, -1, 2, -2]), ws)
+    w = check_martingale(spec).to_dict()["worst_history"]
+    assert rc == 1 and err == "" and w is not None and w["prefix"]
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["holds"] is False and payload["worst_history"] == w
+    else:
+        assert "holds: no" in out
+        prefix = ", ".join(w["prefix"])
+        assert f"violation at k={w['k']} after prefix ({prefix}):" in out
 
 
 def test_exit_codes_for_bad_input(tmp_path, four_file):
@@ -260,6 +333,17 @@ def test_dump_matrices_input_validation(four_file):
     )
     assert rc == 2 and out == ""
     assert "the quadratic basis takes no multipliers" in err
+    rc, out, err = run_cli(
+        ["dump-matrices", "--basis", "quadratic", "--population", four_file,
+         "--cutoff", "5"]
+    )
+    assert rc == 2 and out == "" and "unrecognized arguments: --cutoff" in err
+    rc, out, err = run_cli(
+        ["dump-matrices", "--basis", "weighted", "--n", "4", "--total", "0",
+         "--multipliers", four_file]
+    )
+    assert rc == 2 and out == ""
+    assert "the weighted matrices do not involve --total/--square-sum" in err
 
 
 def test_sweep_empty_file(tmp_path):
@@ -481,6 +565,61 @@ def test_sweep_rejects_malformed_files(tmp_path):
         payload = json.loads(out)
         assert rc == 1 and payload["errors"] == 1, random_spec
         assert "error" in payload["rows"][0]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ({"id": "max_averages", "population": [1, -1], "random": {"n": 4}},
+         "more than one population source"),
+        ({"id": "max_averages", "population": 5}, "'population' must be a list"),
+        ({"id": "vna_weighted", "population": [1, -1], "weights": 3},
+         "'weights' must be a list"),
+        ({"id": "max_averages", "random": 4}, "'random' must be an object"),
+        ({"id": "max_averages", "random": {"n": 4, "size": 2}},
+         "unknown random keys ['size']"),
+        ({"id": "max_averages", "random": {"seed": 1}}, "'random' needs 'n'"),
+        (["max_averages"], "must be a JSON object"),
+        ({"population": [1, -1]}, "missing 'id'"),
+        ({"id": "vna_weighted", "population": [1, -1], "weights": [1, 1],
+          "weights_file": "w.txt"}, "both 'weights' and 'weights_file'"),
+    ],
+)
+def test_sweep_refuses_a_malformed_row_and_runs_the_others(
+    tmp_path, row, message, fmt
+):
+    good = {"id": "max_averages", "mode": "exact", "population": [1, -1, 2, -2]}
+    spec = tmp_path / "rows.json"
+    spec.write_text(json.dumps([good, row, good]), encoding="utf-8")
+    rc, out, err = run_cli(["sweep", str(spec), "--format", fmt])
+    assert rc == 1 and "Traceback" not in err
+    if fmt == "json":
+        payload = json.loads(out)
+        assert (payload["passed"], payload["errors"]) == (2, 1)
+        assert payload["rows"][1]["row"] == 1
+        error = payload["rows"][1]["error"]
+        assert error.startswith("row 1: ") and message in error
+        assert err == ""
+    else:
+        assert len(out.splitlines()) == 3  # the header and the two good rows
+        [line] = err.splitlines()
+        assert line.startswith("row 1: error: row 1: ") and message in line
+
+
+def test_sweep_random_rows_pass_only_the_bounds_they_give(tmp_path):
+    rows = [{"id": "quadratic", "mode": "exact", "random": {"n": 5}},
+            {"id": "quadratic", "mode": "exact",
+             "random": {"n": 5, "max_numerator": 2}}]
+    spec = tmp_path / "rows.json"
+    spec.write_text(json.dumps(rows), encoding="utf-8")
+    rc, out, _ = run_cli(["sweep", str(spec), "--seed", "7"])
+    assert rc == 0
+    pops = [random_centered_population(5, random.Random("7:0")),
+            random_centered_population(5, random.Random("7:1"), max_numerator=2)]
+    assert [e["report"] for e in json.loads(out)["rows"]] == [
+        verify("quadratic", population=p).to_dict() for p in pops
+    ]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -184,6 +184,16 @@ def test_build_transition_system_input_validation():
         Basis.QUADRATIC, n=5, total=Fraction(0), square_sum=Fraction(10)
     )
     assert explicit.n == 5
+    with pytest.raises(InvalidInputError, match="quadratic basis needs"):
+        build_transition_system(Basis.QUADRATIC, n=5, total=0)
+    with pytest.raises(InvalidInputError, match="weighted basis needs"):
+        build_transition_system(Basis.WEIGHTED, multipliers=[1] * 4)
+    # the weighted matrices read only n and the multipliers
+    weighted = build_transition_system(Basis.WEIGHTED, n=4, multipliers=[1] * 4)
+    assert (weighted.total, weighted.square_sum) == (None, None)
+    assert weighted.inverse_products == build_transition_system(
+        Basis.WEIGHTED, population=pop, multipliers=[1] * 4
+    ).inverse_products
 
 
 def test_weighted_basis_requires_a_centered_total():
