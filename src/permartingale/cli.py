@@ -282,19 +282,9 @@ def _cmd_verify_martingale(args) -> int:
 
 
 def _report_text_lines(rd: dict) -> list[str]:
-    lines = [
-        f"id: {rd['id']}",
-        f"mode: {rd['mode']}",
-        f"n: {rd['n']}",
-        f"lhs: {rd['lhs']}",
-        f"rhs: {rd['rhs']}",
-        f"status: {rd['status']}",
-    ]
-    if rd["mode"] == "mc":
-        lines.insert(5, f"stderr: {rd['stderr']}")
-        lines.insert(6, f"samples: {rd['samples']}")
-        lines.insert(7, f"seed: {rd['seed']}")
-    return lines
+    """One line per report field, skipping the fields that are None."""
+    fields = ("id", "mode", "n", "lhs", "rhs", "stderr", "samples", "seed", "status")
+    return [f"{f}: {rd[f]}" for f in fields if rd[f] is not None]
 
 
 def _cmd_check_inequality(args) -> int:

@@ -252,12 +252,12 @@ class TransitionSystem:
     @property
     def max_step_state(self) -> int:
         """Largest k for which step_matrix(k) exists."""
-        return self.n - 3 if self.basis is Basis.QUADRATIC else self.n - 2
+        return self.max_product_index - 1
 
     @property
     def max_product_index(self) -> int:
         """Largest k for which inverse_product(k) exists."""
-        return self.n - 2 if self.basis is Basis.QUADRATIC else self.n - 1
+        return len(self.inverse_products)
 
     def step_matrix(self, k: int) -> Matrix:
         """Matrix mapping the state after k draws to the expected state
@@ -361,13 +361,7 @@ def vector_martingale_value(system: TransitionSystem, state: PathState) -> Vecto
             f"state comes from a population of size {state.population.n}, "
             f"system has n={system.n}"
         )
-    k = state.k
-    if not 1 <= k <= system.max_product_index:
-        raise DomainError(
-            f"vector martingale defined for k in 1..{system.max_product_index},"
-            f" got k={k}"
-        )
-    return matrix_vector(system.inverse_product(k), system.state_vector(state))
+    return matrix_vector(system.inverse_product(state.k), system.state_vector(state))
 
 
 def matrix_as_strings(matrix: Matrix) -> list[list[str]]:

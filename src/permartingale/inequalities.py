@@ -96,12 +96,12 @@ def _resolve(
     population: Population | None,
     weights: Sequence | None,
     bridge_m: int | None,
-) -> tuple[InequalityId, _Rule, Population, tuple[Fraction, ...] | None, int | None]:
+) -> tuple[InequalityId, _Rule, Population, tuple[Fraction, ...] | None]:
     """Validate the (id, population, weights, bridge_m) combination.
 
-    Returns the id's rule record, the effective weights (the fixed
-    alternating signs for ``alternating``) and the bridge parameter m
-    for ``bridge``.
+    Returns the id's rule record, the population (the bridge's built
+    from bridge_m when none is given) and the effective weights (the
+    fixed alternating signs for ``alternating``).
     """
     iid = coerce_enum(InequalityId, id, "inequality id")
     rule = _RULES[iid]
@@ -124,7 +124,7 @@ def _resolve(
             raise InvalidInputError(
                 f"bridge_m={bridge_m} does not match the population (m={m})"
             )
-        return iid, rule, population, None, m
+        return iid, rule, population, None
     if bridge_m is not None:
         raise InvalidInputError(
             f"bridge_m only applies to the bridge inequality, not {iid.value!r}"
@@ -135,15 +135,15 @@ def _resolve(
     if rule.weights == "given":
         if weights is None:
             raise InvalidInputError(f"the {iid.value} inequality needs weights")
-        return iid, rule, population, validate_weights(weights, population.n), None
+        return iid, rule, population, validate_weights(weights, population.n)
     if weights is not None:
         detail = "; its signs (-1)^i are fixed" if rule.weights == "alternating" else ""
         raise InvalidInputError(
             f"the {iid.value} inequality takes no weights{detail}"
         )
     if rule.weights == "alternating":
-        return iid, rule, population, alternating_weights(population.n), None
-    return iid, rule, population, None, None
+        return iid, rule, population, alternating_weights(population.n)
+    return iid, rule, population, None
 
 
 def lhs_statistic(
@@ -159,10 +159,10 @@ def lhs_statistic(
     is kept independent of the integer exact engines and the
     float statistics so each can check the other.
     """
-    iid, rule, pop, ws, m = _resolve(id, population, weights, bridge_m)
+    iid, rule, pop, ws = _resolve(id, population, weights, bridge_m)
     n = pop.n
     perm = validate_permutation(permutation, n)
-    ks = rule.ks(n, m)
+    ks = rule.ks(n)
     s = t = w = Fraction(0)
     terms = []
     for k in range(1, ks.stop):
@@ -172,7 +172,7 @@ def lhs_statistic(
         if ws is not None:
             w += ws[k - 1] * x
         if k in ks:
-            terms.append(rule.term(n, m, k, s, t, w))
+            terms.append(rule.term(n, k, s, t, w))
     return rule.reduce(terms)
 
 
@@ -202,11 +202,11 @@ def rhs_value(
     bridge_m: int | None = None,
 ) -> Fraction:
     """Exact right-hand side for an inequality id."""
-    iid, rule, pop, ws, m = _resolve(id, population, weights, bridge_m)
-    return rule.rhs(pop, ws, m)
+    iid, rule, pop, ws = _resolve(id, population, weights, bridge_m)
+    return rule.rhs(pop, ws)
 
 
-def _vna_weighted_rhs(pop: Population, ws, m) -> Fraction:
+def _vna_weighted_rhs(pop: Population, ws) -> Fraction:
     n = pop.n
     a2 = weight_square_sum(ws, n)
     if a2 == 0:
@@ -265,10 +265,9 @@ class InequalityReport:
     "fails".  In Monte Carlo mode ``lhs`` is a float estimate with
     ``stderr`` and ``samples``; ``status`` is "consistent" when
     estimate + 4 stderr <= rhs, "violation-suspected" when estimate -
-    4 stderr > rhs, otherwise "inconclusive", and ``holds`` is True
-    only for "consistent".  For ``hardy`` in Monte Carlo mode the
-    estimate is the sampled maximum (a lower bound on the true one) and
-    ``stderr`` is None.
+    4 stderr > rhs, otherwise "inconclusive".  For ``hardy`` in Monte
+    Carlo mode the estimate is the sampled maximum (a lower bound on the
+    true one) and ``stderr`` is None.
     """
 
     id: InequalityId
@@ -276,13 +275,17 @@ class InequalityReport:
     n: int
     lhs: Fraction | float
     rhs: Fraction
-    holds: bool
     status: str
     stderr: float | None = None
     samples: int | None = None
     seed: int | None = None
     weights: tuple[Fraction, ...] | None = None
     bridge_m: int | None = None
+
+    @property
+    def holds(self) -> bool:
+        """True for "holds" (exact) and "consistent" (Monte Carlo)."""
+        return self.status in ("holds", "consistent")
 
     def to_dict(self) -> dict:
         return {
@@ -315,7 +318,7 @@ class InequalityReport:
 # statistic on purpose: they are independent routes that the tests check
 # against the Fraction reference ``lhs_statistic``.
 #
-# Exact engines: (xs, d, count, ws, m) -> exact LHS over all count = n!
+# Exact engines: (xs, d, count, ws) -> exact LHS over all count = n!
 # orderings of the values xs, scaled to integers by their common
 # denominator d (weights by e).  Statistics become integers on one
 # denominator per id, which is divided out once at the end.
@@ -323,22 +326,22 @@ class InequalityReport:
 # Subset-lattice engine, for the order-free ids.  Their statistic sees a
 # prefix of length k only through the drawn set S, via (k, S_k, T_k), so
 # the n! orderings are the maximal chains {} < S_1 < ... < S_n of the
-# subset lattice.  A key factory (n, m, d) -> (key, denominator) gives
+# subset lattice.  A key factory (n, d) -> (key, denominator) gives
 # key(k, S_k, T_k), an int, for every subset in the id's k-range, in the
 # drawn-set table of ``population.drawn_set_values``.
 
 
-def _averages_key(n, m, d):
+def _averages_key(n, d):
     big = lcm(*range(1, n + 1))
     mult = [0] + [big // k for k in range(1, n + 1)]
     return (lambda k, s, t: (s * mult[k]) ** 2), (big * d) ** 2
 
 
-def _square_key(n, m, d):
+def _square_key(n, d):
     return (lambda k, s, t: s * s), d * d
 
 
-def _quadratic_key(n, m, d):
+def _quadratic_key(n, d):
     big = lcm(*(k * (k - 1) for k in range(2, n + 1)))
     mult = [0, 0] + [big // (k * (k - 1)) for k in range(2, n + 1)]
     c1 = n - 1
@@ -349,10 +352,10 @@ def _quadratic_key(n, m, d):
     return key, (c1 * big * d * d) ** 2
 
 
-def _bridge_key(n, m, d):
-    c1 = 2 * m - 1
+def _bridge_key(n, d):
+    c1 = n - 1
     dd = d * d
-    return (lambda k, s, t: (c1 * s * s - k * (2 * m - k) * dd) ** 2), (c1 * dd) ** 2
+    return (lambda k, s, t: (c1 * s * s - k * (n - k) * dd) ** 2), (c1 * dd) ** 2
 
 
 def _one_less(mask: int):
@@ -364,7 +367,7 @@ def _one_less(mask: int):
         rest ^= low
 
 
-def _lattice_mean(ks, key_factory, xs, d, count, ws, m) -> Fraction:
+def _lattice_mean(ks, key_factory, xs, d, count, ws) -> Fraction:
     # E max = (1/n!) sum_j v_j (C_j - C_{j-1}) over the sorted distinct
     # keys v_j, where C_j counts the chains whose every in-range set has
     # key <= v_j.  c[S] packs the chain counts from {} to S for every
@@ -372,8 +375,8 @@ def _lattice_mean(ks, key_factory, xs, d, count, ws, m) -> Fraction:
     # carries into the next); a set of key rank r zeroes the slots below
     # r.  Only two sizes of sets are kept at a time.
     n = len(xs)
-    key, den = key_factory(n, m, d)
-    keys = drawn_set_values(xs, key, ks(n, m))
+    key, den = key_factory(n, d)
+    keys = drawn_set_values(xs, key, ks(n))
     values = sorted({v for v in keys if v is not None})
     width = count.bit_length()
     shift = {v: j * width for j, v in enumerate(values)}
@@ -403,19 +406,19 @@ def _lattice_mean(ks, key_factory, xs, d, count, ws, m) -> Fraction:
     return Fraction(total, count * den)
 
 
-def _lattice_max(ks, key_factory, xs, d, count, ws, m) -> Fraction:
+def _lattice_max(ks, key_factory, xs, d, count, ws) -> Fraction:
     # max over chains of the summed keys: the max-plus subset DP of
     # Held and Karp, best[S] = key(S) + max_{i in S} best[S - i]
     n = len(xs)
-    key, den = key_factory(n, m, d)
-    keys = drawn_set_values(xs, key, ks(n, m))
+    key, den = key_factory(n, d)
+    keys = drawn_set_values(xs, key, ks(n))
     best = [0] * (1 << n)
     for mask in range(1, 1 << n):
         best[mask] = keys[mask] + max(best[sub] for sub in _one_less(mask))
     return Fraction(best[-1], den)
 
 
-def _exact_weighted(xs, d, count, ws, m) -> Fraction:
+def _exact_weighted(xs, d, count, ws) -> Fraction:
     # W_k depends on the order of the draws, so walk the prefixes depth
     # first: each prefix's W_k and running max are computed once, about
     # e n! nodes instead of n n! steps, with the last three draws unrolled
@@ -457,35 +460,35 @@ def _exact_weighted(xs, d, count, ws, m) -> Fraction:
     return Fraction(walk(tuple(xs), 0, 0, 0), count * (d * e) ** 2)
 
 
-# Float statistics: (n, ws, m) -> vectorized statistic over a (block, n)
+# Float statistics: (n, ws) -> vectorized statistic over a (block, n)
 # matrix of orderings.  numpy is imported here and in ``_mc_lhs`` only,
 # so the exact routes never load it.
 
 
-def _float_averages(n, ws, m):
+def _float_averages(n, ws):
     import numpy as np
 
     ks = np.arange(1, n + 1, dtype=np.float64)
     return lambda X: (np.cumsum(X, axis=1) / ks) ** 2
 
 
-def _float_max_averages(n, ws, m):
-    averages = _float_averages(n, ws, m)
+def _float_max_averages(n, ws):
+    averages = _float_averages(n, ws)
     return lambda X: averages(X).max(axis=1)
 
 
-def _float_hardy(n, ws, m):
-    averages = _float_averages(n, ws, m)
+def _float_hardy(n, ws):
+    averages = _float_averages(n, ws)
     return lambda X: averages(X).sum(axis=1)
 
 
-def _float_garsia_unweighted(n, ws, m):
+def _float_garsia_unweighted(n, ws):
     import numpy as np
 
     return lambda X: (np.cumsum(X, axis=1) ** 2).max(axis=1)
 
 
-def _float_quadratic(n, ws, m):
+def _float_quadratic(n, ws):
     import numpy as np
 
     ks = np.arange(1, n + 1, dtype=np.float64)
@@ -501,12 +504,12 @@ def _float_quadratic(n, ws, m):
     return stat
 
 
-def _float_bridge(n, ws, m):
+def _float_bridge(n, ws):
     import numpy as np
 
     ks = np.arange(1, n + 1, dtype=np.float64)
-    last = 2 * m - 1
-    comp = ks[:last] * (2 * m - ks[:last]) / (2 * m - 1)
+    last = n - 1
+    comp = ks[:last] * (n - ks[:last]) / last
 
     def stat(X):
         s = np.cumsum(X[:, :last], axis=1)
@@ -515,14 +518,14 @@ def _float_bridge(n, ws, m):
     return stat
 
 
-def _float_weighted(n, ws, m):
+def _float_weighted(n, ws):
     import numpy as np
 
     a = np.array([float(w) for w in ws])
     return lambda X: (np.cumsum(X * a, axis=1) ** 2).max(axis=1)
 
 
-def _all_ks(n: int, m: int | None) -> range:
+def _all_ks(n: int) -> range:
     return range(1, n + 1)
 
 
@@ -532,22 +535,22 @@ class _Rule:
 
     ``weights`` is the weight policy: "none", "given" (the caller must
     pass them) or "alternating" (the fixed signs (-1)^i).  ``bridge``
-    means the id needs the ±1 bridge population.  ``rhs(pop, ws, m)`` is
-    the closed-form bound.  The reference statistic of one ordering
-    reduces ``term(n, m, k, S_k, T_k, W_k)`` over k in ``ks(n, m)`` with
-    ``reduce``; ``over_orderings`` says whether the LHS is its mean or
-    its max over all orderings.  ``exact`` and ``floats`` are the
-    id's exact engine and float statistic (a factory of a function of a
-    numpy array).
+    means the id needs the ±1 bridge population, whose m is n/2.
+    ``rhs(pop, ws)`` is the closed-form bound.  The reference statistic
+    of one ordering reduces ``term(n, k, S_k, T_k, W_k)`` over k in
+    ``ks(n)`` with ``reduce``; ``over_orderings`` says whether the LHS
+    is its mean or its max over all orderings.  ``exact`` and ``floats``
+    are the id's exact engine and float statistic (a factory of a
+    function of a numpy array).
     """
 
-    rhs: Callable[[Population, tuple[Fraction, ...] | None, int | None], Fraction]
+    rhs: Callable[[Population, tuple[Fraction, ...] | None], Fraction]
     term: Callable[..., Fraction]
     exact: Callable[..., Fraction]
     floats: Callable[..., Callable]
     weights: str = "none"
     bridge: bool = False
-    ks: Callable[[int, int | None], range] = _all_ks
+    ks: Callable[[int], range] = _all_ks
     reduce: Callable = max
     over_orderings: str = "mean"
 
@@ -560,46 +563,44 @@ def _order_free(key, **fields) -> _Rule:
     return _Rule(exact=partial(engine, ks, key), **fields)
 
 
-def _w_squared(n, m, k, s, t, w) -> Fraction:
+def _w_squared(n, k, s, t, w) -> Fraction:
     return w * w
 
 
 _RULES: dict[InequalityId, _Rule] = {
     InequalityId.MAX_AVERAGES: _order_free(
-        rhs=lambda pop, ws, m: Fraction(4, pop.n) * pop.square_sum,
-        term=lambda n, m, k, s, t, w: (s / k) ** 2,
+        rhs=lambda pop, ws: Fraction(4, pop.n) * pop.square_sum,
+        term=lambda n, k, s, t, w: (s / k) ** 2,
         key=_averages_key,
         floats=_float_max_averages,
     ),
     InequalityId.GARSIA_UNWEIGHTED: _order_free(
-        rhs=lambda pop, ws, m: Fraction(41, 5) * pop.square_sum,
-        term=lambda n, m, k, s, t, w: s * s,
+        rhs=lambda pop, ws: Fraction(41, 5) * pop.square_sum,
+        term=lambda n, k, s, t, w: s * s,
         key=_square_key,
         floats=_float_garsia_unweighted,
     ),
     InequalityId.QUADRATIC: _order_free(
-        rhs=lambda pop, ws, m: Fraction(4, (pop.n - 1) ** 2)
+        rhs=lambda pop, ws: Fraction(4, (pop.n - 1) ** 2)
         * (pop.square_sum**2 - pop.fourth_sum),
-        term=lambda n, m, k, s, t, w: (
+        term=lambda n, k, s, t, w: (
             (s * s - Fraction(n - k, n - 1) * t) / Fraction(k * (k - 1))
         ) ** 2,
-        ks=lambda n, m: range(2, n + 1),
+        ks=lambda n: range(2, n + 1),
         key=_quadratic_key,
         floats=_float_quadratic,
     ),
     InequalityId.BRIDGE: _order_free(
         bridge=True,
-        rhs=lambda pop, ws, m: Fraction(128 * m * m),
-        term=lambda n, m, k, s, t, w: (
-            s * s - Fraction(k * (2 * m - k), 2 * m - 1)
-        ) ** 2,
-        ks=lambda n, m: range(1, 2 * m),
+        rhs=lambda pop, ws: Fraction(32 * pop.n * pop.n),
+        term=lambda n, k, s, t, w: (s * s - Fraction(k * (n - k), n - 1)) ** 2,
+        ks=lambda n: range(1, n),
         key=_bridge_key,
         floats=_float_bridge,
     ),
     InequalityId.ALTERNATING: _Rule(
         weights="alternating",
-        rhs=lambda pop, ws, m: Fraction(305, 17) * pop.square_sum,
+        rhs=lambda pop, ws: Fraction(305, 17) * pop.square_sum,
         term=_w_squared,
         exact=_exact_weighted,
         floats=_float_weighted,
@@ -613,15 +614,15 @@ _RULES: dict[InequalityId, _Rule] = {
     ),
     InequalityId.GARSIA_WEIGHTED: _Rule(
         weights="given",
-        rhs=lambda pop, ws, m: Fraction(16404, 205)
+        rhs=lambda pop, ws: Fraction(16404, 205)
         * weight_square_sum(ws, pop.n) * pop.square_sum / (pop.n - 1),
         term=_w_squared,
         exact=_exact_weighted,
         floats=_float_weighted,
     ),
     InequalityId.HARDY: _order_free(
-        rhs=lambda pop, ws, m: 4 * pop.square_sum,
-        term=lambda n, m, k, s, t, w: (s / k) ** 2,
+        rhs=lambda pop, ws: 4 * pop.square_sum,
+        term=lambda n, k, s, t, w: (s / k) ** 2,
         reduce=sum,
         over_orderings="max",
         key=_averages_key,
@@ -634,7 +635,6 @@ def _mc_lhs(
     rule: _Rule,
     pop: Population,
     ws: tuple[Fraction, ...] | None,
-    m: int | None,
     samples: int,
     seed: int,
 ) -> tuple[float, float | None]:
@@ -648,7 +648,7 @@ def _mc_lhs(
     import numpy as np
 
     base = np.array(pop.as_floats(), dtype=np.float64)
-    stat = rule.floats(pop.n, ws, m)
+    stat = rule.floats(pop.n, ws)
     take_max = rule.over_orderings == "max"
     done = 0
     block = 0
@@ -722,17 +722,16 @@ def verify(
             ensure_exact_size(iid, population.n, cutoff)
         elif _RULES[iid].bridge and isinstance(bridge_m, int):
             ensure_exact_size(iid, 2 * bridge_m, cutoff)
-    iid, rule, pop, ws, m = _resolve(iid, population, weights, bridge_m)
-    rhs = rule.rhs(pop, ws, m)
+    iid, rule, pop, ws = _resolve(iid, population, weights, bridge_m)
+    rhs = rule.rhs(pop, ws)
     n = pop.n
     if mode is VerifyMode.EXACT:
         if samples is not None or seed is not None:
             raise InvalidInputError("samples and seed only apply to Monte Carlo mode")
         xs, d = scaled_integers(pop.values)
-        lhs = rule.exact(xs, d, factorial(n), ws, m)
+        lhs = rule.exact(xs, d, factorial(n), ws)
         stderr = None
-        holds = lhs <= rhs
-        status = "holds" if holds else "fails"
+        status = "holds" if lhs <= rhs else "fails"
     else:
         if samples is None or seed is None:
             raise InvalidInputError("Monte Carlo mode needs samples and seed")
@@ -747,7 +746,7 @@ def verify(
                 f"the {iid.value} bound is beyond float range; Monte Carlo "
                 "mode needs values whose statistic fits in a float"
             ) from None
-        lhs, stderr = _mc_lhs(rule, pop, ws, m, samples, seed)
+        lhs, stderr = _mc_lhs(rule, pop, ws, samples, seed)
         if not isfinite(lhs) or (stderr is not None and not isfinite(stderr)):
             raise InvalidInputError(
                 f"the Monte Carlo {iid.value} statistic overflows float range "
@@ -755,28 +754,23 @@ def verify(
             )
         if rule.over_orderings == "max":
             # sampled maximum: only a violation can ever be concluded
-            holds = not lhs > rhs_f
-            status = "consistent" if holds else "violation-suspected"
+            status = "violation-suspected" if lhs > rhs_f else "consistent"
         elif stderr is not None and lhs + 4 * stderr <= rhs_f:
             status = "consistent"
-            holds = True
         elif stderr is not None and lhs - 4 * stderr > rhs_f:
             status = "violation-suspected"
-            holds = False
         else:
             status = "inconclusive"
-            holds = False
     return InequalityReport(
         id=iid,
         mode=mode,
         n=n,
         lhs=lhs,
         rhs=rhs,
-        holds=holds,
         status=status,
         stderr=stderr,
         samples=samples,
         seed=seed,
         weights=ws if rule.weights == "given" else None,
-        bridge_m=m,
+        bridge_m=n // 2 if rule.bridge else None,
     )

@@ -217,9 +217,12 @@ class MartingaleCheck:
     first violation in enumeration order, or None.
     """
 
-    holds: bool
     worst_history: MartingaleViolation | None
     states_checked: int
+
+    @property
+    def holds(self) -> bool:
+        return self.worst_history is None
 
     def to_dict(self) -> dict:
         return {
@@ -284,8 +287,8 @@ def _check_order_free(
         acc = sum(value[mask | 1 << i] for i in range(n) if not mask >> i & 1)
         if acc != (n - k) * v:
             prefix = [x for i, x in enumerate(population.values) if mask >> i & 1]
-            return MartingaleCheck(False, _violation(prefix, k, v, acc, n), states)
-    return MartingaleCheck(holds=True, worst_history=None, states_checked=len(sets))
+            return MartingaleCheck(_violation(prefix, k, v, acc, n), states)
+    return MartingaleCheck(None, len(sets))
 
 
 def _check_ordered(
@@ -329,9 +332,7 @@ def _check_ordered(
                 return
 
     dfs(0)
-    return MartingaleCheck(
-        holds=violation is None, worst_history=violation, states_checked=states
-    )
+    return MartingaleCheck(violation, states)
 
 
 def check_sequence(
@@ -452,9 +453,7 @@ def _walk_weighted(values, d: int, multipliers, value, scale: int) -> Martingale
 
     if n >= 3:  # below three values there is no history to check
         (tail if n == 3 else dfs)(0, 0, 0, 0, 0, 0)
-    return MartingaleCheck(
-        holds=violation is None, worst_history=violation, states_checked=states
-    )
+    return MartingaleCheck(violation, states)
 
 
 def check_martingale(spec: MartingaleSpec, cutoff: int | None = None) -> MartingaleCheck:
@@ -538,8 +537,11 @@ class CounterexampleEntry:
 
     name: str
     expected_to_hold: bool
-    holds: bool
     witness: MartingaleViolation | None
+
+    @property
+    def holds(self) -> bool:
+        return self.witness is None
 
     @property
     def ok(self) -> bool:
@@ -616,7 +618,6 @@ def counterexample_suite(population: Population | None = None) -> Counterexample
             CounterexampleEntry(
                 name=name,
                 expected_to_hold=expected,
-                holds=check.holds,
                 witness=check.worst_history,
             )
         )

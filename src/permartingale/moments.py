@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
 from operator import mul
 from typing import Sequence
 
@@ -23,7 +22,6 @@ from .population import (
     ensure_enumerable,
     make_bridge_population,
     mean_over_ordered_draws,
-    mean_over_orderings,
     mean_over_subsets,
 )
 from .rationals import format_rational
@@ -127,15 +125,12 @@ def bridge_fourth_moment(m: int) -> Fraction:
 
 
 def bridge_moment_oracle(m: int, power: int, cutoff: int | None = None) -> Fraction:
-    """E[S_m^power] on the ±1 bridge by enumerating all (2m)! orderings."""
+    """E[S_m^power] on the ±1 bridge over the C(2m, m) sets of m draws."""
     if power < 1:
         raise InvalidInputError(f"need power >= 1, got {power}")
     pop = make_bridge_population(m)
-    return mean_over_orderings(
-        pop,
-        lambda perm: sum(perm[:m], Fraction(0)) ** power,
-        cutoff=cutoff,
-    )
+    ensure_enumerable(pop.n, cutoff, "the bridge moment oracle")
+    return mean_over_subsets(pop, m, lambda sub: sum(sub, Fraction(0)) ** power)
 
 
 def mtilde_coefficients(n: int) -> tuple[Fraction, Fraction]:
@@ -180,13 +175,12 @@ def mtilde_terminal_oracle(population: Population) -> Fraction:
         raise DomainError(f"need n >= 4, got n={n}")
     b = population.square_sum
     mtilde = ORDER_FREE_VALUES[MartingaleKind.MTILDE](population)
-    total = Fraction(0)
-    count = 0
-    for x, y in combinations(population.values, 2):
-        value = mtilde(n - 2, -(x + y), b - x * x - y * y)
-        total += value * value
-        count += 1
-    return 4 * total / count
+
+    def square(pair):
+        x, y = pair
+        return mtilde(n - 2, -(x + y), b - x * x - y * y) ** 2
+
+    return 4 * mean_over_subsets(population, 2, square)
 
 
 @dataclass(frozen=True)

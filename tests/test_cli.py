@@ -75,7 +75,8 @@ def test_check_inequality_text_and_csv(four_file):
          four_file, "--mode", "exact", "--format", "text"]
     )
     assert rc == 0
-    assert "status: holds" in out
+    assert out.splitlines() == ["id: max_averages", "mode: exact", "n: 4",
+                                "lhs: 65/24", "rhs: 10", "status: holds"]
     rc, out, _ = run_cli(
         ["check-inequality", "--id", "max_averages", "--population",
          four_file, "--mode", "exact", "--format", "csv"]
@@ -84,6 +85,21 @@ def test_check_inequality_text_and_csv(four_file):
     lines = out.strip().splitlines()
     assert lines[0] == "id,n,mode,lhs,rhs,holds,seed,samples"
     assert lines[1] == "max_averages,4,exact,65/24,10,true,,"
+
+
+@pytest.mark.parametrize("iid, samples", [("hardy", "64"), ("garsia_unweighted", "1")])
+def test_text_reports_list_only_the_fields_a_report_has(four_file, iid, samples):
+    # an MC hardy run (a sampled maximum) and a one-sample run have no stderr
+    argv = ["check-inequality", "--id", iid, "--population", four_file,
+            "--mode", "mc", "--samples", samples, "--seed", "3"]
+    rc, out, _ = run_cli(argv + ["--format", "json"])
+    rd = json.loads(out)
+    assert "stderr" in rd and rd["stderr"] is None
+    rc_text, text, _ = run_cli(argv + ["--format", "text"])
+    assert rc_text == rc
+    assert "None" not in text and "stderr:" not in text
+    fields = ("id", "mode", "n", "lhs", "rhs", "samples", "seed", "status")
+    assert text.splitlines() == [f"{f}: {rd[f]}" for f in fields]
 
 
 def test_check_inequality_weighted_needs_weights_file(tmp_path, four_file):
@@ -141,7 +157,7 @@ def test_check_inequality_mc_verdicts_other_than_consistent(
                           (base.lhs, "inconclusive")):
         rhs = Fraction(bound)
         monkeypatch.setitem(inequalities._RULES, iid,
-                            replace(rule, rhs=lambda pop, ws, m: rhs))
+                            replace(rule, rhs=lambda pop, ws: rhs))
         rc, out, _ = run_cli(argv + ["--samples", "2000"])
         rd = json.loads(out)
         assert (rc, rd["status"], rd["holds"]) == (1, status, False)

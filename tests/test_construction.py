@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -151,6 +152,22 @@ def test_transition_system_shape_and_bounds():
         system.inverse_product(0)
     with pytest.raises(DomainError):
         system.inverse_product(5)
+
+
+@pytest.mark.parametrize("basis", list(Basis))
+def test_index_ranges_follow_the_products(basis):
+    # a system whose products are cut short reports the shorter ranges
+    # and refuses past them with DomainError, not an IndexError
+    pop = make_population([1, -1, 2, -2, 3, -3])
+    ws = [1, 2, 0, -1, 3, 1] if basis is Basis.WEIGHTED else None
+    system = build_transition_system(basis, population=pop, multipliers=ws)
+    cut = replace(system, inverse_products=system.inverse_products[:2])
+    assert (cut.max_product_index, cut.max_step_state) == (2, 1)
+    assert cut.inverse_product(2) == system.inverse_product(2)
+    with pytest.raises(DomainError, match="outside 1..2"):
+        cut.inverse_product(3)
+    with pytest.raises(DomainError, match="outside 1..2"):
+        vector_martingale_value(cut, state_for_prefix(pop, (1, -1, 2)))
 
 
 def test_weighted_system_state_vector():

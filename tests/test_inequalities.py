@@ -541,7 +541,7 @@ def test_float_statistic_matches_reference_on_every_ordering(iid):
         effective = ws
         if iid is InequalityId.ALTERNATING:
             effective = alternating_weights(n)
-        got = _RULES[iid].floats(n, effective, m)(rows)
+        got = _RULES[iid].floats(n, effective)(rows)
         for perm, value in zip(perms, got):
             want = float(lhs_statistic(iid, pop, perm, weights=ws, bridge_m=m))
             assert math.isclose(value, want, rel_tol=1e-12, abs_tol=0.0), (

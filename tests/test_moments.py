@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from permartingale import (
     DomainError,
+    EnumerationLimitError,
     InvalidInputError,
     PreconditionError,
     alternating_weights,
@@ -121,9 +122,12 @@ def test_bridge_moments():
     assert bridge_second_moment(2) == Fraction(4, 3)
     assert bridge_fourth_moment(1) == 1
     assert bridge_fourth_moment(2) == Fraction(16, 3)
-    for m in (1, 2, 3):
-        assert bridge_second_moment(m) == bridge_moment_oracle(m, 2)
-        assert bridge_fourth_moment(m) == bridge_moment_oracle(m, 4)
+    # the oracle enumerates C(2m, m) drawn sets, so m = 6 runs at cutoff 12
+    for m in (1, 2, 3, 5, 6):
+        assert bridge_second_moment(m) == bridge_moment_oracle(m, 2, cutoff=12)
+        assert bridge_fourth_moment(m) == bridge_moment_oracle(m, 4, cutoff=12)
+    with pytest.raises(EnumerationLimitError, match="the bridge moment oracle"):
+        bridge_moment_oracle(6, 2)
     # odd moments vanish by sign symmetry of the bridge
     assert bridge_moment_oracle(2, 3) == 0
     with pytest.raises(DomainError):
