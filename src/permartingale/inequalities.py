@@ -73,6 +73,8 @@ from .weights import (
 )
 
 MC_BLOCK_SIZE = 1 << 16
+# the floats of one Monte Carlo chunk (2 MiB); at least one row is held
+_MC_CHUNK_FLOATS = 1 << 18
 
 
 class InequalityId(str, Enum):
@@ -229,31 +231,33 @@ def folding_constant(id, n: int, m: int | None = None) -> Fraction:
     (n, m) = (81, 40).
     """
     iid = coerce_enum(InequalityId, id, "inequality id")
-    if iid is InequalityId.ALTERNATING:
-        if m is not None:
-            raise InvalidInputError(
-                "the alternating constant depends only on n"
-            )
-        if n < 2:
-            raise DomainError(f"need n >= 2, got {n}")
-        return Fraction(16 * n, n - 1) + Fraction(18, n)
-    if iid not in (InequalityId.GARSIA_UNWEIGHTED, InequalityId.GARSIA_WEIGHTED):
+    fold = _RULES[iid].folding
+    if fold is None:
         raise InvalidInputError(
             f"no folding-constant path for id {iid.value!r}"
         )
-    if m is None:
-        raise InvalidInputError(f"the {iid.value} constant needs m")
-    if not 1 <= m < n:
-        raise DomainError(f"need 1 <= m < n, got m={m}, n={n}")
-    if iid is InequalityId.GARSIA_UNWEIGHTED:
-        return 4 * (Fraction(m, n - m) + Fraction(n - m, m))
-    return 16 * (
-        2
-        + Fraction(m, n - m)
-        + Fraction(n - m, m)
-        + Fraction(m * m, n * (n - m))
-        + Fraction((n - m) ** 2, n * m)
-    )
+    return fold(iid.value, n, m)
+
+
+def _alternating_folding(name: str, n: int, m: int | None) -> Fraction:
+    if m is not None:
+        raise InvalidInputError(f"the {name} constant depends only on n")
+    if n < 2:
+        raise DomainError(f"need n >= 2, got {n}")
+    return Fraction(16 * n, n - 1) + Fraction(18, n)
+
+
+def _split_folding(form: Callable[[int, int], Fraction]) -> Callable:
+    """A folding path over the split (n, m): check m, then ``form(n, m)``."""
+
+    def fold(name: str, n: int, m: int | None) -> Fraction:
+        if m is None:
+            raise InvalidInputError(f"the {name} constant needs m")
+        if not 1 <= m < n:
+            raise DomainError(f"need 1 <= m < n, got m={m}, n={n}")
+        return form(n, m)
+
+    return fold
 
 
 @dataclass(frozen=True)
@@ -460,16 +464,26 @@ def _exact_weighted(xs, d, count, ws) -> Fraction:
     return Fraction(walk(tuple(xs), 0, 0, 0), count * (d * e) ** 2)
 
 
-# Float statistics: (n, ws) -> vectorized statistic over a (block, n)
-# matrix of orderings.  numpy is imported here and in ``_mc_lhs`` only,
-# so the exact routes never load it.
+# Float statistics: (n, ws) -> vectorized statistic over a (rows, n)
+# chunk of orderings, one value per row.  Each works in place on its
+# argument, which it overwrites, so a Monte Carlo run holds one chunk at
+# a time; every element sees the same float operations in the same order
+# as the out-of-place formula, so the values keep every bit.  numpy is
+# imported here and in ``_mc_lhs`` only, so the exact routes never load it.
 
 
 def _float_averages(n, ws):
     import numpy as np
 
     ks = np.arange(1, n + 1, dtype=np.float64)
-    return lambda X: (np.cumsum(X, axis=1) / ks) ** 2
+
+    def averages(X):
+        np.cumsum(X, axis=1, out=X)
+        X /= ks
+        X *= X
+        return X
+
+    return averages
 
 
 def _float_max_averages(n, ws):
@@ -485,21 +499,33 @@ def _float_hardy(n, ws):
 def _float_garsia_unweighted(n, ws):
     import numpy as np
 
-    return lambda X: (np.cumsum(X, axis=1) ** 2).max(axis=1)
+    def stat(X):
+        np.cumsum(X, axis=1, out=X)
+        X *= X
+        return X.max(axis=1)
+
+    return stat
 
 
 def _float_quadratic(n, ws):
     import numpy as np
 
-    ks = np.arange(1, n + 1, dtype=np.float64)
+    ks = np.arange(2, n + 1, dtype=np.float64)
     coef = (n - ks) / (n - 1)
     den = ks * (ks - 1)
 
     def stat(X):
-        s = np.cumsum(X, axis=1)
-        t = np.cumsum(X * X, axis=1)
-        vals = (s[:, 1:] ** 2 - coef[1:] * t[:, 1:]) / den[1:]
-        return (vals**2).max(axis=1)
+        # T_k needs a second chunk beside S_k
+        t = X * X
+        np.cumsum(t, axis=1, out=t)
+        np.cumsum(X, axis=1, out=X)
+        s, t = X[:, 1:], t[:, 1:]
+        s *= s
+        t *= coef
+        s -= t
+        s /= den
+        s *= s
+        return s.max(axis=1)
 
     return stat
 
@@ -507,13 +533,16 @@ def _float_quadratic(n, ws):
 def _float_bridge(n, ws):
     import numpy as np
 
-    ks = np.arange(1, n + 1, dtype=np.float64)
-    last = n - 1
-    comp = ks[:last] * (n - ks[:last]) / last
+    ks = np.arange(1, n, dtype=np.float64)
+    comp = ks * (n - ks) / (n - 1)
 
     def stat(X):
-        s = np.cumsum(X[:, :last], axis=1)
-        return ((s * s - comp) ** 2).max(axis=1)
+        s = X[:, : n - 1]
+        np.cumsum(s, axis=1, out=s)
+        s *= s
+        s -= comp
+        s *= s
+        return s.max(axis=1)
 
     return stat
 
@@ -522,7 +551,14 @@ def _float_weighted(n, ws):
     import numpy as np
 
     a = np.array([float(w) for w in ws])
-    return lambda X: (np.cumsum(X * a, axis=1) ** 2).max(axis=1)
+
+    def stat(X):
+        X *= a
+        np.cumsum(X, axis=1, out=X)
+        X *= X
+        return X.max(axis=1)
+
+    return stat
 
 
 def _all_ks(n: int) -> range:
@@ -541,7 +577,8 @@ class _Rule:
     ``ks(n)`` with ``reduce``; ``over_orderings`` says whether the LHS
     is its mean or its max over all orderings.  ``exact`` and ``floats``
     are the id's exact engine and float statistic (a factory of a
-    function of a numpy array).
+    function of a numpy array).  ``folding(name, n, m)`` is the constant
+    on the id's folding path, for the ids that have one.
     """
 
     rhs: Callable[[Population, tuple[Fraction, ...] | None], Fraction]
@@ -553,6 +590,7 @@ class _Rule:
     ks: Callable[[int], range] = _all_ks
     reduce: Callable = max
     over_orderings: str = "mean"
+    folding: Callable[[str, int, int | None], Fraction] | None = None
 
 
 def _order_free(key, **fields) -> _Rule:
@@ -579,6 +617,9 @@ _RULES: dict[InequalityId, _Rule] = {
         term=lambda n, k, s, t, w: s * s,
         key=_square_key,
         floats=_float_garsia_unweighted,
+        folding=_split_folding(
+            lambda n, m: 4 * (Fraction(m, n - m) + Fraction(n - m, m))
+        ),
     ),
     InequalityId.QUADRATIC: _order_free(
         rhs=lambda pop, ws: Fraction(4, (pop.n - 1) ** 2)
@@ -604,6 +645,7 @@ _RULES: dict[InequalityId, _Rule] = {
         term=_w_squared,
         exact=_exact_weighted,
         floats=_float_weighted,
+        folding=_alternating_folding,
     ),
     InequalityId.VNA_WEIGHTED: _Rule(
         weights="given",
@@ -619,6 +661,15 @@ _RULES: dict[InequalityId, _Rule] = {
         term=_w_squared,
         exact=_exact_weighted,
         floats=_float_weighted,
+        folding=_split_folding(
+            lambda n, m: 16 * (
+                2
+                + Fraction(m, n - m)
+                + Fraction(n - m, m)
+                + Fraction(m * m, n * (n - m))
+                + Fraction((n - m) ** 2, n * m)
+            )
+        ),
     ),
     InequalityId.HARDY: _order_free(
         rhs=lambda pop, ws: 4 * pop.square_sum,
@@ -643,40 +694,53 @@ def _mc_lhs(
     Orderings are generated in fixed-size blocks; block i uses the
     generator seeded by SeedSequence((seed, i)), and blocks are reduced
     in index order, so the result is reproducible bit-for-bit for a
-    given (seed, samples) regardless of when or where it runs.
+    given (seed, samples) regardless of when or where it runs.  A block
+    is never held whole: one buffer of about ``_MC_CHUNK_FLOATS`` floats
+    is refilled, permuted and reduced in place one chunk of rows at a
+    time into the block's vector of per-row values.  ``permuted`` draws
+    from the stream row by row, so the chunks see exactly the orderings
+    of the whole block.
     """
     import numpy as np
 
+    n = pop.n
     base = np.array(pop.as_floats(), dtype=np.float64)
-    stat = rule.floats(pop.n, ws)
+    stat = rule.floats(n, ws)
     take_max = rule.over_orderings == "max"
+    rows = max(1, min(samples, MC_BLOCK_SIZE, _MC_CHUNK_FLOATS // n))
     done = 0
     block = 0
     total = 0.0
     total_sq = 0.0
     running_max = -np.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        while done < samples:
-            b = min(MC_BLOCK_SIZE, samples - done)
-            rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(entropy=(seed, block)))
-            )
-            try:
-                x = rng.permuted(np.tile(base, (b, 1)), axis=1)
-                v = stat(x)
-            except MemoryError:
-                raise InvalidInputError(
-                    f"a Monte Carlo block of {b} x {pop.n} floats "
-                    f"({b * pop.n / 2**27:.2f} GiB) does not fit in memory; "
-                    "use fewer samples or a smaller population"
-                ) from None
-            if take_max:
-                running_max = max(running_max, float(v.max()))
-            else:
-                total += float(v.sum())
-                total_sq += float((v * v).sum())
-            done += b
-            block += 1
+        try:
+            chunk = np.tile(base, (rows, 1))
+            values = np.empty(min(samples, MC_BLOCK_SIZE))
+            while done < samples:
+                b = min(MC_BLOCK_SIZE, samples - done)
+                rng = np.random.Generator(
+                    np.random.PCG64(np.random.SeedSequence(entropy=(seed, block)))
+                )
+                for lo in range(0, b, rows):
+                    x = chunk[: min(rows, b - lo)]
+                    x[...] = base
+                    rng.permuted(x, axis=1, out=x)
+                    values[lo : lo + len(x)] = stat(x)
+                v = values[:b]
+                if take_max:
+                    running_max = max(running_max, float(v.max()))
+                else:
+                    total += float(v.sum())
+                    total_sq += float((v * v).sum())
+                done += b
+                block += 1
+        except MemoryError:
+            raise InvalidInputError(
+                f"a Monte Carlo block of {rows} x {n} floats "
+                f"({rows * n / 2**27:.2f} GiB) does not fit in memory; "
+                "use fewer samples or a smaller population"
+            ) from None
     if take_max:
         return running_max, None
     mean = total / samples

@@ -547,3 +547,112 @@ def test_float_statistic_matches_reference_on_every_ordering(iid):
             assert math.isclose(value, want, rel_tol=1e-12, abs_tol=0.0), (
                 iid, pop.values, perm, value, want
             )
+
+
+def whole_block_mc(iid, pop, ws, samples, seed):
+    """The Monte Carlo estimate by the whole-block route, an independent
+    reference: each block of orderings is tiled, permuted and reduced
+    out of place in one piece, with the same block seeds and reduction."""
+    from permartingale.inequalities import MC_BLOCK_SIZE
+
+    n = pop.n
+    base = np.array(pop.as_floats(), dtype=np.float64)
+    ks = np.arange(1, n + 1, dtype=np.float64)
+
+    def stat(X):
+        if iid in (InequalityId.MAX_AVERAGES, InequalityId.HARDY):
+            averages = (np.cumsum(X, axis=1) / ks) ** 2
+            if iid is InequalityId.HARDY:
+                return averages.sum(axis=1)
+            return averages.max(axis=1)
+        if iid is InequalityId.GARSIA_UNWEIGHTED:
+            return (np.cumsum(X, axis=1) ** 2).max(axis=1)
+        if iid is InequalityId.QUADRATIC:
+            coef = (n - ks) / (n - 1)
+            den = ks * (ks - 1)
+            s = np.cumsum(X, axis=1)
+            t = np.cumsum(X * X, axis=1)
+            vals = (s[:, 1:] ** 2 - coef[1:] * t[:, 1:]) / den[1:]
+            return (vals**2).max(axis=1)
+        if iid is InequalityId.BRIDGE:
+            last = n - 1
+            comp = ks[:last] * (n - ks[:last]) / last
+            s = np.cumsum(X[:, :last], axis=1)
+            return ((s * s - comp) ** 2).max(axis=1)
+        a = np.array([float(w) for w in ws])
+        return (np.cumsum(X * a, axis=1) ** 2).max(axis=1)
+
+    done = block = 0
+    total = total_sq = 0.0
+    top = -np.inf
+    while done < samples:
+        b = min(MC_BLOCK_SIZE, samples - done)
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(entropy=(seed, block)))
+        )
+        v = stat(rng.permuted(np.tile(base, (b, 1)), axis=1))
+        top = max(top, float(v.max()))
+        total += float(v.sum())
+        total_sq += float((v * v).sum())
+        done += b
+        block += 1
+    if iid is InequalityId.HARDY:
+        return top, None
+    mean = total / samples
+    if samples < 2:
+        return mean, None
+    var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
+    return mean, math.sqrt(var / samples)
+
+
+def test_mc_chunks_match_the_whole_block_route():
+    # every estimate keeps every bit when a block is permuted and reduced
+    # in row chunks: one chunk, a partial chunk, chunk boundaries and,
+    # with MC_BLOCK_SIZE + rows + 3 samples, a block boundary as well
+    from permartingale.inequalities import _MC_CHUNK_FLOATS, MC_BLOCK_SIZE
+
+    rng = random.Random("mc-chunks")
+    for n in (2, 7, 160):
+        pop = random_centered_population(n, rng)
+        for iid in InequalityId:
+            case = pop
+            if iid is InequalityId.BRIDGE:
+                # the bridge needs an even n: m = 1, 4 and 80
+                case = make_bridge_population((n + 1) // 2)
+            ws = weights_for(iid, case.n, rng)
+            effective = ws
+            if iid is InequalityId.ALTERNATING:
+                effective = alternating_weights(case.n)
+            rows = max(1, min(MC_BLOCK_SIZE, _MC_CHUNK_FLOATS // case.n))
+            for samples in (1, 2, rows - 1, rows, rows + 1, MC_BLOCK_SIZE + rows + 3):
+                seed = samples + case.n
+                report = verify(iid, population=case, weights=ws, mode="mc",
+                                samples=samples, seed=seed)
+                want = whole_block_mc(iid, case, effective, samples, seed)
+                assert (report.lhs, report.stderr) == want, (iid, case.n, samples)
+
+
+@pytest.mark.parametrize(
+    "iid, n, samples",
+    [(iid, 160, 65_536) for iid in InequalityId]
+    # so wide that only 13 rows fit the chunk
+    + [(InequalityId.QUADRATIC, 20_000, 200)],
+)
+def test_mc_working_set_does_not_grow_with_the_block(iid, n, samples):
+    # tracemalloc sees numpy's buffers; one whole block of these
+    # orderings alone would take 80 MiB, and 30 MiB for the wide case
+    import tracemalloc
+
+    if iid is InequalityId.BRIDGE:
+        pop = make_bridge_population(n // 2)
+    else:
+        pop = random_centered_population(n, random.Random(n))
+    ws = [1] * n if iid in WEIGHTED_IDS else None
+    tracemalloc.start()
+    try:
+        verify(iid, population=pop, weights=ws, mode="mc", samples=samples,
+               seed=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, (iid, n, peak)
