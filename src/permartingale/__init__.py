@@ -95,12 +95,7 @@ from .population import (
     validate_permutation,
 )
 from .rationals import as_fraction, format_rational, parse_rational, parse_scalar
-from .weights import (
-    alternating_weights,
-    validate_weights,
-    weight_prefix_sum,
-    weight_square_sum,
-)
+from .weights import alternating_weights, validate_weights
 
 import types as _types
 

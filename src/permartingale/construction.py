@@ -39,12 +39,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import DomainError, InvalidInputError, PreconditionError, coerce_enum
 from .population import PathState, Population
 from .rationals import as_fraction, format_rational
-from .weights import validate_weights, weight_prefix_sum
+from .weights import validate_weights
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
@@ -224,13 +225,13 @@ def weighted_inverse_product(n: int, multipliers: Sequence, k: int) -> Matrix:
             f"inverse product at k={k} is outside 1..n-1 for n={n}; "
             f"k={n} would divide by n-k = 0"
         )
+    return _weighted_product(n, k, sum(ws[:k]))
+
+
+def _weighted_product(n: int, k: int, alpha1: Fraction) -> Matrix:
+    """The closed form above, given alpha_1(k)."""
     r = Fraction(1, n - k)
-    return _as_matrix(
-        [
-            [1, weight_prefix_sum(ws, k) * r],
-            [0, n * r],
-        ]
-    )
+    return _as_matrix([[1, alpha1 * r], [0, n * r]])
 
 
 @dataclass(frozen=True)
@@ -329,7 +330,8 @@ def build_transition_system(
             )
         ws = validate_weights(multipliers, n)
         products = tuple(
-            weighted_inverse_product(n, ws, k) for k in range(1, n)
+            _weighted_product(n, k, alpha1)
+            for k, alpha1 in enumerate(accumulate(ws[:-1]), start=1)
         )
     else:
         if multipliers is not None:

@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from math import factorial, isfinite, lcm, sqrt
 from typing import Callable, Sequence
 
@@ -65,12 +66,7 @@ from .population import (
     validate_permutation,
 )
 from .rationals import format_rational, fraction_sequence, scaled_integers
-from .weights import (
-    alternating_weights,
-    validate_weights,
-    weight_prefix_sum,
-    weight_square_sum,
-)
+from .weights import alternating_weights, validate_weights
 
 MC_BLOCK_SIZE = 1 << 16
 # the floats of one Monte Carlo chunk (2 MiB); at least one row is held
@@ -187,14 +183,17 @@ def vna(weights: Sequence) -> Fraction:
     (n-1)^2/n).
     """
     ws = fraction_sequence(tuple(weights))
-    n = len(ws)
-    if n < 2:
+    if len(ws) < 2:
         raise InvalidInputError("need at least two weights")
-    a2 = weight_square_sum(ws, n)
+    a2 = sum(w * w for w in ws)
     if a2 == 0:
         raise DomainError("the cancelation measure needs a nonzero weight")
-    best = max(weight_prefix_sum(ws, k) ** 2 for k in range(1, n))
-    return best / a2
+    return _peak_prefix_square(ws) / a2
+
+
+def _peak_prefix_square(ws: Sequence[Fraction]) -> Fraction:
+    """max_{1<=k<=n-1} alpha_1(k)^2, from one running sum."""
+    return max(a * a for a in accumulate(ws[:-1]))
 
 
 def rhs_value(
@@ -210,10 +209,11 @@ def rhs_value(
 
 def _vna_weighted_rhs(pop: Population, ws) -> Fraction:
     n = pop.n
-    a2 = weight_square_sum(ws, n)
+    a2 = sum(w * w for w in ws)
     if a2 == 0:
         raise DomainError("the vna_weighted bound needs a nonzero weight")
-    return Fraction(16, n - 1) * (1 + 2 * vna(ws)) * a2 * pop.square_sum
+    v = _peak_prefix_square(ws) / a2
+    return Fraction(16, n - 1) * (1 + 2 * v) * a2 * pop.square_sum
 
 
 def folding_constant(id, n: int, m: int | None = None) -> Fraction:
@@ -657,7 +657,7 @@ _RULES: dict[InequalityId, _Rule] = {
     InequalityId.GARSIA_WEIGHTED: _Rule(
         weights="given",
         rhs=lambda pop, ws: Fraction(16404, 205)
-        * weight_square_sum(ws, pop.n) * pop.square_sum / (pop.n - 1),
+        * sum(w * w for w in ws) * pop.square_sum / (pop.n - 1),
         term=_w_squared,
         exact=_exact_weighted,
         floats=_float_weighted,

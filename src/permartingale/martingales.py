@@ -345,8 +345,9 @@ def check_sequence(
     """Exhaustively check any adapted sequence for the martingale
     property over k_min..k_max.
 
-    The general-purpose entry point for custom evaluators (used by the
-    negative-control library and by mutation tests).
+    The general-purpose entry point for custom evaluators (used by
+    mutation tests); it walks every ordered prefix.  The negative-control
+    library, ``counterexample_suite``, uses the drawn-set check instead.
     """
     n = population.n
     if not 0 <= k_min <= k_max <= n:

@@ -25,7 +25,7 @@ from .population import (
     mean_over_subsets,
 )
 from .rationals import format_rational
-from .weights import validate_weights, weight_prefix_sum, weight_square_sum
+from .weights import validate_weights
 
 PATTERNS = ("1111", "211", "22", "31", "4")
 
@@ -99,12 +99,15 @@ def partial_sum_second_moment(population: Population, m: int) -> Fraction:
     return Fraction(m * (n - m)) * population.square_sum / Fraction(n * (n - 1))
 
 
-def partial_sum_second_moment_oracle(population: Population, m: int) -> Fraction:
+def partial_sum_second_moment_oracle(
+    population: Population, m: int, cutoff: int | None = None
+) -> Fraction:
     """E[S_m^2] by enumerating the C(n, m) equally likely drawn sets."""
     population.require_centered("the partial-sum second moment")
     n = population.n
     if not 1 <= m <= n:
         raise DomainError(f"need 1 <= m <= {n}, got m={m}")
+    ensure_enumerable(n, cutoff, "the partial-sum moment oracle")
     return mean_over_subsets(
         population, m, lambda sub: sum(sub, Fraction(0)) ** 2
     )
@@ -217,8 +220,8 @@ def weighted_moment_parts(
     if not 1 <= k <= n - 1:
         raise DomainError(f"need 1 <= k <= {n - 1}, got k={k}")
     b = population.square_sum
-    a1 = weight_prefix_sum(ws, k)
-    a2 = weight_square_sum(ws, k)
+    a1 = sum(ws[:k])
+    a2 = sum(w * w for w in ws[:k])
     d = Fraction(n * (n - 1))
     return WeightedMomentParts(
         w_square=a2 * b / n - (a1 * a1 - a2) * b / d,
@@ -236,7 +239,10 @@ def weighted_second_moment(
 
 
 def weighted_second_moment_oracle(
-    population: Population, multipliers: Sequence, k: int
+    population: Population,
+    multipliers: Sequence,
+    k: int,
+    cutoff: int | None = None,
 ) -> Fraction:
     """E[M_k^2] by enumerating all ordered k-prefixes."""
     population.require_centered("the weighted second moment")
@@ -244,6 +250,7 @@ def weighted_second_moment_oracle(
     ws = validate_weights(multipliers, n)
     if not 1 <= k <= n - 1:
         raise DomainError(f"need 1 <= k <= {n - 1}, got k={k}")
+    ensure_enumerable(n, cutoff, "the weighted moment oracle")
     return mean_over_ordered_draws(
         population, k, lambda *draws: weighted_prefix_value(n, ws, draws) ** 2
     )
@@ -300,7 +307,7 @@ def moment_report(
         MomentRow(
             name=f"E[S_{m}^2]",
             formula=partial_sum_second_moment(population, m),
-            oracle=partial_sum_second_moment_oracle(population, m),
+            oracle=partial_sum_second_moment_oracle(population, m, cutoff),
         )
     )
     if n >= 4:

@@ -335,11 +335,7 @@ def mean_over_orderings(
     """Exact mean of ``statistic(ordering)`` over all n! orderings."""
     n = population.n
     ensure_enumerable(n, cutoff, "mean over orderings")
-    total = sum(
-        (statistic(perm) for perm in itertools.permutations(population.values)),
-        Fraction(0),
-    )
-    return total / factorial(n)
+    return mean_over_ordered_draws(population, n, lambda *p: statistic(p))
 
 
 def mean_over_ordered_draws(

@@ -1,10 +1,10 @@
 """Helpers for deterministic multiplier sequences.
 
 A weighted partial sum ``W_k = a_1 X_1 + ... + a_k X_k`` is controlled
-by the prefix sums of its multipliers: ``weight_prefix_sum`` gives
-``a_1 + ... + a_k`` and ``weight_square_sum`` gives
-``a_1^2 + ... + a_k^2``.  Both are needed by the compensator terms and
-by the variance bounds built on them.
+by the prefix sums of its multipliers, alpha_1(k) = a_1 + ... + a_k and
+alpha_2(k) = a_1^2 + ... + a_k^2.  Callers that need them for every k
+take them from one running pass (``itertools.accumulate``), so their
+cost stays linear in n.
 """
 
 from __future__ import annotations
@@ -24,20 +24,6 @@ def validate_weights(weights: Sequence, n: int) -> tuple[Fraction, ...]:
             f"expected {n} multipliers, got {len(ws)}"
         )
     return ws
-
-
-def weight_prefix_sum(weights: Sequence[Fraction], k: int) -> Fraction:
-    """Sum of the first ``k`` multipliers (0 <= k <= len)."""
-    if not 0 <= k <= len(weights):
-        raise InvalidInputError(f"prefix length {k} out of range")
-    return sum(weights[:k], Fraction(0))
-
-
-def weight_square_sum(weights: Sequence[Fraction], k: int) -> Fraction:
-    """Sum of squares of the first ``k`` multipliers."""
-    if not 0 <= k <= len(weights):
-        raise InvalidInputError(f"prefix length {k} out of range")
-    return sum((w * w for w in weights[:k]), Fraction(0))
 
 
 def alternating_weights(n: int) -> tuple[Fraction, ...]:

@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -131,10 +132,25 @@ def test_closed_form_products_equal_iterative_products():
             Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)
         ]
         steps = [weighted_transition(n, ws[k], k) for k in range(n - 1)]
+        system = build_transition_system(Basis.WEIGHTED, n=n, multipliers=ws)
         for k in range(1, n):
-            assert weighted_inverse_product(n, ws, k) == product_of_inverses(
-                steps[:k]
-            )
+            iterative = product_of_inverses(steps[:k])
+            assert weighted_inverse_product(n, ws, k) == iterative
+            assert system.inverse_product(k) == iterative
+
+
+def test_weighted_system_is_linear_in_n():
+    # about 0.1 s when linear; a build quadratic in n takes over 1 s
+    # already at n = 2,000, so about two minutes here
+    n = 20_000
+    rng = random.Random(11)
+    ws = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+    start = time.perf_counter()
+    system = build_transition_system("weighted", n=n, multipliers=ws)
+    assert time.perf_counter() - start < 5
+    assert system.max_product_index == n - 1
+    for k in (1, 2, n // 2, n - 1):
+        assert system.inverse_product(k) == weighted_inverse_product(n, ws, k)
 
 
 def test_transition_system_shape_and_bounds():

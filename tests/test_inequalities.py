@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -315,6 +316,64 @@ def test_vna_values():
         vna([0, 0, 0])
     with pytest.raises(InvalidInputError):
         vna([])
+
+
+def direct_vna(ws):
+    """max_{1<=k<=n-1} alpha_1(k)^2 / alpha_2(n), straight from the definition."""
+    n = len(ws)
+    alpha2 = sum((w * w for w in ws), Fraction(0))
+    return max(sum(ws[:k], Fraction(0)) ** 2 for k in range(1, n)) / alpha2
+
+
+def weight_grid(rng, n):
+    """Named weight sequences of length n: p/q values with zeros, all
+    negative, an all-zero prefix, and an increasing prefix sum whose full
+    sum alpha_1(n)^2 is above every proper prefix's."""
+    pq = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+    zeros = rng.randint(1, n - 1)
+    yield "p/q", pq
+    yield "negative", [Fraction(-rng.randint(1, 7)) for _ in range(n)]
+    yield "zero prefix", [Fraction(0)] * zeros + pq[zeros:]
+    yield "increasing", [
+        Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(n)
+    ]
+    yield "all zero", [Fraction(0)] * n
+
+
+def test_vna_and_weighted_rhs_equal_their_definitions():
+    rng = random.Random(1101)
+    for n in range(2, 61):
+        pop = random_centered_population(n, rng)
+        b = pop.square_sum
+        for kind, ws in weight_grid(rng, n):
+            alpha2 = sum((w * w for w in ws), Fraction(0))
+            if alpha2 == 0:
+                with pytest.raises(DomainError):
+                    vna(ws)
+                with pytest.raises(DomainError, match="vna_weighted bound"):
+                    rhs_value(InequalityId.VNA_WEIGHTED, pop, weights=ws)
+                continue
+            v = direct_vna(ws)
+            assert vna(ws) == v, (n, kind)
+            assert rhs_value(
+                InequalityId.VNA_WEIGHTED, pop, weights=ws
+            ) == Fraction(16, n - 1) * (1 + 2 * v) * alpha2 * b, (n, kind)
+            assert rhs_value(
+                InequalityId.GARSIA_WEIGHTED, pop, weights=ws
+            ) == Fraction(16404, 205) * alpha2 * b / (n - 1), (n, kind)
+
+
+def test_vna_is_linear_in_n():
+    # about 0.1 s when linear; a quadratic vna takes over 1 s already at
+    # 2,000 weights, so about two minutes here
+    rng = random.Random(12)
+    ws = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(20_000)]
+    start = time.perf_counter()
+    v = vna(ws)
+    assert time.perf_counter() - start < 5
+    # a_n enters alpha_2(n) only through its square, and no alpha_1(k)
+    assert v == vna(ws[:-1] + [-ws[-1]])
+    assert vna([1] * 20_000) == Fraction(19_999**2, 20_000)
 
 
 def test_folding_constants():

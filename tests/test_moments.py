@@ -31,11 +31,7 @@ from permartingale import (
     weighted_second_moment_oracle,
 )
 from permartingale.moments import PATTERNS
-from permartingale.weights import (
-    validate_weights,
-    weight_prefix_sum,
-    weight_square_sum,
-)
+from permartingale.weights import validate_weights
 
 from conftest import centered_pops
 
@@ -269,6 +265,24 @@ def test_moment_report_partial_sum_size_override():
     assert any(r.name == "E[S_3^2]" for r in rows)
 
 
+def test_enumerating_oracles_refuse_above_the_cutoff():
+    # C(30, 15) drawn sets and 13!/5! ordered prefixes: refused, not run
+    with pytest.raises(EnumerationLimitError, match="partial-sum moment oracle"):
+        partial_sum_second_moment_oracle(
+            random_centered_population(30, random.Random(30)), 15
+        )
+    pop13 = random_centered_population(13, random.Random(13))
+    with pytest.raises(EnumerationLimitError, match="weighted moment oracle"):
+        weighted_second_moment_oracle(pop13, [1] * 13, 8, cutoff=12)
+    pop12 = random_centered_population(12, random.Random(7))
+    assert partial_sum_second_moment_oracle(
+        pop12, 6, cutoff=12
+    ) == partial_sum_second_moment(pop12, 6)
+    rows = moment_report(pop12, cutoff=12)
+    assert any(r.name == "E[S_6^2]" for r in rows)
+    assert all(r.equal for r in rows)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(
@@ -281,6 +295,6 @@ def test_moment_report_partial_sum_size_override():
 def test_weight_prefix_cauchy_bound(ws, data):
     ws = validate_weights(ws, len(ws))
     k = data.draw(st.integers(1, len(ws)))
-    a1 = weight_prefix_sum(ws, k)
-    a2 = weight_square_sum(ws, k)
+    a1 = sum(ws[:k])
+    a2 = sum(w * w for w in ws[:k])
     assert a1 * a1 <= k * a2

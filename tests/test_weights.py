@@ -1,15 +1,12 @@
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from permartingale import InvalidInputError, alternating_weights
-from permartingale.weights import (
-    validate_weights,
-    weight_prefix_sum,
-    weight_square_sum,
-)
+from permartingale.weights import validate_weights
 
 
 def test_validate_weights_converts_and_checks_length():
@@ -23,13 +20,8 @@ def test_validate_weights_converts_and_checks_length():
 
 def test_prefix_sums_and_bounds():
     ws = validate_weights([1, -2, 3], 3)
-    assert weight_prefix_sum(ws, 0) == 0
-    assert weight_prefix_sum(ws, 2) == -1
-    assert weight_square_sum(ws, 3) == 14
-    with pytest.raises(InvalidInputError):
-        weight_prefix_sum(ws, 4)
-    with pytest.raises(InvalidInputError):
-        weight_square_sum(ws, -1)
+    assert list(accumulate(ws, initial=Fraction(0))) == [0, 1, -1, 2]
+    assert sum(w * w for w in ws) == 14
 
 
 def test_alternating_weights_start_negative():
@@ -40,6 +32,6 @@ def test_alternating_weights_start_negative():
 @given(st.integers(1, 50))
 def test_alternating_prefix_sums_stay_small(n):
     ws = alternating_weights(n)
-    for k in range(n + 1):
-        assert weight_prefix_sum(ws, k) in (0, -1)
-    assert weight_square_sum(ws, n) == n
+    for alpha1 in accumulate(ws, initial=Fraction(0)):
+        assert alpha1 in (0, -1)
+    assert sum(w * w for w in ws) == n
