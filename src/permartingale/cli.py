@@ -44,7 +44,12 @@ from .inequalities import (
     ensure_exact_size,
     verify,
 )
-from .martingales import MartingaleKind, check_martingale, make_spec
+from .martingales import (
+    MartingaleKind,
+    check_martingale,
+    ensure_checkable,
+    make_spec,
+)
 from .moments import moment_report
 from .population import (
     load_population,
@@ -52,6 +57,7 @@ from .population import (
     parse_scalar_lines,
     random_centered_population,
     read_text_file,
+    value_lines,
 )
 from .rationals import format_rational, parse_rational
 
@@ -251,7 +257,14 @@ def _read_scalars(
     return parse_scalar_lines(read_text_file(path, "scalar"), lenient, f"{path}, ")
 
 
+def _count_values(path: str) -> int:
+    """The number of values in a population file, counted without
+    parsing any, so that an exact run refuses an oversized file at once."""
+    return sum(1 for _ in value_lines(read_text_file(path, "population")))
+
+
 def _cmd_verify_martingale(args) -> int:
+    ensure_checkable(_count_values(args.population), args.cutoff)
     pop = load_population(args.population)
     multipliers = _read_scalars(args.multipliers)
     spec = make_spec(args.kind, pop, multipliers)
@@ -290,6 +303,8 @@ def _report_text_lines(rd: dict) -> list[str]:
 def _cmd_check_inequality(args) -> int:
     mode = VerifyMode(args.mode)
     lenient = mode is VerifyMode.MONTE_CARLO
+    if args.population is not None and not lenient:
+        ensure_exact_size(args.id, _count_values(args.population), args.cutoff)
     pop = _optional(lambda path: load_population(path, lenient), args.population)
     weights = _read_scalars(args.weights, lenient=lenient)
     seed = _default_seed(args.seed) if mode is VerifyMode.MONTE_CARLO else args.seed
@@ -409,8 +424,12 @@ def _sweep_population(row: dict, index: int, master_seed: int, mode, cutoff):
         values = row["population"]
         if not isinstance(values, list):
             raise InvalidInputError(f"row {index}: 'population' must be a list")
+        if mode is VerifyMode.EXACT:
+            ensure_exact_size(row["id"], len(values), cutoff)
         return make_population(values)
     if "population_file" in row:
+        if mode is VerifyMode.EXACT:
+            ensure_exact_size(row["id"], _count_values(row["population_file"]), cutoff)
         return load_population(row["population_file"], mode is VerifyMode.MONTE_CARLO)
     if "random" in row:
         spec = row["random"]

@@ -25,20 +25,23 @@ bridge population of m ones and m minus-ones.
 
 Exact mode computes the expectation over all n! orderings in integer
 arithmetic (values scaled by their common denominator), bit-for-bit an
-expectation, not an estimate, with one of two engines.  The order-free
-ids (``max_averages``, ``garsia_unweighted``, ``quadratic``, ``bridge``,
-``hardy``) see a prefix only through its drawn set, so a dynamic
-program over the 2^n subsets replaces the n! orderings: chain counts
-per threshold give the mean of the maximum, and a max-plus recursion
-gives the ``hardy`` maximum.  The weighted ids (``alternating``,
-``vna_weighted``, ``garsia_weighted``) depend on the order of the draws
-and use a depth-first walk that shares each prefix between the
-orderings that extend it.  Both refuse n above the enumeration cutoff
-(default 10, hard maximum 12).  Monte Carlo mode samples uniformly
-random orderings in floating point with a block-seeded generator, so
-results are reproducible bit-for-bit for a fixed seed and sample count.
-A Monte Carlo run can never prove an inequality: its verdict is
-"consistent", "inconclusive", or "violation-suspected".
+expectation, not an estimate, without listing the orderings.  The ids
+with fixed weights run a chain-count engine over a layered state graph
+whose chains are the orderings: the lattice of the 2^n drawn sets for
+the order-free ids (``max_averages``, ``garsia_unweighted``,
+``quadratic``, ``bridge``, ``hardy``), and for ``alternating``, whose
+W_k is S_k minus twice the sum drawn at odd positions, the graph of
+(drawn set, odd-position part) pairs.  Chain counts per threshold give
+the mean of the maximum, in passes over fixed-size chunks of thresholds
+that bound the memory; a max-plus recursion gives the ``hardy`` maximum.
+The given-weight ids (``vna_weighted``, ``garsia_weighted``) walk the
+prefixes depth first, each prefix once for all orderings that extend
+it.  All refuse n above the enumeration cutoff (default 10, hard maximum
+12).  Monte Carlo mode samples uniformly random orderings in floating
+point with a block-seeded generator, so results are reproducible
+bit-for-bit for a fixed seed and sample count.  A Monte Carlo run can
+never prove an inequality: its verdict is "consistent", "inconclusive",
+or "violation-suspected".
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import accumulate
 from math import factorial, isfinite, lcm, sqrt
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .errors import (
@@ -71,6 +75,8 @@ from .weights import alternating_weights, validate_weights
 MC_BLOCK_SIZE = 1 << 16
 # the floats of one Monte Carlo chunk (2 MiB); at least one row is held
 _MC_CHUNK_FLOATS = 1 << 18
+# the thresholds of one pass of the chain-count engine
+_CHAIN_CHUNK = 256
 
 
 class InequalityId(str, Enum):
@@ -327,12 +333,9 @@ class InequalityReport:
 # denominator d (weights by e).  Statistics become integers on one
 # denominator per id, which is divided out once at the end.
 #
-# Subset-lattice engine, for the order-free ids.  Their statistic sees a
-# prefix of length k only through the drawn set S, via (k, S_k, T_k), so
-# the n! orderings are the maximal chains {} < S_1 < ... < S_n of the
-# subset lattice.  A key factory (n, d) -> (key, denominator) gives
-# key(k, S_k, T_k), an int, for every subset in the id's k-range, in the
-# drawn-set table of ``population.drawn_set_values``.
+# Key factories, for the order-free ids: (n, d) -> (key, denominator),
+# where key(k, S_k, T_k) is an int for every subset in the id's k-range,
+# in the drawn-set table of ``population.drawn_set_values``.
 
 
 def _averages_key(n, d):
@@ -362,64 +365,113 @@ def _bridge_key(n, d):
     return (lambda k, s, t: (c1 * s * s - k * (n - k) * dd) ** 2), (c1 * dd) ** 2
 
 
-def _one_less(mask: int):
-    """The subsets of ``mask`` with one item fewer."""
-    rest = mask
-    while rest:
-        low = rest & -rest
-        yield mask ^ low
-        rest ^= low
+# Chain-count engine, for the ids whose weights are fixed.  A layered
+# state graph has one layer per number of draws; a state has an integer
+# id, its predecessors (one edge per draw) and a nonnegative integer key,
+# or None outside the id's k-range, and the chains from the root through
+# the last layer are the n! orderings.  A subset-lattice state is the
+# drawn set D, bit i for item i.  An odd-position state, for
+# ``alternating``, is D | O << n, with O the part of D drawn at odd
+# positions, since W_k = S_k - 2 (sum of O); its last layer holds one
+# state per O.  The given-weight ids keep the walk ``_exact_weighted``.
 
 
-def _lattice_mean(ks, key_factory, xs, d, count, ws) -> Fraction:
-    # E max = (1/n!) sum_j v_j (C_j - C_{j-1}) over the sorted distinct
-    # keys v_j, where C_j counts the chains whose every in-range set has
-    # key <= v_j.  c[S] packs the chain counts from {} to S for every
-    # threshold, slot j at bit j*width (no count exceeds n!, so no slot
-    # carries into the next); a set of key rank r zeroes the slots below
-    # r.  Only two sizes of sets are kept at a time.
-    n = len(xs)
-    key, den = key_factory(n, d)
-    keys = drawn_set_values(xs, key, ks(n))
-    values = sorted({v for v in keys if v is not None})
-    width = count.bit_length()
-    shift = {v: j * width for j, v in enumerate(values)}
-    c = [0] * (1 << n)
-    c[0] = ((1 << (width * len(values))) - 1) // ((1 << width) - 1)
-    layers: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(1 << n):
-        layers[mask.bit_count()].append(mask)
+def _state_layers(n: int, odd: bool):
+    """Layers 1..n of the subset lattice, or of the odd-position graph;
+    each maps a state id to its predecessors' places in the prior layer."""
+    low = (1 << n) - 1
+    layer = [0]
     for k in range(1, n + 1):
-        for mask in layers[k]:
-            acc = sum(c[sub] for sub in _one_less(mask))
-            v = keys[mask]
-            if v is not None:
-                r = shift[v]
-                acc = acc >> r << r
-            c[mask] = acc
-        for mask in layers[k - 1]:
-            c[mask] = 0
-    full = c[-1]
+        # a draw at an odd position joins O as well as D
+        tag = 1 + (1 << n) if odd and k % 2 else 1
+        nxt: dict[int, list[int]] = {}
+        for i, sid in enumerate(layer):
+            free = low & ~sid
+            while free:
+                bit = free & -free
+                free ^= bit
+                nxt.setdefault(sid | bit * tag, []).append(i)
+        yield nxt
+        layer = list(nxt)
+
+
+def _chain_plan(layers, key):
+    """Per layer, each state's key (-1 for none) and a getter of its
+    predecessors' values that always returns a sequence."""
+    return [
+        ([-1 if (v := key(sid)) is None else v for sid in layer],
+         [itemgetter(*ps) if len(ps) > 1 else itemgetter(slice(ps[0], ps[0] + 1))
+          for ps in layer.values()])
+        for layer in layers
+    ]
+
+
+def _chain_mean(layers, key, count, den) -> Fraction:
+    # E max = (1/count) sum_j v_j (C_j - C_{j-1}) over the sorted distinct
+    # keys v_j, where C_j counts the chains whose keys are all <= v_j.  Each
+    # chunk of _CHAIN_CHUNK thresholds is one pass holding two layers, so
+    # memory is states x chunk.  A state's count packs its chains per
+    # threshold, slot j at bit j*width (no count exceeds ``count``, so no
+    # slot carries); key rank r zeroes the slots below r, a state with r
+    # past the chunk has none, and one whose every chain stays below the
+    # chunk (M, the chains' largest rank) has all its chains in each slot.
+    plan = _chain_plan(layers, key)
+    values = sorted({v for keys, _ in plan for v in keys if v >= 0})
+    # a state without a key passes every threshold, as the least key does
+    rank = {v: j for j, v in enumerate(values)}
+    rank[-1] = 0
+    steps = []
+    highs, chains = [0], [1]
+    for keys, getters in plan:
+        ranks = [rank[v] for v in keys]
+        highs = [max(r, *get(highs)) for get, r in zip(getters, ranks)]
+        chains = [sum(get(chains)) for get in getters]
+        steps.append((getters, ranks, highs, chains))
+    width = count.bit_length()
     slot = (1 << width) - 1
     total = below = 0
-    for v in values:
-        chains = full & slot
-        total += v * (chains - below)
-        below = chains
-        full >>= width
+    for lo in range(0, len(values), _CHAIN_CHUNK):
+        hi = min(lo + _CHAIN_CHUNK, len(values))
+        ones = ((1 << (width * (hi - lo))) - 1) // slot
+        # shifts[r] drops the slots of the thresholds that key rank r fails
+        shifts = [0] * lo + [j * width for j in range(hi - lo)]
+        cur = [ones]
+        for getters, ranks, highs, chains in steps:
+            prev = cur
+            cur = [t * ones if h < lo
+                   else sum(get(prev)) >> shifts[r] << shifts[r] if r < hi else 0
+                   for get, r, h, t in zip(getters, ranks, highs, chains)]
+        full = sum(cur)  # over every state of the last layer
+        for v in values[lo:hi]:
+            passing = full & slot
+            total += v * (passing - below)
+            below = passing
+            full >>= width
     return Fraction(total, count * den)
 
 
-def _lattice_max(ks, key_factory, xs, d, count, ws) -> Fraction:
-    # max over chains of the summed keys: the max-plus subset DP of
-    # Held and Karp, best[S] = key(S) + max_{i in S} best[S - i]
+def _chain_max(layers, key, count, den) -> Fraction:
+    # the largest chain sum of the keys, by the max-plus recursion of Held
+    # and Karp: best(state) = key + max over its predecessors
+    best = [0]
+    for keys, getters in _chain_plan(layers, key):
+        best = [max(get(best)) + max(v, 0) for get, v in zip(getters, keys)]
+    return Fraction(max(best), den)
+
+
+def _on_lattice(engine, ks, key_factory, xs, d, count, ws) -> Fraction:
     n = len(xs)
     key, den = key_factory(n, d)
     keys = drawn_set_values(xs, key, ks(n))
-    best = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        best[mask] = keys[mask] + max(best[sub] for sub in _one_less(mask))
-    return Fraction(best[-1], den)
+    return engine(_state_layers(n, odd=False), keys.__getitem__, count, den)
+
+
+def _exact_alternating(xs, d, count, ws) -> Fraction:
+    n, low = len(xs), (1 << len(xs)) - 1
+    sums = drawn_set_values(xs, lambda k, s, t: s, range(n + 1))
+    return _chain_mean(_state_layers(n, odd=True),
+                       lambda sid: (sums[sid & low] - 2 * sums[sid >> n]) ** 2,
+                       count, d * d)
 
 
 def _exact_weighted(xs, d, count, ws) -> Fraction:
@@ -594,11 +646,11 @@ class _Rule:
 
 
 def _order_free(key, **fields) -> _Rule:
-    """A rule whose exact engine is the subset lattice, with integer
-    keys from the key factory ``key``."""
+    """A rule whose exact engine is the chain-count engine on the subset
+    lattice, with integer keys from the key factory ``key``."""
     ks = fields.setdefault("ks", _all_ks)
-    engine = _lattice_max if fields.get("over_orderings") == "max" else _lattice_mean
-    return _Rule(exact=partial(engine, ks, key), **fields)
+    engine = _chain_max if fields.get("over_orderings") == "max" else _chain_mean
+    return _Rule(exact=partial(_on_lattice, engine, ks, key), **fields)
 
 
 def _w_squared(n, k, s, t, w) -> Fraction:
@@ -643,7 +695,7 @@ _RULES: dict[InequalityId, _Rule] = {
         weights="alternating",
         rhs=lambda pop, ws: Fraction(305, 17) * pop.square_sum,
         term=_w_squared,
-        exact=_exact_weighted,
+        exact=_exact_alternating,
         floats=_float_weighted,
         folding=_alternating_folding,
     ),
@@ -754,7 +806,9 @@ def ensure_exact_size(id, n: int, cutoff: int | None) -> None:
     """Refuse exact verification of ``id`` over n items above the cutoff;
     run before building a large population, it refuses at no cost."""
     iid = coerce_enum(InequalityId, id, "inequality id")
-    ensure_enumerable(n, cutoff, f"exact verification of {iid.value!r}")
+    ensure_enumerable(
+        n, cutoff, f"exact verification of {iid.value!r}", "use Monte Carlo mode"
+    )
 
 
 def verify(
@@ -770,12 +824,13 @@ def verify(
     """Check one inequality and return an :class:`InequalityReport`.
 
     Exact mode computes the LHS as an exact expectation (maximum for
-    ``hardy``) over the n! orderings without listing them: the subset
-    lattice serves the order-free ids and the prefix-sharing walk the
-    weighted ids, subject to the cutoff.  It decides lhs <= rhs exactly.
-    Monte Carlo mode needs ``samples`` and
-    ``seed`` and reports a verdict that is never stronger than
-    "consistent".
+    ``hardy``) over the n! orderings without listing them, subject to
+    the cutoff: the chain-count engine over the subset lattice serves the
+    order-free ids and over the odd-position graph ``alternating``, in
+    memory bounded by its threshold chunk, and the prefix-sharing walk
+    serves the given-weight ids.  It decides lhs <= rhs exactly.  Monte
+    Carlo mode needs ``samples`` and ``seed`` and reports a verdict that
+    is never stronger than "consistent".
     """
     iid = coerce_enum(InequalityId, id, "inequality id")
     mode = coerce_enum(VerifyMode, mode, "verification mode")

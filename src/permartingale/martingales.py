@@ -335,6 +335,12 @@ def _check_ordered(
     return MartingaleCheck(violation, states)
 
 
+def ensure_checkable(n: int, cutoff: int | None) -> None:
+    """Refuse an exhaustive check over n items above the cutoff; run
+    before a population file is parsed, it refuses at no cost."""
+    ensure_enumerable(n, cutoff, "the exhaustive martingale check")
+
+
 def check_sequence(
     population: Population,
     value_fn: Callable[[tuple[Fraction, ...]], object],
@@ -354,7 +360,7 @@ def check_sequence(
         raise InvalidInputError(
             f"need 0 <= k_min <= k_max <= {n}, got [{k_min}, {k_max}]"
         )
-    ensure_enumerable(n, cutoff, "the exhaustive martingale check")
+    ensure_checkable(n, cutoff)
     return _check_ordered(population, value_fn, k_min, k_max)
 
 
@@ -465,7 +471,7 @@ def check_martingale(spec: MartingaleSpec, cutoff: int | None = None) -> Marting
     next draws equals the evaluator at h, exactly.
     """
     pop = spec.population
-    ensure_enumerable(pop.n, cutoff, "the exhaustive martingale check")
+    ensure_checkable(pop.n, cutoff)
     if spec.kind in ORDER_FREE_VALUES:
         fn = ORDER_FREE_VALUES[spec.kind](pop)
         return _check_order_free(pop, fn, spec.k_min, spec.k_max)
@@ -490,7 +496,7 @@ def check_vector_martingale(
     applies each inverse product to (W_k, S_k) at every child history.
     """
     basis = coerce_enum(Basis, basis, "basis")
-    ensure_enumerable(population.n, cutoff, "the exhaustive martingale check")
+    ensure_checkable(population.n, cutoff)
     system = build_transition_system(
         basis, population=population, multipliers=multipliers
     )

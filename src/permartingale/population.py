@@ -47,14 +47,17 @@ def resolve_cutoff(cutoff: int | None) -> int:
     return cutoff
 
 
-def ensure_enumerable(n: int, cutoff: int | None, what: str) -> None:
-    """Refuse exact enumeration above the cutoff with actionable advice."""
+def ensure_enumerable(
+    n: int, cutoff: int | None, what: str, alternative: str = ""
+) -> None:
+    """Refuse exact enumeration above the cutoff with actionable advice;
+    ``alternative`` names another route, for callers that have one."""
     limit = resolve_cutoff(cutoff)
     if n > limit:
         raise EnumerationLimitError(
             f"{what} needs enumeration over a population of size {n}, above "
             f"the cutoff {limit}; raise the cutoff (hard maximum "
-            f"{MAX_ENUMERATION_CUTOFF}) or use Monte Carlo mode"
+            f"{MAX_ENUMERATION_CUTOFF})" + (f" or {alternative}" if alternative else "")
         )
 
 
@@ -284,18 +287,24 @@ def drawn_set_values(values: Sequence, fn: Callable, ks: range) -> list:
     return out
 
 
+def value_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line that holds a value: '#' starts a
+    comment, and blank lines hold none."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_scalar_lines(
     text: str, lenient: bool = False, where: str = ""
 ) -> tuple[Fraction, ...]:
-    """Parse one scalar per line; '#' starts a comment, blanks ignored.
+    """Parse one scalar per line of ``value_lines``.
 
     A bad line is reported by number, after ``where`` when given.
     """
     vals: list[Fraction] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in value_lines(text):
         try:
             vals.append(parse_scalar(line, lenient=lenient))
         except InvalidInputError as exc:

@@ -540,6 +540,73 @@ def test_oversized_exact_runs_are_refused_before_building(tmp_path, monkeypatch)
     assert "size 13, above the cutoff 12" in errors[1]
 
 
+def test_only_the_exact_verify_refusal_advises_monte_carlo(tmp_path, four_file):
+    # verify-martingale and the moment oracles have no Monte Carlo mode
+    weights = pop_file(tmp_path, [1, 2, 3, 4], name="w4.txt")
+    for argv in (
+        ["verify-martingale", "--kind", "weighted", "--population", four_file,
+         "--multipliers", weights, "--cutoff", "3"],
+        ["moments", "--population", four_file, "--cutoff", "3"],
+    ):
+        rc, out, err = run_cli(argv)
+        assert rc == 2 and out == "", argv
+        assert "above the cutoff 3; raise the cutoff (hard maximum 12)\n" in err
+        assert "Monte Carlo" not in err, argv
+    rc, out, err = run_cli(
+        ["check-inequality", "--id", "alternating", "--population", four_file,
+         "--mode", "exact", "--cutoff", "3"]
+    )
+    assert rc == 2 and out == ""
+    assert "above the cutoff 3; raise the cutoff (hard maximum 12) or use " \
+        "Monte Carlo mode\n" in err
+
+
+def test_oversized_exact_files_are_refused_before_parsing(tmp_path, monkeypatch):
+    big = pop_file(tmp_path, [1, -1] * 100_000, name="big.txt")
+    spec = tmp_path / "rows.json"
+    spec.write_text(json.dumps(
+        [{"id": "quadratic", "mode": "exact", "population_file": big},
+         {"id": "hardy", "mode": "exact", "population": [1, -1] * 100_000}]
+    ), encoding="utf-8")
+
+    def parse(*args, **kwargs):
+        raise AssertionError("a value was parsed before the cutoff check")
+
+    with monkeypatch.context() as m:
+        m.setattr("permartingale.population.parse_scalar", parse)
+        m.setattr("permartingale.cli.make_population", parse)
+        for argv in (
+            ["check-inequality", "--id", "max_averages", "--population", big,
+             "--mode", "exact"],
+            ["verify-martingale", "--kind", "m2", "--population", big],
+        ):
+            rc, out, err = run_cli(argv)
+            assert rc == 2 and out == "", argv
+            assert "population of size 200000, above the cutoff 10" in err
+        rc, out, _ = run_cli(["sweep", str(spec)])
+        errors = [row["error"] for row in json.loads(out)["rows"]]
+        assert rc == 1
+        assert "exact verification of 'quadratic'" in errors[0]
+        assert "exact verification of 'hardy'" in errors[1]
+        for error in errors:
+            assert "size 200000, above the cutoff 10" in error
+    # Monte Carlo mode parses the whole file, and a file within the
+    # cutoff runs as before
+    rc, out, _ = run_cli(
+        ["check-inequality", "--id", "max_averages", "--population", big,
+         "--mode", "mc", "--samples", "2", "--seed", "1"]
+    )
+    assert rc == 0 and json.loads(out)["n"] == 200_000
+    small = pop_file(tmp_path, ["# four values", 1, "", -1, 2, -2], name="s.txt")
+    for argv in (
+        ["check-inequality", "--id", "max_averages", "--population", small,
+         "--mode", "exact"],
+        ["verify-martingale", "--kind", "m2", "--population", small],
+    ):
+        rc, out, _ = run_cli(argv)
+        assert rc == 0 and json.loads(out)["n"] == 4, argv
+
+
 def test_mc_block_out_of_memory_is_an_input_error(four_file, monkeypatch):
     def tile(*args, **kwargs):
         raise MemoryError

@@ -159,6 +159,92 @@ def test_exact_engine_at_n12_against_the_sign_sequences():
     assert verify(InequalityId.HARDY, population=pop, cutoff=12).lhs == want
 
 
+ORDER_FREE_IDS = (
+    InequalityId.MAX_AVERAGES,
+    InequalityId.GARSIA_UNWEIGHTED,
+    InequalityId.QUADRATIC,
+    InequalityId.HARDY,
+)
+
+
+def engine_grid(n, rng):
+    """Integer, p/q, tied-with-zeros and all-zero centered populations."""
+    tied = [rng.choice((0, 0, 1, 1, -2, 3)) for _ in range(n - 1)]
+    return [
+        random_centered_population(n, rng, 9, 1),
+        random_centered_population(n, rng, 99, 7),
+        make_population(tied + [-sum(tied)]),
+        make_population([0] * n),
+    ]
+
+
+def walk_alternating(pop):
+    """The prefix walk of the given-weight ids with the signs (-1)^i: an
+    independent route to exact ``alternating``."""
+    from permartingale.inequalities import _exact_weighted
+    from permartingale.rationals import scaled_integers
+
+    xs, d = scaled_integers(pop.values)
+    return _exact_weighted(xs, d, math.factorial(pop.n),
+                           alternating_weights(pop.n))
+
+
+def test_alternating_on_the_odd_position_graph():
+    rng = random.Random(1200)
+    for n in range(2, 11):
+        for pop in engine_grid(n, rng)[: 2 if n in (7, 10) else 4]:
+            got = verify(InequalityId.ALTERNATING, population=pop).lhs
+            if n <= 7:
+                want = reference_lhs(InequalityId.ALTERNATING, pop)
+            else:
+                want = walk_alternating(pop)
+            assert got == want, (n, pop.values)
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_chain_counts_across_threshold_chunks(chunk, monkeypatch):
+    # thresholds one or three to a pass, so that chains cross chunk edges;
+    # up to n = 7 against the reference, then against the default chunk
+    # and, for alternating, the prefix walk
+    import permartingale.inequalities as ineq
+
+    rng = random.Random(f"chunks:{chunk}")
+    grid = []
+    for n in range(2, 10):
+        pops = engine_grid(n, rng)
+        # the reference is slow at n = 7, so only the tied values there
+        grid += pops if n < 7 else pops[2:3] if n == 7 else pops[:3]
+    cases = [(iid, pop) for pop in grid for iid in ORDER_FREE_IDS]
+    cases += [(InequalityId.BRIDGE, make_bridge_population(m)) for m in range(1, 5)]
+    cases += [(InequalityId.ALTERNATING, pop) for pop in grid if pop.n <= 8]
+    for iid, pop in cases:
+        whole = verify(iid, population=pop).lhs
+        if pop.n <= 7:
+            assert whole == reference_lhs(iid, pop, m=pop.n // 2
+                                          if iid is InequalityId.BRIDGE else None)
+        elif iid is InequalityId.ALTERNATING:
+            assert whole == walk_alternating(pop)
+        with monkeypatch.context() as m:
+            m.setattr(ineq, "_CHAIN_CHUNK", chunk)
+            assert verify(iid, population=pop).lhs == whole, (iid, pop.values)
+
+
+def test_alternating_memory_is_bounded_by_the_chunk():
+    # one chunk of 256 thresholds per pass; held for all of its ~5,000
+    # distinct keys at once the counts need about 148 MiB
+    import tracemalloc
+
+    pop = random_centered_population(10, random.Random(10), 99, 7)
+    tracemalloc.start()
+    try:
+        report = verify(InequalityId.ALTERNATING, population=pop)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.holds
+    assert peak < 32 * 2**20, peak
+
+
 def test_pinned_examples():
     pair = make_population([1, -1])
     r = verify(InequalityId.MAX_AVERAGES, population=pair)
