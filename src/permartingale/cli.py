@@ -50,7 +50,7 @@ from .martingales import (
     ensure_checkable,
     make_spec,
 )
-from .moments import moment_report
+from .moments import ensure_reportable, moment_report
 from .population import (
     load_population,
     make_population,
@@ -329,6 +329,7 @@ def _cmd_check_inequality(args) -> int:
 
 
 def _cmd_moments(args) -> int:
+    ensure_reportable(_count_values(args.population), args.cutoff)
     pop = load_population(args.population)
     rows = moment_report(
         pop, partial_sum_size=args.partial_sum_size, cutoff=args.cutoff
@@ -512,6 +513,10 @@ def _cmd_sweep(args) -> int:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"spec file is not valid JSON: {exc}") from None
+    except ValueError:
+        raise InvalidInputError(
+            "spec file holds a number past the interpreter's limit on integer digits"
+        ) from None
     rows = data["rows"] if isinstance(data, dict) and set(data) == {"rows"} else data
     if not isinstance(rows, list):
         raise InvalidInputError(
@@ -528,13 +533,13 @@ def _cmd_sweep(args) -> int:
     passed = failed = errored = 0
     for i, row in enumerate(rows):
         try:
-            report = _run_sweep_row(row, i, master_seed, args.cutoff)
+            rd = _run_sweep_row(row, i, master_seed, args.cutoff).to_dict()
         except Error as exc:
             entries.append({"row": i, "error": str(exc)})
             errored += 1
             continue
-        entries.append({"row": i, "report": report.to_dict()})
-        if report.holds:
+        entries.append({"row": i, "report": rd})
+        if rd["holds"]:
             passed += 1
         else:
             failed += 1

@@ -69,7 +69,7 @@ from .population import (
     make_bridge_population,
     validate_permutation,
 )
-from .rationals import format_rational, fraction_sequence, scaled_integers
+from .rationals import float_values, format_rational, fraction_sequence, scaled_integers
 from .weights import alternating_weights, validate_weights
 
 MC_BLOCK_SIZE = 1 << 16
@@ -367,8 +367,9 @@ def _bridge_key(n, d):
 
 # Chain-count engine, for the ids whose weights are fixed.  A layered
 # state graph has one layer per number of draws; a state has an integer
-# id, its predecessors (one edge per draw) and a nonnegative integer key,
-# or None outside the id's k-range, and the chains from the root through
+# id, its predecessors (one edge per draw) and a key, a square; a state
+# outside the id's k-range has the least key, 0, which passes every
+# threshold and adds 0 to a chain sum.  The chains from the root through
 # the last layer are the n! orderings.  A subset-lattice state is the
 # drawn set D, bit i for item i.  An odd-position state, for
 # ``alternating``, is D | O << n, with O the part of D drawn at odd
@@ -396,10 +397,10 @@ def _state_layers(n: int, odd: bool):
 
 
 def _chain_plan(layers, key):
-    """Per layer, each state's key (-1 for none) and a getter of its
-    predecessors' values that always returns a sequence."""
+    """Per layer, each state's key (0, the least key, for none) and a
+    getter of its predecessors' values that always returns a sequence."""
     return [
-        ([-1 if (v := key(sid)) is None else v for sid in layer],
+        ([key(sid) or 0 for sid in layer],
          [itemgetter(*ps) if len(ps) > 1 else itemgetter(slice(ps[0], ps[0] + 1))
           for ps in layer.values()])
         for layer in layers
@@ -415,17 +416,17 @@ def _chain_mean(layers, key, count, den) -> Fraction:
     # slot carries); key rank r zeroes the slots below r, a state with r
     # past the chunk has none, and one whose every chain stays below the
     # chunk (M, the chains' largest rank) has all its chains in each slot.
+    # A layer's states share one in-degree (k on the lattice, ceil(k/2) or
+    # floor(k/2) on the odd-position graph), so by induction one chain count.
     plan = _chain_plan(layers, key)
-    values = sorted({v for keys, _ in plan for v in keys if v >= 0})
-    # a state without a key passes every threshold, as the least key does
+    values = sorted({v for keys, _ in plan for v in keys})
     rank = {v: j for j, v in enumerate(values)}
-    rank[-1] = 0
     steps = []
-    highs, chains = [0], [1]
+    highs, chains = [0], 1
     for keys, getters in plan:
         ranks = [rank[v] for v in keys]
+        chains *= len(getters[0](highs))  # the layer's in-degree
         highs = [max(r, *get(highs)) for get, r in zip(getters, ranks)]
-        chains = [sum(get(chains)) for get in getters]
         steps.append((getters, ranks, highs, chains))
     width = count.bit_length()
     slot = (1 << width) - 1
@@ -437,10 +438,10 @@ def _chain_mean(layers, key, count, den) -> Fraction:
         shifts = [0] * lo + [j * width for j in range(hi - lo)]
         cur = [ones]
         for getters, ranks, highs, chains in steps:
-            prev = cur
-            cur = [t * ones if h < lo
-                   else sum(get(prev)) >> shifts[r] << shifts[r] if r < hi else 0
-                   for get, r, h, t in zip(getters, ranks, highs, chains)]
+            saturated = chains * ones
+            cur = [saturated if h < lo
+                   else sum(get(cur)) >> shifts[r] << shifts[r] if r < hi else 0
+                   for get, r, h in zip(getters, ranks, highs)]
         full = sum(cur)  # over every state of the last layer
         for v in values[lo:hi]:
             passing = full & slot
@@ -455,7 +456,7 @@ def _chain_max(layers, key, count, den) -> Fraction:
     # and Karp: best(state) = key + max over its predecessors
     best = [0]
     for keys, getters in _chain_plan(layers, key):
-        best = [max(get(best)) + max(v, 0) for get, v in zip(getters, keys)]
+        best = [max(get(best)) + v for get, v in zip(getters, keys)]
     return Fraction(max(best), den)
 
 
@@ -516,12 +517,12 @@ def _exact_weighted(xs, d, count, ws) -> Fraction:
     return Fraction(walk(tuple(xs), 0, 0, 0), count * (d * e) ** 2)
 
 
-# Float statistics: (n, ws) -> vectorized statistic over a (rows, n)
-# chunk of orderings, one value per row.  Each works in place on its
-# argument, which it overwrites, so a Monte Carlo run holds one chunk at
-# a time; every element sees the same float operations in the same order
-# as the out-of-place formula, so the values keep every bit.  numpy is
-# imported here and in ``_mc_lhs`` only, so the exact routes never load it.
+# Float statistics: (n, ws) -> the per-k terms of a (rows, n) chunk of
+# orderings, a column per k in the id's k-range, for ``_mc_lhs`` to reduce
+# by the id's ``reduce``.  Each works in place on its argument, so a run
+# holds one chunk at a time; every element sees the same float operations
+# in the same order as the out-of-place formula, so the values keep every
+# bit.  numpy is imported here and in ``_mc_lhs`` only, not by exact routes.
 
 
 def _float_averages(n, ws):
@@ -538,23 +539,13 @@ def _float_averages(n, ws):
     return averages
 
 
-def _float_max_averages(n, ws):
-    averages = _float_averages(n, ws)
-    return lambda X: averages(X).max(axis=1)
-
-
-def _float_hardy(n, ws):
-    averages = _float_averages(n, ws)
-    return lambda X: averages(X).sum(axis=1)
-
-
 def _float_garsia_unweighted(n, ws):
     import numpy as np
 
     def stat(X):
         np.cumsum(X, axis=1, out=X)
         X *= X
-        return X.max(axis=1)
+        return X
 
     return stat
 
@@ -577,7 +568,7 @@ def _float_quadratic(n, ws):
         s -= t
         s /= den
         s *= s
-        return s.max(axis=1)
+        return s
 
     return stat
 
@@ -594,7 +585,7 @@ def _float_bridge(n, ws):
         s *= s
         s -= comp
         s *= s
-        return s.max(axis=1)
+        return s
 
     return stat
 
@@ -602,13 +593,13 @@ def _float_bridge(n, ws):
 def _float_weighted(n, ws):
     import numpy as np
 
-    a = np.array([float(w) for w in ws])
+    a = np.array(float_values(ws, "a weight"))
 
     def stat(X):
         X *= a
         np.cumsum(X, axis=1, out=X)
         X *= X
-        return X.max(axis=1)
+        return X
 
     return stat
 
@@ -624,13 +615,13 @@ class _Rule:
     ``weights`` is the weight policy: "none", "given" (the caller must
     pass them) or "alternating" (the fixed signs (-1)^i).  ``bridge``
     means the id needs the ±1 bridge population, whose m is n/2.
-    ``rhs(pop, ws)`` is the closed-form bound.  The reference statistic
-    of one ordering reduces ``term(n, k, S_k, T_k, W_k)`` over k in
-    ``ks(n)`` with ``reduce``; ``over_orderings`` says whether the LHS
-    is its mean or its max over all orderings.  ``exact`` and ``floats``
-    are the id's exact engine and float statistic (a factory of a
-    function of a numpy array).  ``folding(name, n, m)`` is the constant
-    on the id's folding path, for the ids that have one.
+    ``rhs(pop, ws)`` is the closed-form bound.  ``reduce`` (max or sum)
+    reduces ``term(n, k, S_k, T_k, W_k)`` over k in ``ks(n)``, for the
+    reference statistic of one ordering and for each row of float terms
+    in ``_mc_lhs``; the LHS is their mean or max (``over_orderings``)
+    over all orderings.  ``exact`` is the exact engine; ``floats(n, ws)``
+    maps a numpy array of orderings to their per-k terms.  ``folding``
+    is the constant on the id's folding path, if it has one.
     """
 
     rhs: Callable[[Population, tuple[Fraction, ...] | None], Fraction]
@@ -662,7 +653,7 @@ _RULES: dict[InequalityId, _Rule] = {
         rhs=lambda pop, ws: Fraction(4, pop.n) * pop.square_sum,
         term=lambda n, k, s, t, w: (s / k) ** 2,
         key=_averages_key,
-        floats=_float_max_averages,
+        floats=_float_averages,
     ),
     InequalityId.GARSIA_UNWEIGHTED: _order_free(
         rhs=lambda pop, ws: Fraction(41, 5) * pop.square_sum,
@@ -729,7 +720,7 @@ _RULES: dict[InequalityId, _Rule] = {
         reduce=sum,
         over_orderings="max",
         key=_averages_key,
-        floats=_float_hardy,
+        floats=_float_averages,
     ),
 }
 
@@ -749,15 +740,16 @@ def _mc_lhs(
     given (seed, samples) regardless of when or where it runs.  A block
     is never held whole: one buffer of about ``_MC_CHUNK_FLOATS`` floats
     is refilled, permuted and reduced in place one chunk of rows at a
-    time into the block's vector of per-row values.  ``permuted`` draws
-    from the stream row by row, so the chunks see exactly the orderings
-    of the whole block.
+    time, each row's terms by the rule's ``reduce``, into the block's
+    vector of per-row values.  ``permuted`` draws from the stream row by
+    row, so the chunks see exactly the orderings of the whole block.
     """
     import numpy as np
 
     n = pop.n
     base = np.array(pop.as_floats(), dtype=np.float64)
     stat = rule.floats(n, ws)
+    reduce_rows = {max: np.max, sum: np.sum}[rule.reduce]
     take_max = rule.over_orderings == "max"
     rows = max(1, min(samples, MC_BLOCK_SIZE, _MC_CHUNK_FLOATS // n))
     done = 0
@@ -778,7 +770,7 @@ def _mc_lhs(
                     x = chunk[: min(rows, b - lo)]
                     x[...] = base
                     rng.permuted(x, axis=1, out=x)
-                    values[lo : lo + len(x)] = stat(x)
+                    values[lo : lo + len(x)] = reduce_rows(stat(x), axis=1)
                 v = values[:b]
                 if take_max:
                     running_max = max(running_max, float(v.max()))

@@ -277,6 +277,12 @@ class MomentRow:
         }
 
 
+def ensure_reportable(n: int, cutoff: int | None) -> None:
+    """Refuse a moment report over n items above the cutoff; run before
+    a population file is parsed, it refuses at no cost."""
+    ensure_enumerable(n, cutoff, "the moment oracle")
+
+
 def moment_report(
     population: Population,
     partial_sum_size: int | None = None,
@@ -288,9 +294,9 @@ def moment_report(
     four distinct draws are skipped below n=4, as is the terminal
     compensated-square moment.
     """
-    population.require_centered("the moment report")
     n = population.n
-    ensure_enumerable(n, cutoff, "the moment oracle")
+    ensure_reportable(n, cutoff)
+    population.require_centered("the moment report")
     m = partial_sum_size if partial_sum_size is not None else n // 2
     rows: list[MomentRow] = []
     for p in PATTERNS:

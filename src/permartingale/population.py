@@ -28,7 +28,7 @@ from .errors import (
     InvalidInputError,
     PreconditionError,
 )
-from .rationals import as_fraction, format_rational, parse_scalar
+from .rationals import as_fraction, float_values, format_rational, parse_scalar
 
 DEFAULT_ENUMERATION_CUTOFF = 10
 MAX_ENUMERATION_CUTOFF = 12
@@ -102,13 +102,7 @@ class Population:
 
     def as_floats(self) -> tuple[float, ...]:
         """Float image of the values, for Monte Carlo estimators only."""
-        try:
-            return tuple(float(v) for v in self.values)
-        except OverflowError:
-            raise InvalidInputError(
-                "a population value is beyond float range; Monte Carlo "
-                "mode works in floating point"
-            ) from None
+        return float_values(self.values, "a population value")
 
     def __str__(self) -> str:
         return "{" + ", ".join(format_rational(v) for v in self.values) + "}"
@@ -126,7 +120,13 @@ def make_bridge_population(m: int) -> Population:
     """The ±1 population with m ones and m minus-ones (size 2m)."""
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise InvalidInputError(f"bridge parameter must be an int >= 1, got {m!r}")
-    return make_population((1,) * m + (-1,) * m)
+    try:
+        values = (1,) * m + (-1,) * m
+    except (OverflowError, MemoryError):
+        raise InvalidInputError(
+            f"a bridge population of 2m = {2 * m} items does not fit in memory"
+        ) from None
+    return make_population(values)
 
 
 def bridge_parameter(population: Population) -> int | None:

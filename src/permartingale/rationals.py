@@ -31,12 +31,18 @@ def parse_rational(text: str) -> Fraction:
             " (decimals are not accepted in exact mode)"
         )
     num, _, den = s.partition("/")
-    if den:
-        d = int(den)
-        if d == 0:
-            raise InvalidInputError(f"zero denominator in {text!r}")
-        return Fraction(int(num), d)
-    return Fraction(int(num))
+    try:
+        value = Fraction(int(num), int(den or 1))
+    except ZeroDivisionError:
+        raise InvalidInputError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        # Python refuses to convert integers past its digit limit, which
+        # guards against quadratic-time conversion of hostile input
+        raise InvalidInputError(
+            f"a scalar of {len(s)} characters exceeds the interpreter's "
+            "limit on integer digits"
+        ) from None
+    return value
 
 
 def parse_scalar(text: str, lenient: bool = False) -> Fraction:
@@ -77,8 +83,27 @@ def as_fraction(value) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a Fraction as ``"p"`` or ``"p/q"``."""
-    return str(value)
+    """Render a Fraction as ``"p"`` or ``"p/q"``; a value with more digits
+    than Python prints is refused."""
+    try:
+        return str(value)
+    except ValueError:
+        raise InvalidInputError(
+            "a result exceeds the interpreter's limit on integer digits "
+            "and cannot be printed; use smaller values"
+        ) from None
+
+
+def float_values(values: Iterable[Fraction], what: str) -> tuple[float, ...]:
+    """Float images of exact values, for Monte Carlo estimators only;
+    ``what`` names one value in the refusal of a value past float range."""
+    try:
+        return tuple(float(v) for v in values)
+    except OverflowError:
+        raise InvalidInputError(
+            f"{what} is beyond float range; Monte Carlo mode works in "
+            "floating point"
+        ) from None
 
 
 def scaled_integers(values: Iterable[Fraction]) -> tuple[tuple[int, ...], int]:

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 from permartingale import (
+    EnumerationLimitError,
     InequalityId,
     check_martingale,
     make_population,
     make_spec,
+    moment_report,
     random_centered_population,
     verify,
 )
@@ -579,6 +581,7 @@ def test_oversized_exact_files_are_refused_before_parsing(tmp_path, monkeypatch)
             ["check-inequality", "--id", "max_averages", "--population", big,
              "--mode", "exact"],
             ["verify-martingale", "--kind", "m2", "--population", big],
+            ["moments", "--population", big],
         ):
             rc, out, err = run_cli(argv)
             assert rc == 2 and out == "", argv
@@ -605,6 +608,55 @@ def test_oversized_exact_files_are_refused_before_parsing(tmp_path, monkeypatch)
     ):
         rc, out, _ = run_cli(argv)
         assert rc == 0 and json.loads(out)["n"] == 4, argv
+    # the cutoff comes before the centering check, which sums the values
+    uncentered = pop_file(tmp_path, [1] * 11, name="u.txt")
+    rc, out, err = run_cli(["moments", "--population", uncentered])
+    assert rc == 2 and out == ""
+    assert "the moment oracle needs enumeration over a population of size 11" in err
+    with pytest.raises(EnumerationLimitError, match="size 11, above the cutoff 10"):
+        moment_report(make_population([1] * 11))
+
+
+BIG = "9" * 5000  # past the interpreter's 4,300-digit conversion limit
+
+
+@pytest.mark.parametrize("case", ["exact", "moments", "martingale", "dump",
+                                  "sweep_string", "sweep_literal", "printing"])
+def test_integers_past_the_digit_limit_are_refused(case, tmp_path):
+    pop = pop_file(tmp_path, [BIG, "-" + BIG, 1, -1])
+    spec = tmp_path / "rows.json"
+    argv = {
+        "exact": ["check-inequality", "--id", "max_averages", "--population",
+                  pop, "--mode", "exact"],
+        "moments": ["moments", "--population", pop],
+        "martingale": ["verify-martingale", "--kind", "m2", "--population", pop],
+        "dump": ["dump-matrices", "--basis", "quadratic", "--n", "5",
+                 "--total", BIG, "--square-sum", "1"],
+        "sweep_string": ["sweep", str(spec)],
+        "sweep_literal": ["sweep", str(spec)],
+        # parsed, but the fourth-moment rows run to about 6,000 digits
+        "printing": ["moments", "--population",
+                     pop_file(tmp_path, [10**1500, -10**1500, 2, -2], "p.txt")],
+    }[case]
+    spec.write_text({
+        "sweep_string": json.dumps(
+            [{"id": "max_averages", "population": [BIG, "-" + BIG, "1", "-1"]},
+             {"id": "quadratic", "population": [str(10**1500), str(-10**1500), 2, -2]},
+             {"id": "max_averages", "population": [1, -1, 2, -2]}]
+        ),
+        "sweep_literal": f'[{{"id": "max_averages", "population": [{BIG}, -{BIG}, 1, -1]}}]',
+    }.get(case, "[]"), encoding="utf-8")
+    rc, out, err = run_cli(argv)
+    assert "Traceback" not in err
+    if case == "sweep_string":
+        # a row at fault is that row's error; the other rows still run
+        payload = json.loads(out)
+        assert rc == 1 and (payload["errors"], payload["passed"]) == (2, 1)
+        assert "limit on integer digits" in payload["rows"][0]["error"]
+        assert "cannot be printed" in payload["rows"][1]["error"]
+        return
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "limit on integer digits" in err
 
 
 def test_mc_block_out_of_memory_is_an_input_error(four_file, monkeypatch):

@@ -201,6 +201,22 @@ def test_alternating_on_the_odd_position_graph():
             assert got == want, (n, pop.values)
 
 
+@pytest.mark.parametrize("odd", [False, True])
+def test_every_state_of_a_layer_has_one_in_degree(odd):
+    # the chain engine keeps one chain count per layer, which holds only
+    # if the layer's states share their in-degree: k on the lattice's
+    # layer k, ceil(k/2) on the odd-position graph's
+    from permartingale.inequalities import _state_layers
+
+    for n in range(1, 11):
+        chains = 1
+        for k, layer in enumerate(_state_layers(n, odd), start=1):
+            degree = (k + 1) // 2 if odd else k
+            assert {len(ps) for ps in layer.values()} == {degree}, (n, k)
+            chains *= degree
+        assert chains * len(layer) == math.factorial(n), n
+
+
 @pytest.mark.parametrize("chunk", [1, 3])
 def test_chain_counts_across_threshold_chunks(chunk, monkeypatch):
     # thresholds one or three to a pass, so that chains cross chunk edges;
@@ -665,10 +681,15 @@ def test_exact_holds_on_many_random_populations():
 
 @pytest.mark.parametrize("iid", list(InequalityId))
 def test_float_statistic_matches_reference_on_every_ordering(iid):
-    # the float route of Monte Carlo mode, row by row, against the exact
-    # Fraction reference: n <= 6, bridge m <= 3
+    # the float route of Monte Carlo mode against the exact Fraction
+    # reference on every ordering, n <= 6 and bridge m <= 3: each term
+    # column against the id's term at its k, and each row reduced by the
+    # id's rule against lhs_statistic.  Every term is a square u^2, and a
+    # u that cancels to 0 (S_n of a centered population) keeps a float
+    # residue, so the terms' roots are compared, to within the scale of u
     from permartingale.inequalities import _RULES
 
+    rule = _RULES[iid]
     rng = random.Random(f"float-route:{iid.value}")
     if iid is InequalityId.BRIDGE:
         cases = [(make_bridge_population(m), None, m) for m in (1, 2, 3)]
@@ -679,18 +700,34 @@ def test_float_statistic_matches_reference_on_every_ordering(iid):
             cases.append((pop, weights_for(iid, n, rng), None))
     for pop, ws, m in cases:
         n = pop.n
+        ks = rule.ks(n)
+        effective = alternating_weights(n) if iid is InequalityId.ALTERNATING else ws
         perms = list(iter_permutations(n))
         rows = np.array(
             [[float(pop.values[i - 1]) for i in perm] for perm in perms]
         )
-        effective = ws
-        if iid is InequalityId.ALTERNATING:
-            effective = alternating_weights(n)
-        got = _RULES[iid].floats(n, effective)(rows)
-        for perm, value in zip(perms, got):
+        terms = rule.floats(n, effective)(rows)
+        scale = (1 + float(sum(map(abs, pop.values)))) ** 2 * (
+            1 + max(map(abs, effective or [0]))
+        )
+        assert terms.shape == (len(perms), len(ks))
+        for perm, row in zip(perms, terms):
+            drawn = [pop.values[i - 1] for i in perm]
+            for k, value in zip(ks, row):
+                s = sum(drawn[:k], Fraction(0))
+                t = sum((x * x for x in drawn[:k]), Fraction(0))
+                w = sum(
+                    (a * x for a, x in zip(effective or (), drawn[:k])), Fraction(0)
+                )
+                want = float(rule.term(n, k, s, t, w))
+                assert math.isclose(
+                    math.sqrt(value), math.sqrt(want),
+                    rel_tol=1e-12, abs_tol=1e-12 * float(scale),
+                ), (iid, pop.values, perm, k, value, want)
+            got = {max: np.max, sum: np.sum}[rule.reduce](row)
             want = float(lhs_statistic(iid, pop, perm, weights=ws, bridge_m=m))
-            assert math.isclose(value, want, rel_tol=1e-12, abs_tol=0.0), (
-                iid, pop.values, perm, value, want
+            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (
+                iid, pop.values, perm, got, want
             )
 
 
