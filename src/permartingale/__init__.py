@@ -51,7 +51,6 @@ from .martingales import (
     check_sequence,
     check_vector_martingale,
     counterexample_suite,
-    evaluate,
     evaluate_prefix,
     initial_expectation,
     make_spec,
@@ -77,8 +76,6 @@ from .moments import (
 from .population import (
     DEFAULT_ENUMERATION_CUTOFF,
     MAX_ENUMERATION_CUTOFF,
-    PathState,
-    PathTrajectory,
     Population,
     bridge_parameter,
     iter_permutations,
@@ -89,9 +86,7 @@ from .population import (
     mean_over_orderings,
     mean_over_subsets,
     parse_population_text,
-    path_for,
     random_centered_population,
-    state_for_prefix,
     validate_permutation,
 )
 from .rationals import as_fraction, format_rational, parse_rational, parse_scalar

@@ -43,7 +43,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .errors import DomainError, InvalidInputError, PreconditionError, coerce_enum
-from .population import PathState, Population
+from .population import Population
 from .rationals import as_fraction, format_rational
 from .weights import validate_weights
 
@@ -263,6 +263,11 @@ class TransitionSystem:
     def step_matrix(self, k: int) -> Matrix:
         """Matrix mapping the state after k draws to the expected state
         after k+1 draws."""
+        if not 0 <= k <= self.max_step_state:
+            raise DomainError(
+                f"step matrix after k={k} draws is outside "
+                f"0..{self.max_step_state} for n={self.n}"
+            )
         if self.basis is Basis.QUADRATIC:
             return quadratic_transition(self.n, self.total, self.square_sum, k)
         return weighted_transition(self.n, self.multipliers[k], k)
@@ -275,13 +280,21 @@ class TransitionSystem:
             )
         return self.inverse_products[k - 1]
 
-    def state_vector(self, state: PathState) -> Vector:
-        """The linearized state at ``state``: (S^2, S, T, 1) for the
-        quadratic basis, (W, S) for the weighted basis."""
-        s = state.partial_sum
+    def state_vector(self, prefix: Sequence) -> Vector:
+        """The linearized state after drawing the values ``prefix``:
+        (S^2, S, T, 1) for the quadratic basis, (W, S) for the weighted
+        basis.  The system holds no population, so only the length of
+        ``prefix`` is checked, against n."""
+        drawn = tuple(as_fraction(x) for x in prefix)
+        if len(drawn) > self.n:
+            raise InvalidInputError(
+                f"a prefix of {len(drawn)} values is longer than n={self.n}"
+            )
+        s = sum(drawn, Fraction(0))
         if self.basis is Basis.QUADRATIC:
-            return (s * s, s, state.partial_square_sum, Fraction(1))
-        w = sum((a * x for a, x in zip(self.multipliers, state.drawn)), Fraction(0))
+            t = sum((x * x for x in drawn), Fraction(0))
+            return (s * s, s, t, Fraction(1))
+        w = sum((a * x for a, x in zip(self.multipliers, drawn)), Fraction(0))
         return (w, s)
 
 
@@ -352,18 +365,16 @@ def build_transition_system(
     )
 
 
-def vector_martingale_value(system: TransitionSystem, state: PathState) -> Vector:
-    """inv(A_1)...inv(A_k) applied to the state vector after k draws.
+def vector_martingale_value(system: TransitionSystem, prefix: Sequence) -> Vector:
+    """inv(A_1)...inv(A_k) applied to the state vector after drawing the
+    k values ``prefix``.
 
     Coordinatewise this is a martingale in k over the valid range
     (1..n-2 quadratic, 1..n-1 weighted).
     """
-    if state.population.n != system.n:
-        raise InvalidInputError(
-            f"state comes from a population of size {state.population.n}, "
-            f"system has n={system.n}"
-        )
-    return matrix_vector(system.inverse_product(state.k), system.state_vector(state))
+    # the state comes first, so that a prefix longer than n is refused as such
+    vector = system.state_vector(prefix)
+    return matrix_vector(system.inverse_product(len(prefix)), vector)
 
 
 def matrix_as_strings(matrix: Matrix) -> list[list[str]]:

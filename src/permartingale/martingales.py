@@ -40,12 +40,11 @@ from typing import Callable, ClassVar, Sequence
 from .construction import Basis, build_transition_system, matrix_vector
 from .errors import DomainError, InvalidInputError, PreconditionError, coerce_enum
 from .population import (
-    PathState,
     Population,
+    drawn_prefix,
     drawn_set_values,
     ensure_enumerable,
     make_population,
-    state_for_prefix,
 )
 from .rationals import format_rational, scaled_integers
 from .weights import validate_weights
@@ -155,28 +154,23 @@ def make_spec(
     return MartingaleSpec(kind=kind, population=population, multipliers=ws)
 
 
-def evaluate(spec: MartingaleSpec, state: PathState) -> Fraction:
-    """Closed-form martingale value at one history."""
-    if state.population.values != spec.population.values:
-        raise InvalidInputError("state and spec come from different populations")
-    if not spec.k_min <= state.k <= spec.k_max:
+def evaluate_prefix(spec: MartingaleSpec, prefix: Sequence) -> Fraction:
+    """Closed-form martingale value after drawing ``prefix`` in order."""
+    drawn = drawn_prefix(spec.population, prefix)
+    k = len(drawn)
+    if not spec.k_min <= k <= spec.k_max:
         detail = ""
-        if spec.kind is MartingaleKind.MTILDE and state.k == spec.k_max + 1:
+        if spec.kind is MartingaleKind.MTILDE and k == spec.k_max + 1:
             detail = " (k = n-1 would divide by n-k-1 = 0)"
         raise DomainError(
             f"kind {spec.kind.value!r} is defined for "
-            f"{spec.k_min} <= k <= {spec.k_max}, got k={state.k}{detail}"
+            f"{spec.k_min} <= k <= {spec.k_max}, got k={k}{detail}"
         )
     if spec.kind in ORDER_FREE_VALUES:
         return ORDER_FREE_VALUES[spec.kind](spec.population)(
-            state.k, state.partial_sum, state.partial_square_sum
+            k, sum(drawn, Fraction(0)), sum((x * x for x in drawn), Fraction(0))
         )
-    return weighted_prefix_value(spec.population.n, spec.multipliers, state.drawn)
-
-
-def evaluate_prefix(spec: MartingaleSpec, prefix: Sequence) -> Fraction:
-    """Closed-form value after drawing ``prefix`` in order."""
-    return evaluate(spec, state_for_prefix(spec.population, prefix))
+    return weighted_prefix_value(spec.population.n, spec.multipliers, drawn)
 
 
 @dataclass(frozen=True)

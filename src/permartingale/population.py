@@ -3,9 +3,9 @@
 A population is a fixed multiset of rational values.  Its own sums are
 computed on first read, so a run that is refused before it reads them
 pays for none.  Drawing all of it in random order induces a
-filtration; the :class:`PathState` objects below realize one history
-through that filtration together with the running power sums that
-every formula in this package consumes.
+filtration, and one history through that filtration is its drawn
+prefix: the tuple of values drawn so far, in order.  Every evaluator in
+this package takes that prefix.
 
 Enumeration over all ``n!`` orderings is the ground truth for exact
 checks, so it is guarded by a size cutoff with an explicit override,
@@ -140,59 +140,19 @@ def bridge_parameter(population: Population) -> int | None:
     return m if ones == m and minus == m else None
 
 
-@dataclass(frozen=True)
-class PathState:
-    """One history of draws: k values drawn, the rest remaining.
-
-    ``partial_sum`` and ``partial_square_sum`` are the running sums of
-    x and x^2 over the drawn prefix; they are maintained incrementally
-    so a path of length n costs O(n) updates.
-    """
-
-    population: Population
-    drawn: tuple[Fraction, ...]
-    remaining: tuple[Fraction, ...]
-    partial_sum: Fraction
-    partial_square_sum: Fraction
-
-    @property
-    def k(self) -> int:
-        return len(self.drawn)
-
-    @classmethod
-    def initial(cls, population: Population) -> "PathState":
-        return cls(
-            population=population,
-            drawn=(),
-            remaining=population.values,
-            partial_sum=Fraction(0),
-            partial_square_sum=Fraction(0),
-        )
-
-    def extend(self, value) -> "PathState":
-        """Draw one more value, which must still be in ``remaining``."""
-        v = as_fraction(value)
+def drawn_prefix(population: Population, prefix: Sequence) -> tuple[Fraction, ...]:
+    """``prefix`` as Fractions, each still undrawn when it comes: a
+    repeated value may be drawn once for each of its copies."""
+    drawn = tuple(as_fraction(v) for v in prefix)
+    remaining = list(population.values)
+    for v in drawn:
         try:
-            i = self.remaining.index(v)
+            remaining.remove(v)
         except ValueError:
             raise InvalidInputError(
                 f"value {format_rational(v)} is not among the remaining items"
             ) from None
-        return PathState(
-            population=self.population,
-            drawn=self.drawn + (v,),
-            remaining=self.remaining[:i] + self.remaining[i + 1 :],
-            partial_sum=self.partial_sum + v,
-            partial_square_sum=self.partial_square_sum + v * v,
-        )
-
-
-def state_for_prefix(population: Population, prefix: Sequence) -> PathState:
-    """PathState after drawing ``prefix`` in order."""
-    st = PathState.initial(population)
-    for v in prefix:
-        st = st.extend(v)
-    return st
+    return drawn
 
 
 def validate_permutation(permutation: Sequence[int], n: int) -> tuple[int, ...]:
@@ -203,30 +163,6 @@ def validate_permutation(permutation: Sequence[int], n: int) -> tuple[int, ...]:
             f"expected a permutation of 1..{n}, got {perm!r}"
         )
     return perm
-
-
-@dataclass(frozen=True)
-class PathTrajectory:
-    """All n+1 states along one permutation of the population."""
-
-    population: Population
-    permutation: tuple[int, ...]
-    states: tuple[PathState, ...]
-
-
-def path_for(population: Population, permutation: Sequence[int]) -> PathTrajectory:
-    """Trajectory of PathStates for drawing order ``permutation``.
-
-    ``permutation`` is 1-based over item labels, so duplicates in the
-    population are handled as distinct items.
-    """
-    perm = validate_permutation(permutation, population.n)
-    states = [PathState.initial(population)]
-    for idx in perm:
-        states.append(states[-1].extend(population.values[idx - 1]))
-    return PathTrajectory(
-        population=population, permutation=perm, states=tuple(states)
-    )
 
 
 def iter_permutations(n: int) -> Iterator[tuple[int, ...]]:

@@ -1,12 +1,20 @@
 """Shared helpers for the test suite.
 
 Randomized tests draw centered rational populations from a seeded
-generator so every run exercises the same inputs.
+generator so every run exercises the same inputs.  Hypothesis runs
+under one derandomized profile with no example database, so each
+property test also draws the same examples on every run; its own
+``max_examples`` and ``deadline`` still apply.
 """
 
 import random
 
+from hypothesis import settings
+
 from permartingale import random_centered_population
+
+settings.register_profile("pinned", derandomize=True, database=None)
+settings.load_profile("pinned")
 
 
 def centered_pops(n, count, seed):

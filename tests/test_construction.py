@@ -21,7 +21,6 @@ from permartingale import (
     product_of_inverses,
     quadratic_inverse_product,
     quadratic_transition,
-    state_for_prefix,
     vector_martingale_value,
     weighted_inverse_product,
     weighted_transition,
@@ -56,9 +55,17 @@ def test_product_of_inverses_order():
     assert product_of_inverses([a, b]) == matrix_inverse(matrix_multiply(b, a))
 
 
-def expected_next_vector(system, state):
+def undrawn(pop, prefix):
+    """The values of ``pop`` left after drawing ``prefix``, with repeats."""
+    rest = list(pop.values)
+    for x in prefix:
+        rest.remove(x)
+    return rest
+
+
+def expected_next_vector(system, pop, prefix):
     """Average the one-step state vectors directly over the next draws."""
-    vecs = [system.state_vector(state.extend(x)) for x in state.remaining]
+    vecs = [system.state_vector((*prefix, x)) for x in undrawn(pop, prefix)]
     total = tuple(sum(col, Fraction(0)) for col in zip(*vecs))
     return tuple(v / len(vecs) for v in total)
 
@@ -67,24 +74,22 @@ def test_quadratic_transition_matches_sampling():
     pop = make_population([1, -1, 2, -2, 3])
     system = build_transition_system(Basis.QUADRATIC, population=pop)
     for prefix in [(), (2,), (2, -1), (-2, 3)]:
-        state = state_for_prefix(pop, prefix)
-        if state.k > system.max_step_state:
+        if len(prefix) > system.max_step_state:
             continue
         lhs = matrix_vector(
-            system.step_matrix(state.k), system.state_vector(state)
+            system.step_matrix(len(prefix)), system.state_vector(prefix)
         )
-        assert lhs == expected_next_vector(system, state)
+        assert lhs == expected_next_vector(system, pop, prefix)
 
 
 def test_quadratic_transition_on_uncentered_population():
     pop = make_population([1, 2, 4, 8])
     system = build_transition_system(Basis.QUADRATIC, population=pop)
     for prefix in [(), (2,)]:
-        state = state_for_prefix(pop, prefix)
         lhs = matrix_vector(
-            system.step_matrix(state.k), system.state_vector(state)
+            system.step_matrix(len(prefix)), system.state_vector(prefix)
         )
-        assert lhs == expected_next_vector(system, state)
+        assert lhs == expected_next_vector(system, pop, prefix)
 
 
 def test_weighted_transition_matches_sampling():
@@ -94,11 +99,10 @@ def test_weighted_transition_matches_sampling():
         Basis.WEIGHTED, population=pop, multipliers=ws
     )
     for prefix in [(), (1,), (1, -2), (2, -1)]:
-        state = state_for_prefix(pop, prefix)
         lhs = matrix_vector(
-            system.step_matrix(state.k), system.state_vector(state)
+            system.step_matrix(len(prefix)), system.state_vector(prefix)
         )
-        assert lhs == expected_next_vector(system, state)
+        assert lhs == expected_next_vector(system, pop, prefix)
 
 
 def test_transition_range_errors():
@@ -160,8 +164,7 @@ def test_transition_system_shape_and_bounds():
     assert system.max_step_state == 3
     assert system.max_product_index == 4
     assert len(system.inverse_products) == system.max_product_index
-    state = state_for_prefix(pop, (1, -1))
-    assert system.state_vector(state) == (0, 0, 2, 1)
+    assert system.state_vector((1, -1)) == (0, 0, 2, 1)
     with pytest.raises(DomainError):
         system.step_matrix(4)
     with pytest.raises(DomainError):
@@ -177,13 +180,19 @@ def test_index_ranges_follow_the_products(basis):
     pop = make_population([1, -1, 2, -2, 3, -3])
     ws = [1, 2, 0, -1, 3, 1] if basis is Basis.WEIGHTED else None
     system = build_transition_system(basis, population=pop, multipliers=ws)
+    for k in (pop.n, pop.n + 1):
+        with pytest.raises(DomainError, match=f"outside 0..{system.max_step_state}"):
+            system.step_matrix(k)
     cut = replace(system, inverse_products=system.inverse_products[:2])
     assert (cut.max_product_index, cut.max_step_state) == (2, 1)
     assert cut.inverse_product(2) == system.inverse_product(2)
+    assert cut.step_matrix(1) == system.step_matrix(1)
+    with pytest.raises(DomainError, match="outside 0..1"):
+        cut.step_matrix(cut.max_step_state + 1)
     with pytest.raises(DomainError, match="outside 1..2"):
         cut.inverse_product(3)
     with pytest.raises(DomainError, match="outside 1..2"):
-        vector_martingale_value(cut, state_for_prefix(pop, (1, -1, 2)))
+        vector_martingale_value(cut, (1, -1, 2))
 
 
 def test_weighted_system_state_vector():
@@ -192,8 +201,7 @@ def test_weighted_system_state_vector():
     system = build_transition_system(
         Basis.WEIGHTED, population=pop, multipliers=ws
     )
-    state = state_for_prefix(pop, (1, 2))
-    assert system.state_vector(state) == (2, 3)
+    assert system.state_vector((1, 2)) == (2, 3)
     assert system.max_product_index == 3
 
 
@@ -247,15 +255,30 @@ def test_weighted_basis_requires_a_centered_total():
 def test_vector_martingale_value_bounds():
     pop = make_population([1, -1, 2, -2])
     system = build_transition_system(Basis.QUADRATIC, population=pop)
-    state = state_for_prefix(pop, (2, -1))
-    value = vector_martingale_value(system, state)
+    value = vector_martingale_value(system, (2, -1))
     assert value == matrix_vector(
-        system.inverse_product(2), system.state_vector(state)
+        system.inverse_product(2), system.state_vector((2, -1))
     )
+    assert vector_martingale_value(system, ("2", Fraction(-1))) == value
     with pytest.raises(DomainError):
-        vector_martingale_value(system, state_for_prefix(pop, ()))
+        vector_martingale_value(system, ())
     with pytest.raises(DomainError):
-        vector_martingale_value(system, state_for_prefix(pop, (1, -1, 2)))
+        vector_martingale_value(system, (1, -1, 2))
+
+
+@pytest.mark.parametrize("basis", list(Basis))
+def test_a_prefix_longer_than_n_is_refused(basis):
+    # the system holds no population, so the length is all it can check;
+    # the weighted W_k would otherwise stop at the last multiplier
+    pop = make_population([1, -1, 2, -2])
+    ws = [1, 2, 3, 4] if basis is Basis.WEIGHTED else None
+    system = build_transition_system(basis, population=pop, multipliers=ws)
+    assert system.state_vector((1, -1, 2, -2))[1] == 0  # S_n of a full draw
+    too_long = (1, -1, 2, -2, 1)
+    with pytest.raises(InvalidInputError, match="longer than n=4"):
+        system.state_vector(too_long)
+    with pytest.raises(InvalidInputError, match="longer than n=4"):
+        vector_martingale_value(system, too_long)
 
 
 def test_matrix_as_strings():

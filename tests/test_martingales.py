@@ -19,16 +19,13 @@ from permartingale import (
     check_sequence,
     check_vector_martingale,
     counterexample_suite,
-    evaluate,
     evaluate_prefix,
     initial_expectation,
     iter_permutations,
     make_bridge_population,
     make_population,
     make_spec,
-    path_for,
     random_centered_population,
-    state_for_prefix,
     vector_martingale_value,
     weighted_second_moment,
     weighted_second_moment_oracle,
@@ -70,10 +67,11 @@ def test_weighted_with_unit_multipliers_is_m2():
         w_spec = make_spec(MartingaleKind.WEIGHTED, pop, ones)
         m2_spec = make_spec(MartingaleKind.M2, pop)
         for perm in iter_permutations(pop.n):
-            path = path_for(pop, perm)
+            xs = [pop.values[i - 1] for i in perm]
             for k in range(1, pop.n):
-                state = path.states[k]
-                assert evaluate(w_spec, state) == evaluate(m2_spec, state)
+                assert evaluate_prefix(w_spec, xs[:k]) == evaluate_prefix(
+                    m2_spec, xs[:k]
+                )
 
 
 def test_chain_equals_weighted_with_realized_multipliers():
@@ -108,11 +106,10 @@ def test_quadratic_vector_first_coordinate_is_scaled_mtilde():
         spec = make_spec(MartingaleKind.MTILDE, pop)
         n = pop.n
         for perm in iter_permutations(n):
-            path = path_for(pop, perm)
+            xs = [pop.values[i - 1] for i in perm]
             for k in range(1, n - 1):
-                state = path.states[k]
-                vec = vector_martingale_value(system, state)
-                assert vec[0] == n * evaluate(spec, state)
+                vec = vector_martingale_value(system, xs[:k])
+                assert vec[0] == n * evaluate_prefix(spec, xs[:k])
                 assert vec[-1] == 1
 
 
@@ -138,10 +135,10 @@ def test_evaluate_range_and_population_checks():
     with pytest.raises(DomainError, match="divide"):
         evaluate_prefix(spec, (1, -1, 2))
     with pytest.raises(DomainError):
-        evaluate(spec, state_for_prefix(FOUR, ()))
-    other = make_population([2, -1, -1])
-    with pytest.raises(InvalidInputError):
-        evaluate(spec, state_for_prefix(other, (2,)))
+        evaluate_prefix(spec, ())
+    # a value outside the spec's population is never a history of it
+    with pytest.raises(InvalidInputError, match="value 3 is not among"):
+        evaluate_prefix(spec, (3,))
 
 
 def test_check_martingale_holds_for_every_kind():
@@ -199,8 +196,8 @@ def test_corrupted_evaluator_fails_with_witness():
 
 
 def test_check_martingale_certifies_the_evaluator_it_returns(monkeypatch):
-    # a typo in an order-free closed form must reach both evaluate and the
-    # exhaustive check, since both read the one value table
+    # a typo in an order-free closed form must reach both evaluate_prefix
+    # and the exhaustive check, since both read the one value table
     from permartingale import martingales
 
     def wrong_m2(pop):
@@ -216,8 +213,8 @@ def test_check_martingale_certifies_the_evaluator_it_returns(monkeypatch):
 
 
 def test_check_martingale_certifies_the_weighted_definition(monkeypatch):
-    # a typo in the one weighted definition must reach evaluate, the ordered
-    # check of both kinds and the moment oracle
+    # a typo in the one weighted definition must reach evaluate_prefix, the
+    # ordered check of both kinds and the moment oracle
     from permartingale import martingales
 
     def wrong(n):
@@ -260,8 +257,7 @@ def test_weighted_vector_check_certifies_the_inverse_products(monkeypatch):
     w = check.worst_history
     assert not check.holds and w is not None
     # the witness is the corrupted product applied to the witness history
-    state = state_for_prefix(FOUR, w.prefix)
-    assert w.value == vector_martingale_value(corrupted[0], state)
+    assert w.value == vector_martingale_value(corrupted[0], w.prefix)
     assert w.value != w.conditional_mean
 
 
@@ -338,7 +334,7 @@ def _generic_reports(pop, ws, system=None):
     reports.append(
         check_sequence(
             pop,
-            lambda p: vector_martingale_value(system, state_for_prefix(pop, p)),
+            lambda p: vector_martingale_value(system, p),
             1,
             n - 1,
         )
@@ -514,8 +510,5 @@ def test_counterexample_suite_on_a_custom_population():
 def test_martingale_identity_spot_check_by_hand():
     # A direct one-step average, independent of the checker machinery.
     spec = make_spec(MartingaleKind.MTILDE, FOUR)
-    state = state_for_prefix(FOUR, (2,))
-    children = [
-        evaluate(spec, state.extend(x)) for x in state.remaining
-    ]
-    assert sum(children, Fraction(0)) / len(children) == evaluate(spec, state)
+    children = [evaluate_prefix(spec, (2, x)) for x in (1, -1, -2)]
+    assert sum(children, Fraction(0)) / len(children) == evaluate_prefix(spec, (2,))

@@ -1,4 +1,9 @@
+import ast
+import contextlib
+import io
+import re
 import types
+from pathlib import Path
 
 import permartingale
 
@@ -10,3 +15,27 @@ def test_all_exports_resolve_and_are_not_modules():
         assert not isinstance(value, types.ModuleType), name
     assert "verify" in permartingale.__all__
     assert "inequalities" not in permartingale.__all__
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_examples_print_what_they_say():
+    # every python block runs in order in one namespace; a line
+    # `print(...)  # text` must print a prefix of its comment
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text("utf-8"), re.S)
+    namespace: dict = {}
+    checked = 0
+    for block in blocks:
+        lines = block.splitlines()
+        for stmt in ast.parse(block).body:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            said = re.fullmatch(r"print\(.*\)\s+# (.*)", lines[stmt.end_lineno - 1])
+            if said:
+                printed = out.getvalue()
+                assert printed.count("\n") == 1 and printed != "\n", printed
+                assert said[1].startswith(printed[:-1]), (printed, said[1])
+                checked += 1
+    assert checked == 4

@@ -7,27 +7,29 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from permartingale import (
+    Basis,
     DEFAULT_ENUMERATION_CUTOFF,
     EnumerationLimitError,
     InvalidInputError,
     MAX_ENUMERATION_CUTOFF,
     PreconditionError,
     bridge_parameter,
+    build_transition_system,
+    evaluate_prefix,
     iter_permutations,
     load_population,
     make_bridge_population,
     make_population,
+    make_spec,
     mean_over_ordered_draws,
     mean_over_orderings,
     mean_over_subsets,
     parse_population_text,
-    path_for,
     random_centered_population,
-    state_for_prefix,
     validate_permutation,
     verify,
 )
-from permartingale.population import ensure_enumerable, resolve_cutoff
+from permartingale.population import drawn_prefix, ensure_enumerable, resolve_cutoff
 
 from conftest import pop_file
 
@@ -80,31 +82,43 @@ def test_bridge_population_and_detection():
         make_bridge_population(0)
 
 
-def test_path_state_tracks_running_sums():
+def test_state_vector_tracks_running_sums():
+    # the quadratic basis state (S_k^2, S_k, T_k, 1) of a prefix
     pop = make_population([1, -1, 2, -2])
-    st_ = state_for_prefix(pop, (2, -1))
-    assert st_.k == 2
-    assert st_.partial_sum == 1
-    assert st_.partial_square_sum == 5
-    assert sorted(st_.drawn + st_.remaining) == sorted(pop.values)
-    ext = st_.extend(Fraction(-2))
-    assert ext.k == 3 and ext.partial_sum == -1
+    system = build_transition_system(Basis.QUADRATIC, population=pop)
+    assert system.state_vector((2, -1)) == (1, 1, 5, 1)
+    assert system.state_vector((2, -1, Fraction(-2))) == (1, -1, 9, 1)
+    assert system.state_vector(()) == (0, 0, 0, 1)
 
 
-def test_state_for_prefix_rejects_values_not_remaining():
+def test_state_vector_walks_a_permutation():
     pop = make_population([1, -1, 2, -2])
-    with pytest.raises(InvalidInputError):
-        state_for_prefix(pop, (3,))
-    with pytest.raises(InvalidInputError):
-        state_for_prefix(pop, (1, 1))
+    system = build_transition_system(Basis.QUADRATIC, population=pop)
+    xs = [pop.values[i - 1] for i in (3, 1, 4, 2)]
+    states = [system.state_vector(xs[:k]) for k in range(pop.n + 1)]
+    assert [v[1] for v in states] == [0, 2, 3, 1, 0]
+    assert [v[2] for v in states] == [0, 4, 5, 9, 10]
 
 
-def test_path_for_walks_a_permutation():
+def test_drawn_prefix_rejects_values_not_remaining():
     pop = make_population([1, -1, 2, -2])
-    traj = path_for(pop, (3, 1, 4, 2))
-    assert [st_.partial_sum for st_ in traj.states] == [0, 2, 3, 1, 0]
-    assert [st_.partial_square_sum for st_ in traj.states] == [0, 4, 5, 9, 10]
-    assert len(traj.states) == 5
+    spec = make_spec("m2", pop)
+    for bad in [(3,), (1, 1)]:
+        with pytest.raises(InvalidInputError, match="not among the remaining"):
+            drawn_prefix(pop, bad)
+        with pytest.raises(InvalidInputError, match="not among the remaining"):
+            evaluate_prefix(spec, bad)
+
+
+def test_drawn_prefix_draws_each_copy_once_and_coerces():
+    pop = make_population([1, 1, -2])
+    assert drawn_prefix(pop, (1, 1)) == (1, 1)
+    with pytest.raises(InvalidInputError, match="value 1 is not among"):
+        drawn_prefix(pop, (1, 1, 1))
+    assert evaluate_prefix(make_spec("m2", pop), (1, 1)) == 6
+    drawn = drawn_prefix(make_population(["1/2", -1, "1/2"]), ("1/2", -1))
+    assert drawn == (Fraction(1, 2), -1)
+    assert all(type(x) is Fraction for x in drawn)
 
 
 def test_validate_permutation():
