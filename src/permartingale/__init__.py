@@ -52,7 +52,6 @@ from .martingales import (
     check_vector_martingale,
     counterexample_suite,
     evaluate_prefix,
-    initial_expectation,
     make_spec,
 )
 from .moments import (
@@ -78,14 +77,12 @@ from .population import (
     MAX_ENUMERATION_CUTOFF,
     Population,
     bridge_parameter,
-    iter_permutations,
     load_population,
     make_bridge_population,
     make_population,
     mean_over_ordered_draws,
     mean_over_orderings,
     mean_over_subsets,
-    parse_population_text,
     random_centered_population,
     validate_permutation,
 )

@@ -177,10 +177,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+        return exc.code
     try:
         return args.handler(args)
     except (Error, OSError) as exc:

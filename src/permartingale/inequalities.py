@@ -290,7 +290,11 @@ class InequalityReport:
     samples: int | None = None
     seed: int | None = None
     weights: tuple[Fraction, ...] | None = None
-    bridge_m: int | None = None
+
+    @property
+    def bridge_m(self) -> int | None:
+        """m of the ±1 bridge population, for the bridge id only."""
+        return self.n // 2 if _RULES[self.id].bridge else None
 
     @property
     def holds(self) -> bool:
@@ -644,6 +648,10 @@ def _order_free(key, **fields) -> _Rule:
     return _Rule(exact=partial(_on_lattice, engine, ks, key), **fields)
 
 
+def _average_squared(n, k, s, t, w) -> Fraction:
+    return (s / k) ** 2
+
+
 def _w_squared(n, k, s, t, w) -> Fraction:
     return w * w
 
@@ -651,7 +659,7 @@ def _w_squared(n, k, s, t, w) -> Fraction:
 _RULES: dict[InequalityId, _Rule] = {
     InequalityId.MAX_AVERAGES: _order_free(
         rhs=lambda pop, ws: Fraction(4, pop.n) * pop.square_sum,
-        term=lambda n, k, s, t, w: (s / k) ** 2,
+        term=_average_squared,
         key=_averages_key,
         floats=_float_averages,
     ),
@@ -716,7 +724,7 @@ _RULES: dict[InequalityId, _Rule] = {
     ),
     InequalityId.HARDY: _order_free(
         rhs=lambda pop, ws: 4 * pop.square_sum,
-        term=lambda n, k, s, t, w: (s / k) ** 2,
+        term=_average_squared,
         reduce=sum,
         over_orderings="max",
         key=_averages_key,
@@ -883,5 +891,4 @@ def verify(
         samples=samples,
         seed=seed,
         weights=ws if rule.weights == "given" else None,
-        bridge_m=n // 2 if rule.bridge else None,
     )

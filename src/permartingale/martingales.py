@@ -182,9 +182,12 @@ class MartingaleViolation:
     """
 
     prefix: tuple[Fraction, ...]
-    k: int
     value: object
     conditional_mean: object
+
+    @property
+    def k(self) -> int:
+        return len(self.prefix)
 
     def to_dict(self) -> dict:
         return {
@@ -247,12 +250,11 @@ class _Vector(tuple):
         return _Vector(x / c for x in self)
 
 
-def _violation(prefix, k: int, v, acc, n: int) -> MartingaleViolation:
+def _violation(prefix, v, acc, n: int) -> MartingaleViolation:
     """The failed one-step identity at a history of value ``v`` whose n-k
     next-draw values sum to ``acc``."""
-    return MartingaleViolation(
-        prefix=tuple(prefix), k=k, value=v, conditional_mean=acc / (n - k)
-    )
+    prefix = tuple(prefix)
+    return MartingaleViolation(prefix, v, acc / (n - len(prefix)))
 
 
 def _check_order_free(
@@ -281,7 +283,7 @@ def _check_order_free(
         acc = sum(value[mask | 1 << i] for i in range(n) if not mask >> i & 1)
         if acc != (n - k) * v:
             prefix = [x for i, x in enumerate(population.values) if mask >> i & 1]
-            return MartingaleCheck(_violation(prefix, k, v, acc, n), states)
+            return MartingaleCheck(_violation(prefix, v, acc, n), states)
     return MartingaleCheck(None, len(sets))
 
 
@@ -314,7 +316,7 @@ def _check_ordered(
             v = fn(prefix)
             acc = sum(fn((*prefix, x)) for x in vals[k:])
             if acc != (n - k) * v:
-                violation = _violation(prefix, k, v, acc, n)
+                violation = _violation(prefix, v, acc, n)
                 return
         if k >= k_max - 1:
             return
@@ -379,7 +381,6 @@ def _walk_weighted(values, d: int, multipliers, value, scale: int) -> Martingale
         nonlocal violation
         violation = _violation(
             [Fraction(v, d) for v in prefix],
-            k,
             g / Fraction((n - k) * scale),
             csum / Fraction((n - k - 1) * scale),
             n,
@@ -522,16 +523,6 @@ def check_vector_martingale(
     return _walk_weighted(xs, d, ws, value, c * d * e)
 
 
-def initial_expectation(spec: MartingaleSpec) -> Fraction:
-    """Exact mean of the martingale at its first index over the n
-    equally likely first draws."""
-    pop = spec.population
-    total = sum(
-        (evaluate_prefix(spec, (x,)) for x in pop.values), Fraction(0)
-    )
-    return total / pop.n
-
-
 @dataclass(frozen=True)
 class CounterexampleEntry:
     """One negative-control result."""
@@ -570,15 +561,19 @@ class CounterexampleReport:
         return {"ok": self.ok, "entries": [e.to_dict() for e in self.entries]}
 
 
-def counterexample_suite(population: Population | None = None) -> CounterexampleReport:
+def counterexample_suite(
+    population: Population | None = None, cutoff: int | None = None
+) -> CounterexampleReport:
     """Run the fixed library of near-miss sequences.
 
     Each entry is a plausible-looking compensation of a running sum.
     The ones marked ``expected_to_hold=False`` must fail the exhaustive
     check with a witness history; the positive controls must pass.
-    This guards the checker itself against going soft.
+    This guards the checker itself against going soft.  Like the other
+    exhaustive checks it refuses n above the cutoff.
     """
     pop = population if population is not None else make_population([1, -1, 2, -2])
+    ensure_checkable(pop.n, cutoff)
     pop.require_centered("the counterexample suite")
     n = pop.n
     b = pop.square_sum

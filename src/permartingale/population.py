@@ -104,9 +104,6 @@ class Population:
         """Float image of the values, for Monte Carlo estimators only."""
         return float_values(self.values, "a population value")
 
-    def __str__(self) -> str:
-        return "{" + ", ".join(format_rational(v) for v in self.values) + "}"
-
 
 def make_population(values: Iterable) -> Population:
     """Build a :class:`Population` from ints, Fractions, or 'p/q' strings."""
@@ -165,21 +162,6 @@ def validate_permutation(permutation: Sequence[int], n: int) -> tuple[int, ...]:
     return perm
 
 
-def iter_permutations(n: int) -> Iterator[tuple[int, ...]]:
-    """All permutations of 1..n in lexicographic order."""
-    if n < 1:
-        raise InvalidInputError(f"need n >= 1, got {n}")
-    return itertools.permutations(range(1, n + 1))
-
-
-def _as_rng(rng) -> random.Random:
-    if isinstance(rng, random.Random):
-        return rng
-    if isinstance(rng, int) and not isinstance(rng, bool):
-        return random.Random(rng)
-    raise InvalidInputError(f"rng must be a random.Random or int seed, got {rng!r}")
-
-
 def random_centered_population(
     n: int,
     rng,
@@ -196,11 +178,12 @@ def random_centered_population(
                          ("max_denominator", max_denominator, 1)):
         if not isinstance(v, int) or isinstance(v, bool) or v < low:
             raise InvalidInputError(f"need an int {name} >= {low}, got {v!r}")
-    r = _as_rng(rng)
+    if not isinstance(rng, random.Random):
+        raise InvalidInputError(f"rng must be a random.Random, got {rng!r}")
     while True:
         head = [
-            Fraction(r.randint(-max_numerator, max_numerator),
-                     r.randint(1, max_denominator))
+            Fraction(rng.randint(-max_numerator, max_numerator),
+                     rng.randint(1, max_denominator))
             for _ in range(n - 1)
         ]
         vals = head + [-sum(head, Fraction(0))]
@@ -260,16 +243,11 @@ def read_text_file(path: str, what: str) -> str:
         raise InvalidInputError(f"cannot read {what} file {path}: {exc}") from None
 
 
-def parse_population_text(text: str, lenient: bool = False) -> Population:
-    """Parse one value per line; '#' starts a comment, blanks ignored."""
-    return make_population(parse_scalar_lines(text, lenient=lenient))
-
-
 def load_population(path: str, lenient: bool = False) -> Population:
-    """Read a population file (one value per line)."""
-    return parse_population_text(
-        read_text_file(path, "population"), lenient=lenient
-    )
+    """Read a population file: one value per line, '#' starts a comment,
+    blank lines are ignored."""
+    text = read_text_file(path, "population")
+    return make_population(parse_scalar_lines(text, lenient, f"{path}, "))
 
 
 def mean_over_orderings(

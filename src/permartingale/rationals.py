@@ -9,6 +9,7 @@ scalar is an integer or a quotient ``p/q``, never a decimal.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -16,6 +17,7 @@ from typing import Iterable, Sequence
 from .errors import InvalidInputError
 
 _EXACT_RE = re.compile(r"^[+-]?\d+(?:\s*/\s*\d+)?$")
+_EXPONENT_RE = re.compile(r"e[+-]?([\d_]+)$", re.IGNORECASE)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -53,6 +55,17 @@ def parse_scalar(text: str, lenient: bool = False) -> Fraction:
     """
     s = text.strip()
     if lenient and not _EXACT_RE.match(s):
+        # Fraction would compute 10**exponent, for seconds; its numerator
+        # or denominator would have more digits than a strict scalar may
+        exponent = _EXPONENT_RE.search(s)
+        limit = sys.get_int_max_str_digits()
+        if exponent and limit:
+            digits = exponent[1].replace("_", "").lstrip("0")
+            if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+                raise InvalidInputError(
+                    f"the exponent of a scalar of {len(s)} characters exceeds "
+                    "the interpreter's limit on integer digits"
+                )
         try:
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:

@@ -5,6 +5,7 @@ import math
 import random
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -237,7 +238,7 @@ def test_exit_codes_for_bad_input(tmp_path, four_file):
     bad = tmp_path / "bad.txt"
     bad.write_text("1\nnot-a-number\n", encoding="utf-8")
     rc, _, err = run_cli(["moments", "--population", str(bad)])
-    assert rc == 2 and "line 2" in err
+    assert rc == 2 and f"{bad}, line 2" in err
     rc, _, err = run_cli(
         ["check-inequality", "--id", "max_averages", "--population",
          four_file, "--mode", "mc", "--samples", "100"]
@@ -372,6 +373,29 @@ def test_sweep_empty_file(tmp_path):
     payload = json.loads(out)
     assert payload["total"] == 0
     assert payload["passed"] == 0 and payload["failed"] == 0
+
+
+def test_sweep_counts_a_row_that_runs_but_does_not_hold(tmp_path):
+    spec = tmp_path / "rows.json"
+    spec.write_text(json.dumps([
+        {"id": "vna_weighted", "population": ["1", "-1", "2", "-2"],
+         "weights": ["1", "-1/2", "1", "1/4"]},
+        {"id": "max_averages", "mode": "mc", "population": ["1", "-1"],
+         "samples": 1, "seed": 3},
+    ]), encoding="utf-8")
+    rc, out, _ = run_cli(["sweep", str(spec)])
+    payload = json.loads(out)
+    assert rc == 1
+    assert (payload["passed"], payload["failed"], payload["errors"]) == (1, 1, 0)
+    first, second = (row["report"] for row in payload["rows"])
+    assert first["holds"] and first["params"]["weights"] == ["1", "-1/2", "1", "1/4"]
+    assert second["status"] == "inconclusive" and not second["holds"]
+    rc, out, _ = run_cli(["sweep", str(spec), "--format", "text"])
+    assert rc == 1
+    assert out.splitlines()[1:] == [
+        "row 1: id=max_averages mode=mc n=2 lhs=1.0 rhs=4 status=inconclusive",
+        "total 2, passed 1, failed 1, errors 0",
+    ]
 
 
 def test_sweep_mixed_rows(tmp_path, four_file):
@@ -621,10 +645,15 @@ BIG = "9" * 5000  # past the interpreter's 4,300-digit conversion limit
 
 
 @pytest.mark.parametrize("case", ["exact", "moments", "martingale", "dump",
-                                  "sweep_string", "sweep_literal", "printing"])
+                                  "sweep_string", "sweep_literal", "printing",
+                                  "mc_population", "mc_weights"])
 def test_integers_past_the_digit_limit_are_refused(case, tmp_path):
     pop = pop_file(tmp_path, [BIG, "-" + BIG, 1, -1])
     spec = tmp_path / "rows.json"
+    # Monte Carlo files take decimals: Fraction would spend seconds on
+    # each of these exponents, and minutes on 10**99999999
+    huge = pop_file(tmp_path, ["-1e-99999999", "1e99999999"], "huge.txt")
+    huge_weights = pop_file(tmp_path, ["1e99999999", "-1e-99999999", 1, 1], "w.txt")
     argv = {
         "exact": ["check-inequality", "--id", "max_averages", "--population",
                   pop, "--mode", "exact"],
@@ -637,6 +666,13 @@ def test_integers_past_the_digit_limit_are_refused(case, tmp_path):
         # parsed, but the fourth-moment rows run to about 6,000 digits
         "printing": ["moments", "--population",
                      pop_file(tmp_path, [10**1500, -10**1500, 2, -2], "p.txt")],
+        "mc_population": ["check-inequality", "--id", "max_averages", "--mode",
+                          "mc", "--samples", "10", "--seed", "1",
+                          "--population", huge],
+        "mc_weights": ["check-inequality", "--id", "vna_weighted", "--mode", "mc",
+                       "--samples", "10", "--seed", "1", "--population",
+                       pop_file(tmp_path, [1, -1, 2, -2], "four.txt"),
+                       "--weights", huge_weights],
     }[case]
     spec.write_text({
         "sweep_string": json.dumps(
@@ -646,7 +682,9 @@ def test_integers_past_the_digit_limit_are_refused(case, tmp_path):
         ),
         "sweep_literal": f'[{{"id": "max_averages", "population": [{BIG}, -{BIG}, 1, -1]}}]',
     }.get(case, "[]"), encoding="utf-8")
+    start = time.perf_counter()
     rc, out, err = run_cli(argv)
+    assert time.perf_counter() - start < 5
     assert "Traceback" not in err
     if case == "sweep_string":
         # a row at fault is that row's error; the other rows still run

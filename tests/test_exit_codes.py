@@ -30,7 +30,7 @@ HUGE = str(10**30)
 # hostile scalars: non-finite, malformed, unicode, huge and negative
 HOSTILE = st.sampled_from(
     ("nan", "inf", "-inf", "", " ", "1/0", "1e3", "0x10", "é", "½", "٣",
-     "--", "-1", "0", HUGE, "-" + HUGE, BIG, "-" + BIG, "1/" + BIG)
+     "--", "-1", "0", HUGE, "-" + HUGE, BIG, "-" + BIG, "1/" + BIG, "1e99999999")
 )
 SMALL = st.integers(-9, 9).map(str) | st.builds(
     "{}/{}".format, st.integers(-9, 9), st.integers(1, 4)

@@ -20,8 +20,6 @@ from permartingale import (
     check_vector_martingale,
     counterexample_suite,
     evaluate_prefix,
-    initial_expectation,
-    iter_permutations,
     make_bridge_population,
     make_population,
     make_spec,
@@ -36,12 +34,18 @@ from conftest import centered_pops
 FOUR = make_population([1, -1, 2, -2])
 
 
+def first_draw_mean(spec):
+    """Mean of the martingale at k = 1 over the n equally likely first draws."""
+    values = spec.population.values
+    return sum(evaluate_prefix(spec, (x,)) for x in values) / len(values)
+
+
 def test_mtilde_worked_values():
     pop = make_population([2, -1, -1])
     spec = make_spec(MartingaleKind.MTILDE, pop)
     assert evaluate_prefix(spec, (2,)) == 3
     assert evaluate_prefix(spec, (-1,)) == Fraction(-3, 2)
-    assert initial_expectation(spec) == 0
+    assert first_draw_mean(spec) == 0
 
 
 def test_m2_values():
@@ -58,7 +62,7 @@ def test_m3_values():
     spec = make_spec(MartingaleKind.M3, FOUR)
     # (n T_k - k B) / (n - k) with B = 10
     assert evaluate_prefix(spec, (2,)) == Fraction(4 * 4 - 10, 3)
-    assert initial_expectation(spec) == 0
+    assert first_draw_mean(spec) == 0
 
 
 def test_weighted_with_unit_multipliers_is_m2():
@@ -66,7 +70,7 @@ def test_weighted_with_unit_multipliers_is_m2():
         ones = [1] * pop.n
         w_spec = make_spec(MartingaleKind.WEIGHTED, pop, ones)
         m2_spec = make_spec(MartingaleKind.M2, pop)
-        for perm in iter_permutations(pop.n):
+        for perm in itertools.permutations(range(1, pop.n + 1)):
             xs = [pop.values[i - 1] for i in perm]
             for k in range(1, pop.n):
                 assert evaluate_prefix(w_spec, xs[:k]) == evaluate_prefix(
@@ -77,7 +81,7 @@ def test_weighted_with_unit_multipliers_is_m2():
 def test_chain_equals_weighted_with_realized_multipliers():
     for pop in centered_pops(5, 8, seed=13):
         chain = make_spec(MartingaleKind.CHAIN_QUADRATIC, pop)
-        for perm in iter_permutations(pop.n):
+        for perm in itertools.permutations(range(1, pop.n + 1)):
             xs = [pop.values[i - 1] for i in perm]
             realized = [Fraction(0)] + xs[:-1]
             w_spec = make_spec(MartingaleKind.WEIGHTED, pop, realized)
@@ -92,7 +96,7 @@ def test_m3_is_m2_on_the_squared_population():
         squared = make_population([v * v for v in pop.values])
         m3 = make_spec(MartingaleKind.M3, pop)
         m2_sq = make_spec(MartingaleKind.M2, squared)
-        for perm in iter_permutations(pop.n):
+        for perm in itertools.permutations(range(1, pop.n + 1)):
             xs = [pop.values[i - 1] for i in perm]
             for k in range(1, pop.n):
                 assert evaluate_prefix(m3, xs[:k]) == evaluate_prefix(
@@ -105,7 +109,7 @@ def test_quadratic_vector_first_coordinate_is_scaled_mtilde():
         system = build_transition_system(Basis.QUADRATIC, population=pop)
         spec = make_spec(MartingaleKind.MTILDE, pop)
         n = pop.n
-        for perm in iter_permutations(n):
+        for perm in itertools.permutations(range(1, n + 1)):
             xs = [pop.values[i - 1] for i in perm]
             for k in range(1, n - 1):
                 vec = vector_martingale_value(system, xs[:k])
@@ -458,7 +462,7 @@ def test_weighted_checker_holds_on_seeded_populations():
         assert fast.states_checked == generic.states_checked
 
 
-def test_initial_expectation_is_zero_for_all_kinds():
+def test_first_draw_mean_is_zero_for_all_kinds():
     rng = random.Random(41)
     for n in (4, 6):
         pop = random_centered_population(n, rng)
@@ -468,9 +472,9 @@ def test_initial_expectation_is_zero_for_all_kinds():
             MartingaleKind.MTILDE,
             MartingaleKind.CHAIN_QUADRATIC,
         ):
-            assert initial_expectation(make_spec(kind, pop)) == 0
+            assert first_draw_mean(make_spec(kind, pop)) == 0
         ws = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-        assert initial_expectation(make_spec(MartingaleKind.WEIGHTED, pop, ws)) == 0
+        assert first_draw_mean(make_spec(MartingaleKind.WEIGHTED, pop, ws)) == 0
 
 
 def test_counterexample_suite_default_library():
@@ -505,6 +509,14 @@ def test_counterexample_suite_rejects_degenerate_populations():
 def test_counterexample_suite_on_a_custom_population():
     pop = make_population([3, -1, -1, -1, 0])
     assert counterexample_suite(pop).ok
+
+
+def test_counterexample_suite_refuses_above_the_cutoff():
+    pop = make_population([1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 0])
+    with pytest.raises(EnumerationLimitError, match="size 11, above the cutoff 10"):
+        counterexample_suite(pop)
+    assert vars(pop) == {"values": pop.values}  # refused before any sum is read
+    assert counterexample_suite(pop, cutoff=11).ok
 
 
 def test_martingale_identity_spot_check_by_hand():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -16,7 +17,6 @@ from permartingale import (
     bridge_parameter,
     build_transition_system,
     evaluate_prefix,
-    iter_permutations,
     load_population,
     make_bridge_population,
     make_population,
@@ -24,7 +24,6 @@ from permartingale import (
     mean_over_ordered_draws,
     mean_over_orderings,
     mean_over_subsets,
-    parse_population_text,
     random_centered_population,
     validate_permutation,
     verify,
@@ -128,12 +127,11 @@ def test_validate_permutation():
             validate_permutation(bad, 3)
 
 
-def test_iter_permutations_is_exhaustive_and_lexicographic():
-    perms = list(iter_permutations(3))
-    assert perms == [
-        (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)
-    ]
-    assert len(set(iter_permutations(4))) == 24
+def test_validate_permutation_accepts_every_ordering():
+    for n in range(1, 5):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        assert len(set(perms)) == math.factorial(n)
+        assert all(validate_permutation(list(p), n) == p for p in perms)
 
 
 def test_random_centered_population_contract():
@@ -168,21 +166,32 @@ def test_random_centered_population_refuses_bad_bounds(kwargs):
         random_centered_population(args.pop("n"), random.Random(1), **args)
 
 
-def test_parse_population_text_handles_comments_and_blanks():
-    pop = parse_population_text("# header\n 1 \n\n-1 # inline\n2\n-2\n")
-    assert pop.values == (1, -1, 2, -2)
+@pytest.mark.parametrize("rng", [1, None, "seed"])
+def test_random_centered_population_needs_a_random_instance(rng):
+    with pytest.raises(InvalidInputError, match="rng must be a random.Random"):
+        random_centered_population(4, rng)
+
+
+def test_load_population_handles_comments_and_blanks(tmp_path):
+    path = tmp_path / "pop.txt"
+    path.write_text("# header\n 1 \n\n-1 # inline\n2\n-2\n", encoding="utf-8")
+    assert load_population(str(path)).values == (1, -1, 2, -2)
+    path.write_text("1\n0.5\n", encoding="utf-8")
     with pytest.raises(InvalidInputError):
-        parse_population_text("1\n0.5\n")
-    assert parse_population_text("1\n0.5\n-1.5\n", lenient=True).values == (
+        load_population(str(path))
+    path.write_text("1\n0.5\n-1.5\n", encoding="utf-8")
+    assert load_population(str(path), lenient=True).values == (
         1,
         Fraction(1, 2),
         Fraction(-3, 2),
     )
 
 
-def test_parse_population_text_reports_line_number():
-    with pytest.raises(InvalidInputError, match="line 3"):
-        parse_population_text("1\n-1\nbogus\n")
+def test_load_population_reports_path_and_line_number(tmp_path):
+    path = tmp_path / "pop.txt"
+    path.write_text("1\n-1\nbogus\n", encoding="utf-8")
+    with pytest.raises(InvalidInputError, match=f"^{path}, line 3: "):
+        load_population(str(path))
 
 
 def test_load_population_refuses_unreadable_files(tmp_path):

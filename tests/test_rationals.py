@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,17 @@ def test_parse_scalar_lenient_accepts_decimals_exactly():
     assert parse_scalar("3/4", lenient=True) == Fraction(3, 4)
     with pytest.raises(InvalidInputError):
         parse_scalar("not a number", lenient=True)
+
+
+def test_parse_scalar_lenient_refuses_exponents_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    for text in ["1e99999999", "-0.5E-99999999", "1e+099_999_999", f"0e{limit + 1}",
+                 "1e" + "9" * 5000]:
+        with pytest.raises(InvalidInputError, match="limit on integer digits"):
+            parse_scalar(text, lenient=True)
+    assert parse_scalar(f"1e-{limit}", lenient=True) == Fraction(1, 10**limit)
+    assert parse_scalar("1e400", lenient=True) == 10**400
+    assert parse_scalar("2e1_000", lenient=True) == 2 * 10**1000
 
 
 def test_as_fraction_accepts_exact_types_only():
