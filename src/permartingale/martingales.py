@@ -18,16 +18,15 @@ With n items, grand total M, grand square sum B, and running sums S_k
 
 ``check_martingale`` certifies E[M_{k+1} | first k draws] = M_k on
 every history by enumeration, never by algebra, so a wrong evaluator
-cannot certify itself.  Three routes report the first violating
-history: for M2, M3, MTILDE, the quadratic-basis vector and the
-negative controls, a pass over the drawn-set table of (k, S_k, T_k)
-values (``population.drawn_set_values``, shared with the exact
-inequality engine); an integer walker over the weighted state
-(k, S_k, W_k, A_k) for WEIGHTED, CHAIN_QUADRATIC and the weighted-basis
-vector; and a generic ``Fraction`` walker over prefixes for
-``check_sequence``.  The weighted walker checks every ordered prefix;
-its last two checked levels run as straight-line code, so its cost
-depends on n and not on the values.
+cannot certify itself.  Two routes report the first violating history.
+The drawn-set checker compares each drawn set's value, computed once in
+the table the exact inequality engine also reads, with the average over
+its one-item extensions.  W_k and A_k, which WEIGHTED, CHAIN_QUADRATIC
+and the weighted-basis vector also see, enter it as formal slots that
+may only be added and scaled, so an identity in the slots holds at every
+history that reaches the set.  The generic ``Fraction`` walker over
+ordered prefixes serves ``check_sequence``, and gives the verdict and
+the witness whenever the slots do not certify.
 """
 
 from __future__ import annotations
@@ -35,18 +34,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, ClassVar, Sequence
+from math import perm
+from typing import Callable, ClassVar, Iterable, Sequence
 
-from .construction import Basis, build_transition_system, matrix_vector
+from .construction import (Basis, build_transition_system, matrix_vector,
+                           vector_martingale_value)
 from .errors import DomainError, InvalidInputError, PreconditionError, coerce_enum
-from .population import (
-    Population,
-    drawn_prefix,
-    drawn_set_values,
-    ensure_enumerable,
-    make_population,
-)
-from .rationals import format_rational, scaled_integers
+from .population import (Population, drawn_prefix, drawn_set_values,
+                         ensure_enumerable, make_population)
+from .rationals import format_rational
 from .weights import validate_weights
 
 
@@ -85,12 +81,11 @@ ORDER_FREE_VALUES = {
 
 
 def weighted_value(n: int) -> Callable[[int, object, object, object], object]:
-    """The one definition of the weighted family, as (n - k) M_k, where
-    M_k = W_k + A_k S_k / (n - k), W_k = a_1 X_1 + ... + a_k X_k and
-    A_k = a_1 + ... + a_k.  Times n - k it is a polynomial in the state
-    (k, S_k, W_k, A_k), so it runs on Fractions and on scaled integers.
+    """The one definition of the weighted family, M_k = W_k + A_k S_k /
+    (n - k), where W_k = a_1 X_1 + ... + a_k X_k and A_k = a_1 + ... + a_k.
+    It runs on Fractions and on the formal slots of the drawn-set check.
     The two kinds differ only in :func:`_next_multiplier`."""
-    return lambda k, s, w, alpha: (n - k) * w + alpha * s
+    return lambda k, s, w, alpha: w + alpha * s / (n - k)
 
 
 def _next_multiplier(multipliers, k: int, last):
@@ -105,7 +100,7 @@ def weighted_prefix_value(n: int, multipliers, drawn: Sequence[Fraction]) -> Fra
     for k, x in enumerate(drawn):
         a = _next_multiplier(multipliers, k, last)
         s, w, alpha, last = s + x, w + a * x, alpha + a, x
-    return weighted_value(n)(len(drawn), s, w, alpha) / (n - len(drawn))
+    return weighted_value(n)(len(drawn), s, w, alpha)
 
 
 @dataclass(frozen=True)
@@ -208,10 +203,11 @@ def _value_strings(v):
 class MartingaleCheck:
     """Outcome of an exhaustive conditional-expectation check.
 
-    ``states_checked`` counts the histories at which the one-step
-    identity was tested (distinct prefixes for ordered evaluators,
-    distinct drawn sets for order-free ones); ``worst_history`` is the
-    first violation in enumeration order, or None.
+    ``states_checked`` counts the histories certified: distinct drawn
+    sets for an order-free evaluator, else ordered prefixes (n!/(n-k)!
+    at each checked k, however few drawn sets certified them), up to the
+    first violation.  ``worst_history`` is the first violation in
+    enumeration order, or None.
     """
 
     worst_history: MartingaleViolation | None
@@ -233,7 +229,7 @@ class MartingaleCheck:
 
 class _Vector(tuple):
     """A vector value whose +, scaling and / act coordinatewise, so the
-    walkers treat scalars and vectors alike (``sum`` starts from 0)."""
+    checkers treat scalars and vectors alike (``sum`` starts from 0)."""
 
     def __add__(self, other):
         return _Vector(x + y for x, y in zip(self, other, strict=True))
@@ -250,41 +246,127 @@ class _Vector(tuple):
         return _Vector(x / c for x in self)
 
 
-def _violation(prefix, v, acc, n: int) -> MartingaleViolation:
-    """The failed one-step identity at a history of value ``v`` whose n-k
-    next-draw values sum to ``acc``."""
-    prefix = tuple(prefix)
-    return MartingaleViolation(prefix, v, acc / (n - len(prefix)))
+class _NotAffine(Exception):
+    """An evaluator did more to a formal slot than add and scale it."""
 
 
-def _check_order_free(
+class _Form:
+    """The form c0 + c1 W_k + c2 A_k in formal slots for W_k and A_k.  It
+    adds and scales by numbers; any other operation, comparison and truth
+    value included, raises ``_NotAffine``, so the slots never certify an
+    evaluator that compares, multiplies or branches on one."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, *terms):
+        self.terms = terms
+
+    def __add__(self, other):
+        if isinstance(other, _Form):
+            return _Form(*(x + y if y else x for x, y in zip(self.terms, other.terms)))
+        c0, c1, c2 = self.terms
+        return _Form(c0 + other, c1, c2)
+
+    def __mul__(self, c):
+        if isinstance(c, _Form):
+            raise _NotAffine
+        return _Form(*(c * x if x else x for x in self.terms))
+
+    __radd__, __rmul__ = __add__, __mul__
+    __neg__, __truediv__ = (lambda a: -1 * a), (lambda a, c: a * (Fraction(1) / c))
+    __sub__, __rsub__ = (lambda a, b: a + -b), (lambda a, b: -a + b)
+
+
+def _not_affine(*args):
+    raise _NotAffine
+
+
+for _op in ("eq ne lt le gt ge bool hash pos abs pow rpow rtruediv floordiv rfloordiv"
+            " mod rmod divmod rdivmod int float complex index round trunc floor"
+            " ceil getattr").split():
+    setattr(_Form, f"__{_op}__", _not_affine)
+_W, _A = _Form(0, 1, 0), _Form(0, 0, 1)
+
+
+def _terms(v):
+    """``v`` for ==: a form's coefficients (a number has no slot terms),
+    coordinatewise for a vector; forms refuse to compare themselves."""
+    if isinstance(v, tuple):
+        return tuple(map(_terms, v))
+    return v.terms if isinstance(v, _Form) else (v, 0, 0)
+
+
+def _slope(v, x):
+    """What the value ``v`` of a set reached by drawing x gains, in its
+    parent's slots, per unit of a = a_{k+1}: its own slots are the
+    parent's W_k + a x and A_k + a, so ``v`` gains a (x c1 + c2)."""
+    if isinstance(v, tuple):
+        return _Vector(_slope(c, x) for c in v)
+    return x * v.terms[1] + v.terms[2] if isinstance(v, _Form) else 0
+
+
+def _check_drawn_sets(
     population: Population,
     value_fn: Callable[[int, Fraction, Fraction], object],
     k_min: int,
     k_max: int,
+    moves: Callable[[int, list], Iterable] | None = None,
 ) -> MartingaleCheck:
-    """Check a martingale whose value depends on the prefix only through
-    (k, S_k, T_k): M2, M3, MTILDE, the quadratic-basis vector and the
-    negative controls.
-
-    Every ordering of a drawn set gives the same value, so the 2^n drawn
-    sets cover all n! histories.  Each set's value is computed once, in
-    the drawn-set table the exact inequality engine also reads, and must
-    be the average over the set's n-k one-item extensions.  Sets are
-    visited in lexicographic order of their item indices (a set before
-    its extensions); a witness prefix lists the set's values in that order.
+    """The one drawn-set loop: each set's value, ``value_fn(k, S_k, T_k)``
+    from ``drawn_set_values``, must be the average over its n-k one-item
+    extensions.  Every ordering of a set gives the same (k, S_k, T_k), so
+    the 2^n sets cover all n! histories.  A value may also hold the slots
+    ``_W`` and ``_A`` of the histories that reach its set; for each
+    a_{k+1} = a in ``moves(k, drawn)``, an extension by x moves them to
+    W_k + a x and A_k + a.  Sets go in lexicographic order of their item
+    indices, and a witness prefix lists the set's values in that order.
     """
-    n = population.n
-    value = drawn_set_values(population.values, value_fn, range(k_min, k_max + 1))
+    n, xs = population.n, population.values
+    value = drawn_set_values(xs, value_fn, range(k_min, k_max + 1))
     sets = [mask for mask in range(1 << n) if k_min <= mask.bit_count() < k_max]
     sets.sort(key=lambda mask: [i for i in range(n) if mask >> i & 1])
     for states, mask in enumerate(sets, start=1):
         k, v = mask.bit_count(), value[mask]
-        acc = sum(value[mask | 1 << i] for i in range(n) if not mask >> i & 1)
-        if acc != (n - k) * v:
-            prefix = [x for i, x in enumerate(population.values) if mask >> i & 1]
-            return MartingaleCheck(_violation(prefix, v, acc, n), states)
+        drawn = [x for i, x in enumerate(xs) if mask >> i & 1]
+        children = [(x, value[mask | 1 << i])
+                    for i, x in enumerate(xs) if not mask >> i & 1]
+        acc = sum(c for _, c in children)
+        sums = [acc]
+        if moves is not None:
+            drift = sum(_slope(c, x) for x, c in children)
+            sums = [acc + a * drift for a in moves(k, drawn)]
+        target = _terms((n - k) * v)
+        if any(_terms(s) != target for s in sums):
+            violation = MartingaleViolation(tuple(drawn), v, acc / (n - k))
+            return MartingaleCheck(violation, states)
     return MartingaleCheck(None, len(sets))
+
+
+def _check_slots(
+    population: Population,
+    multipliers: Sequence[Fraction] | None,
+    value_fn: Callable[[int, Fraction, Fraction], object],
+    k_max: int,
+    prefix_value: Callable[[tuple[Fraction, ...]], object],
+) -> MartingaleCheck:
+    """Check ``value_fn(k, S_k, T_k)``, which reads W_k and A_k from the
+    slots ``_W`` and ``_A``, for k = 1..k_max on the drawn sets.  A state
+    is the drawn set, and for the chain (``multipliers`` None), whose
+    a_{k+1} is the last draw, the set and its last draw.  Should the
+    slots' identity fail, or ``value_fn`` do more to a slot than add and
+    scale it, the generic walk over ``prefix_value`` gives the verdict."""
+
+    def moves(k: int, drawn: list) -> set:
+        lasts = drawn if multipliers is None else (None,)
+        return {_next_multiplier(multipliers, k, last) for last in lasts}
+
+    try:
+        if _check_drawn_sets(population, value_fn, 1, k_max, moves).holds:
+            histories = sum(perm(population.n, k) for k in range(1, k_max))
+            return MartingaleCheck(None, histories)
+    except _NotAffine:
+        pass
+    return _check_ordered(population, prefix_value, 1, k_max)  # the fallback route
 
 
 def _check_ordered(
@@ -293,41 +375,36 @@ def _check_ordered(
     k_min: int,
     k_max: int,
 ) -> MartingaleCheck:
-    """Check an arbitrary adapted evaluator over all ordered prefixes.
-
-    ``value_fn`` maps a drawn prefix (tuple of values, in order) to a
-    scalar or a tuple.  Fully general and exact, at ordered-tree cost.
+    """Check an arbitrary adapted evaluator, which maps a drawn prefix
+    (a tuple of values, in order) to a scalar or a tuple, over all
+    ordered prefixes, at ordered-tree cost: the route of
+    ``check_sequence``, and the fallback and witness route of the slots.
     """
 
     def fn(prefix: tuple[Fraction, ...]):
         v = value_fn(prefix)
         return _Vector(v) if isinstance(v, tuple) else v
 
-    vals = list(population.values)  # permuted in place: vals[:k] is the prefix
-    n = population.n
+    n, vals = population.n, list(population.values)  # vals[:k] is the prefix
     states = 0
-    violation: MartingaleViolation | None = None
 
-    def dfs(k: int) -> None:
-        nonlocal states, violation
-        if k_min <= k <= k_max - 1:
+    def dfs(k: int) -> MartingaleViolation | None:
+        nonlocal states
+        if k_min <= k < k_max:
             states += 1
             prefix = tuple(vals[:k])
-            v = fn(prefix)
-            acc = sum(fn((*prefix, x)) for x in vals[k:])
+            v, acc = fn(prefix), sum(fn((*prefix, x)) for x in vals[k:])
             if acc != (n - k) * v:
-                violation = _violation(prefix, v, acc, n)
-                return
-        if k >= k_max - 1:
-            return
-        for i in range(k, n):
+                return MartingaleViolation(prefix, v, acc / (n - k))
+        for i in range(k, n) if k < k_max - 1 else ():
             vals[k], vals[i] = vals[i], vals[k]
-            dfs(k + 1)
+            violation = dfs(k + 1)
             vals[k], vals[i] = vals[i], vals[k]
             if violation is not None:
-                return
+                return violation
+        return None
 
-    dfs(0)
+    violation = dfs(0)
     return MartingaleCheck(violation, states)
 
 
@@ -347,9 +424,8 @@ def check_sequence(
     """Exhaustively check any adapted sequence for the martingale
     property over k_min..k_max.
 
-    The general-purpose entry point for custom evaluators (used by
-    mutation tests); it walks every ordered prefix.  The negative-control
-    library, ``counterexample_suite``, uses the drawn-set check instead.
+    The general-purpose entry point for custom evaluators; it walks
+    every ordered prefix.
     """
     n = population.n
     if not 0 <= k_min <= k_max <= n:
@@ -358,104 +434,6 @@ def check_sequence(
         )
     ensure_checkable(n, cutoff)
     return _check_ordered(population, value_fn, k_min, k_max)
-
-
-def _walk_weighted(values, d: int, multipliers, value, scale: int) -> MartingaleCheck:
-    """Check ``value`` of the weighted state (k, S_k, W_k, A_k), carried
-    one draw at a time over every ordered prefix of ``values`` (the
-    population times d).  ``value`` must be (n - k) scale M_k, so
-    E[M_{k+1} | h] = M_k reads: next-draw values sum to (n-k-1) value_k.
-
-    Every prefix is checked, in the same depth-first order whatever the
-    input.  The nodes with three undrawn values and their three children,
-    nine in ten of the checked histories, are checked in straight-line
-    code by ``tail``, with no call per child; ``dfs`` walks the shallower
-    nodes.
-    """
-    n = len(values)
-    arr = list(values)  # permuted in place: arr[:k] is the drawn prefix
-    states = 0
-    violation: MartingaleViolation | None = None
-
-    def fail(prefix, k: int, g, csum) -> None:
-        nonlocal violation
-        violation = _violation(
-            [Fraction(v, d) for v in prefix],
-            g / Fraction((n - k) * scale),
-            csum / Fraction((n - k - 1) * scale),
-            n,
-        )
-
-    def dfs(k: int, s, w, alpha, g, last) -> None:
-        nonlocal states
-        a = _next_multiplier(multipliers, k, last)
-        alpha2 = alpha + a
-        k1 = k + 1
-        gs = [value(k1, s + x, w + a * x, alpha2) for x in arr[k:]]
-        if k:
-            states += 1
-            csum = sum(gs)
-            if csum != (n - k1) * g:
-                fail(arr[:k], k, g, csum)
-                return
-        child = tail if k1 == n - 3 else dfs
-        for i in range(k, n):
-            x = arr[i]
-            arr[k], arr[i] = x, arr[k]
-            child(k1, s + x, w + a * x, alpha2, gs[i - k], x)
-            arr[k], arr[i] = arr[i], x
-            if violation is not None:
-                return
-
-    n1 = n - 1
-
-    def tail(k: int, s, w, alpha, g, last) -> None:
-        # a node of depth n-3, undrawn u, v, t, then its children as dfs
-        # would visit them: u, v, t drawn next, leaving (v, t), (u, t), (v, u)
-        nonlocal states
-        u, v, t = arr[k:]
-        a = _next_multiplier(multipliers, k, last)
-        alpha2 = alpha + a
-        k1 = k + 1
-        su, sv, st = s + u, s + v, s + t
-        wu, wv, wt = w + a * u, w + a * v, w + a * t
-        gu = value(k1, su, wu, alpha2)
-        gv = value(k1, sv, wv, alpha2)
-        gt = value(k1, st, wt, alpha2)
-        if k:
-            states += 1
-            csum = gu + gv + gt
-            if csum != 2 * g:
-                fail(arr[:k], k, g, csum)
-                return
-        # each child's a_{k+2}: the rule of _next_multiplier, written out
-        # because three calls per node cost 5-8% of the walk
-        if multipliers is None:
-            bu, bv, bt = u, v, t
-        else:
-            bu = bv = bt = multipliers[k1]
-        # a child of depth n-2 has two next draws, and n-(n-2)-1 = 1
-        states += 1
-        au = alpha2 + bu
-        csum = value(n1, su + v, wu + bu * v, au) + value(n1, su + t, wu + bu * t, au)
-        if csum != gu:
-            fail([*arr[:k], u], k1, gu, csum)
-            return
-        states += 1
-        av = alpha2 + bv
-        csum = value(n1, sv + u, wv + bv * u, av) + value(n1, sv + t, wv + bv * t, av)
-        if csum != gv:
-            fail([*arr[:k], v], k1, gv, csum)
-            return
-        states += 1
-        at = alpha2 + bt
-        csum = value(n1, st + v, wt + bt * v, at) + value(n1, st + u, wt + bt * u, at)
-        if csum != gt:
-            fail([*arr[:k], t], k1, gt, csum)
-
-    if n >= 3:  # below three values there is no history to check
-        (tail if n == 3 else dfs)(0, 0, 0, 0, 0, 0)
-    return MartingaleCheck(violation, states)
 
 
 def check_martingale(spec: MartingaleSpec, cutoff: int | None = None) -> MartingaleCheck:
@@ -469,11 +447,10 @@ def check_martingale(spec: MartingaleSpec, cutoff: int | None = None) -> Marting
     ensure_checkable(pop.n, cutoff)
     if spec.kind in ORDER_FREE_VALUES:
         fn = ORDER_FREE_VALUES[spec.kind](pop)
-        return _check_order_free(pop, fn, spec.k_min, spec.k_max)
-    # values times d, multipliers times e (the chain's are draws: e = d)
-    xs, d = scaled_integers(pop.values)
-    ws, e = (None, d) if spec.multipliers is None else scaled_integers(spec.multipliers)
-    return _walk_weighted(xs, d, ws, weighted_value(pop.n), d * e)
+        return _check_drawn_sets(pop, fn, spec.k_min, spec.k_max)
+    n, ws, value = pop.n, spec.multipliers, weighted_value(pop.n)
+    return _check_slots(pop, ws, lambda k, s, t: value(k, s, _W, _A), spec.k_max,
+                        lambda p: weighted_prefix_value(n, ws, p))
 
 
 def check_vector_martingale(
@@ -483,44 +460,24 @@ def check_vector_martingale(
     cutoff: int | None = None,
 ) -> MartingaleCheck:
     """Exhaustively check every coordinate of the inverse-product
-    vector martingale.
-
-    The quadratic-basis vector depends on the prefix only through
-    (k, S_k, T_k), so it is checked on the drawn-set table.  The weighted basis
-    goes through the ordered walker of the weighted state, which
-    applies each inverse product to (W_k, S_k) at every child history.
+    vector martingale on the drawn sets: the quadratic basis sees a
+    history only through (k, S_k, T_k), and the weighted basis applies
+    each inverse product to (W_k, S_k) with W_k a formal slot, with
+    ``vector_martingale_value`` on every prefix as its fallback route.
     """
     basis = coerce_enum(Basis, basis, "basis")
     ensure_checkable(population.n, cutoff)
-    system = build_transition_system(
-        basis, population=population, multipliers=multipliers
-    )
+    system = build_transition_system(basis, population=population, multipliers=multipliers)
     k_max = system.max_product_index
+
+    def fn(k: int, s: Fraction, t: Fraction):
+        state = (s * s, s, t, Fraction(1)) if basis is Basis.QUADRATIC else (_W, s)
+        return _Vector(matrix_vector(system.inverse_product(k), state))
+
     if basis is Basis.QUADRATIC:
-
-        def fn(k: int, s: Fraction, t: Fraction):
-            vec = (s * s, s, t, Fraction(1))
-            return _Vector(matrix_vector(system.inverse_product(k), vec))
-
-        return _check_order_free(population, fn, 1, k_max)
-
-    # ``value`` gets w = d e W_k and s = d S_k.  Each inverse product
-    # times n - k, its S_k column also times e, has integer entries over
-    # one denominator c, so ``value`` is (n - k) c d e P_k (W_k, S_k).
-    xs, d = scaled_integers(population.values)
-    ws, e = scaled_integers(system.multipliers)
-    q, c = scaled_integers(
-        (system.n - k) * p * f
-        for k in range(1, k_max + 1)
-        for row in system.inverse_product(k)
-        for p, f in zip(row, (1, e))
-    )
-
-    def value(k: int, s: int, w: int, alpha: int) -> _Vector:
-        i = 4 * k - 4  # q holds the 2x2 products row by row
-        return _Vector((q[i] * w + q[i + 1] * s, q[i + 2] * w + q[i + 3] * s))
-
-    return _walk_weighted(xs, d, ws, value, c * d * e)
+        return _check_drawn_sets(population, fn, 1, k_max)
+    return _check_slots(population, system.multipliers, fn, k_max,
+                        lambda p: vector_martingale_value(system, p))
 
 
 @dataclass(frozen=True)
@@ -582,9 +539,7 @@ def counterexample_suite(
     # compensated-square entry has no step to check, and with constant
     # squares the drift entry is identically zero (a true martingale).
     if n < 4:
-        raise PreconditionError(
-            f"the counterexample suite needs n >= 4, got n={n}"
-        )
+        raise PreconditionError(f"the counterexample suite needs n >= 4, got n={n}")
     if all(v * v == pop.values[0] ** 2 for v in pop.values):
         raise PreconditionError(
             "the counterexample suite needs a population with non-constant "
@@ -607,14 +562,8 @@ def counterexample_suite(
         ("compensated_square_plus_k", False, 1, n - 2,
          lambda k, s, t: mtilde(k, s, t) + k),
     ]
-    entries = []
-    for name, expected, k_min, k_max, fn in library:
-        check = _check_order_free(pop, fn, k_min, k_max)
-        entries.append(
-            CounterexampleEntry(
-                name=name,
-                expected_to_hold=expected,
-                witness=check.worst_history,
-            )
-        )
-    return CounterexampleReport(entries=tuple(entries))
+    return CounterexampleReport(tuple(
+        CounterexampleEntry(name, expected,
+                            _check_drawn_sets(pop, fn, k_min, k_max).worst_history)
+        for name, expected, k_min, k_max, fn in library
+    ))

@@ -20,6 +20,13 @@ _EXACT_RE = re.compile(r"^[+-]?\d+(?:\s*/\s*\d+)?$")
 _EXPONENT_RE = re.compile(r"e[+-]?([\d_]+)$", re.IGNORECASE)
 
 
+def _past_digit_limit(s: str, what: str = "a scalar") -> InvalidInputError:
+    return InvalidInputError(
+        f"{what} of {len(s)} characters exceeds the interpreter's limit on "
+        "integer digits"
+    )
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p"`` or ``"p/q"`` into a Fraction.
 
@@ -40,10 +47,7 @@ def parse_rational(text: str) -> Fraction:
     except ValueError:
         # Python refuses to convert integers past its digit limit, which
         # guards against quadratic-time conversion of hostile input
-        raise InvalidInputError(
-            f"a scalar of {len(s)} characters exceeds the interpreter's "
-            "limit on integer digits"
-        ) from None
+        raise _past_digit_limit(s) from None
     return value
 
 
@@ -62,13 +66,14 @@ def parse_scalar(text: str, lenient: bool = False) -> Fraction:
         if exponent and limit:
             digits = exponent[1].replace("_", "").lstrip("0")
             if len(digits) > len(str(limit)) or int(digits or 0) > limit:
-                raise InvalidInputError(
-                    f"the exponent of a scalar of {len(s)} characters exceeds "
-                    "the interpreter's limit on integer digits"
-                )
+                raise _past_digit_limit(s, "the exponent of a scalar")
         try:
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
+            # a run of digits, its integer or its decimal part, past the limit
+            runs = re.findall(r"[\d_]+", s)
+            if limit and any(len(r.replace("_", "")) > limit for r in runs):
+                raise _past_digit_limit(s) from None
             raise InvalidInputError(f"cannot parse scalar {text!r}") from exc
     return parse_rational(text)
 

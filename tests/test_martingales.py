@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -168,6 +169,45 @@ def test_check_martingale_counts_checked_histories():
     # ordered checks visit length-1 and length-2 prefixes: 4 + 12
     chain = make_spec(MartingaleKind.CHAIN_QUADRATIC, FOUR)
     assert check_martingale(chain).states_checked == 16
+    # a holding check of the weighted state certifies every prefix of
+    # length 1..n-2, however few drawn sets it took: sum of n!/(n-k)!
+    rng = random.Random(23)
+    for n in range(3, 10):
+        pop = random_centered_population(n, rng)
+        ws = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+        histories = sum(
+            math.factorial(n) // math.factorial(n - k) for k in range(1, n - 1)
+        )
+        checks = [
+            check_martingale(make_spec(MartingaleKind.WEIGHTED, pop, ws)),
+            check_martingale(make_spec(MartingaleKind.CHAIN_QUADRATIC, pop)),
+            check_vector_martingale(pop, Basis.WEIGHTED, ws),
+        ]
+        assert [(c.holds, c.states_checked) for c in checks] == [(True, histories)] * 3
+
+
+def test_weighted_checks_visit_every_state_of_the_drawn_set_graph(monkeypatch):
+    # One a_{k+1} per state: a drawn set of size 1..n-2 for a fixed
+    # multiplier (1,012 at n=10), and for the chain a set with each of its
+    # draws as the last (5,020 at n=10), so no history goes unchecked.
+    from permartingale import martingales
+
+    asked = []
+    rule = martingales._next_multiplier
+    monkeypatch.setattr(
+        martingales, "_next_multiplier", lambda *args: asked.append(args) or rule(*args)
+    )
+    pop = random_centered_population(10, random.Random(29))
+    assert len(set(pop.values)) == 10
+    ws = [Fraction(k % 3 - 1, 2) for k in range(10)]
+    for check, states in (
+        (lambda: check_martingale(make_spec(MartingaleKind.WEIGHTED, pop, ws)), 1012),
+        (lambda: check_vector_martingale(pop, Basis.WEIGHTED, ws), 1012),
+        (lambda: check_martingale(make_spec(MartingaleKind.CHAIN_QUADRATIC, pop)), 5020),
+    ):
+        asked.clear()
+        assert check().holds
+        assert len(asked) == states
 
 
 def test_check_vector_martingale_both_bases():
@@ -290,24 +330,32 @@ centered_rationals = st.lists(
     ),
 )
 def test_weighted_checker_agrees_with_generic_route(values, weights):
+    # the independent route: the generic walk over every prefix
     pop = make_population(values)
     ws = weights[: pop.n]
-    reports = _walker_reports(pop, ws)
+    reports = _slot_reports(pop, ws)
     assert reports == _generic_reports(pop, ws)
     assert all(r["holds"] for r in reports)  # every drawn population is centered
 
 
-def _walk_inputs():
-    # Centered populations of n = 3..6 with nonzero multipliers, each with
-    # a corruption index j at every depth, so that failures land on the
-    # nodes of depth n-3 and on each child of them, which the walker checks
-    # in straight-line code, and on the shallower ones it recurses through.
+def _walk_inputs(max_n=8):
+    # Centered populations of n = 3..8, of p/q values or of repeated
+    # values, with p/q multipliers that are zero about one time in four.
+    # Each comes with the indices j at which a corruption is placed: every
+    # k = 1..n-1 up to n = 7, and at n = 8, where one generic walk of a
+    # holding check takes seconds, k = 2 and the last.
     rng = random.Random(67)
-    for n in (3, 4, 4, 5, 5, 5, 6, 6, 6):
-        head = [Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(n - 1)]
+    for n, repeated in ((3, False), (4, False), (4, True), (5, False), (5, True),
+                        (6, False), (6, True), (7, False), (7, True), (8, True)):
+        if n > max_n:
+            continue
+        if repeated:
+            head = [Fraction(rng.choice((-2, -1, 1, 3))) for _ in range(n - 1)]
+        else:
+            head = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(n - 1)]
         values = head + [-sum(head, Fraction(0))]
-        ws = [Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(n)]
-        yield make_population(values), ws, range(1, n)
+        ws = [Fraction(rng.choice((-3, 0, 1, 2)), rng.choice((1, 2))) for _ in range(n)]
+        yield make_population(values), ws, range(1, n) if n < 8 else (2, n - 1)
 
 
 def _weighted_specs(pop, ws):
@@ -317,17 +365,18 @@ def _weighted_specs(pop, ws):
     )
 
 
-def _walker_reports(pop, ws):
-    """Reports of the walker of the weighted state: both weighted kinds
-    and the weighted-basis vector."""
+def _slot_reports(pop, ws):
+    """Reports of the drawn-set check with W_k and A_k in formal slots
+    (and of its fallback walk on a failure): both weighted kinds and the
+    weighted-basis vector."""
     return [check_martingale(spec).to_dict() for spec in _weighted_specs(pop, ws)] + [
         check_vector_martingale(pop, Basis.WEIGHTED, ws).to_dict()
     ]
 
 
 def _generic_reports(pop, ws, system=None):
-    """The same reports from the generic Fraction walker over prefixes,
-    which rebuilds each history from scratch."""
+    """The independent route: the same reports from the generic Fraction
+    walker over prefixes, which rebuilds each history from scratch."""
     n = pop.n
     reports = [
         check_sequence(pop, lambda p, spec=spec: evaluate_prefix(spec, p), 1, n - 1)
@@ -369,24 +418,115 @@ def _corrupt(m, pop, ws, j):
 
 
 def test_weighted_walk_matches_generic_route(monkeypatch):
-    # The walker's full reports, witness included, must equal the generic
-    # route's on holding checks and on failures that depend on W_k, at
-    # every depth.
+    # The independent route: the full reports of the drawn-set check with
+    # formal slots, witness included, must equal the generic walk's on
+    # holding checks and on failures that depend on W_k, at every depth.
     failures, depths = 0, set()
     for pop, ws, js in _walk_inputs():
         generic = _generic_reports(pop, ws)
-        assert _walker_reports(pop, ws) == generic, (pop.values, ws)
+        assert _slot_reports(pop, ws) == generic, (pop.values, ws)
         assert all(r["holds"] for r in generic), (pop.values, ws)
         for j in js:
             with monkeypatch.context() as m:
                 generic = _generic_reports(pop, ws, _corrupt(m, pop, ws, j))
-                assert _walker_reports(pop, ws) == generic, (pop.values, ws, j)
+                assert _slot_reports(pop, ws) == generic, (pop.values, ws, j)
             for r in generic:
                 if not r["holds"]:
                     failures += 1
                     depths.add(pop.n - len(r["worst_history"]["prefix"]))
+    assert failures >= 60
+    assert {2, 3, 4, 5, 6} <= depths
+
+
+# Mutations of the one weighted definition, each wrapping the right one
+# and reading W_k and A_k only to add and scale them: the drawn-set check
+# must see each in the slots, and its fallback walk must report the
+# generic route's witness.
+_MUTATIONS = {
+    # a wrong coefficient of W_k at k = j
+    "w_coefficient": (
+        (MartingaleKind.WEIGHTED, MartingaleKind.CHAIN_QUADRATIC),
+        lambda f, ws, j: lambda k, s, w, a: f(k, s, 2 * w if k == j else w, a),
+    ),
+    # A_k one term too long at k = j: a_1 + ... + a_{k+1}
+    "a_off_by_one_term": (
+        (MartingaleKind.WEIGHTED,),
+        lambda f, ws, j: lambda k, s, w, a: f(k, s, w, a + ws[k] if k == j else a),
+    ),
+    # the chain's multipliers taken from the next draw, a_i = X_i, so that
+    # A_k = S_k at k = j rather than S_{k-1}
+    "chain_multiplier_from_next_draw": (
+        (MartingaleKind.CHAIN_QUADRATIC,),
+        lambda f, ws, j: lambda k, s, w, a: f(k, s, w, s if k == j else a),
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+def test_mutated_weighted_definitions_fail_with_the_generic_witness(monkeypatch, mutation):
+    from permartingale import martingales
+
+    kinds, mutate = _MUTATIONS[mutation]
+    right = martingales.weighted_value
+    failures = 0
+    for pop, ws, js in _walk_inputs(max_n=6):
+        for j in js:
+            with monkeypatch.context() as m:
+                m.setattr(martingales, "weighted_value",
+                          lambda n, j=j: mutate(right(n), ws, j))
+                for kind in kinds:
+                    spec = make_spec(kind, pop, ws if kind is MartingaleKind.WEIGHTED else None)
+                    report = check_martingale(spec).to_dict()
+                    generic = check_sequence(
+                        pop, lambda p: evaluate_prefix(spec, p), 1, pop.n - 1
+                    ).to_dict()
+                    assert report == generic, (pop.values, ws, j, kind)
+                    failures += not report["holds"]
     assert failures >= 20
-    assert {2, 3, 4} <= depths
+
+
+_NOT_ADD_AND_SCALE = {
+    "multiply": lambda w, a: 0 * (w * w),
+    "multiply_by_a": lambda w, a: 0 * (a * w),
+    "power": lambda w, a: 0 * w**2,
+    "compare": lambda w, a: 0 if w > 0 else 0,
+    "equal": lambda w, a: 0 if w == 0 else 0,
+    "truth": lambda w, a: 0 if w else 0,
+    "abs": lambda w, a: 0 * abs(w),
+    "hash": lambda w, a: 0 * hash(w),
+    "attribute": lambda w, a: 0 * w.numerator,
+}
+
+
+@pytest.mark.parametrize("op", sorted(_NOT_ADD_AND_SCALE))
+def test_an_evaluator_that_does_more_than_add_and_scale_reaches_the_generic_route(
+    monkeypatch, op
+):
+    # The slots refuse the operation; the generic walk then gives the
+    # verdict, here of a right value with a zero term that touches W_k,
+    # and, with the term made nonzero at k = 2, the generic witness.
+    from permartingale import martingales
+
+    walks = []
+    walk = martingales._check_ordered
+    monkeypatch.setattr(
+        martingales, "_check_ordered", lambda *args: walks.append(args) or walk(*args)
+    )
+    right, touch = martingales.weighted_value, _NOT_ADD_AND_SCALE[op]
+    pop, ws = FOUR, [1, -2, Fraction(1, 3), 0]
+    for shift in (0, 1):
+        monkeypatch.setattr(
+            martingales, "weighted_value",
+            lambda n: lambda k, s, w, a: (
+                right(n)(k, s, w, a) + touch(w, a) + (shift if k == 2 else 0)
+            ),
+        )
+        for kind in (MartingaleKind.WEIGHTED, MartingaleKind.CHAIN_QUADRATIC):
+            spec = make_spec(kind, pop, ws if kind is MartingaleKind.WEIGHTED else None)
+            report = check_martingale(spec)
+            generic = check_sequence(pop, lambda p: evaluate_prefix(spec, p), 1, pop.n - 1)
+            assert report == generic and report.holds is (shift == 0), (op, kind, shift)
+    assert len(walks) == 8  # every check, as well as each check_sequence
 
 
 @settings(max_examples=40, deadline=None)
@@ -403,7 +543,7 @@ def test_weighted_walk_matches_generic_route(monkeypatch):
 def test_drawn_set_checker_agrees_with_check_sequence(values, centered, shift):
     # the walker over the drawn-set table against the generic Fraction
     # walker over ordered prefixes; uncentered populations make mtilde fail
-    from permartingale.martingales import ORDER_FREE_VALUES, _check_order_free
+    from permartingale.martingales import ORDER_FREE_VALUES, _check_drawn_sets
 
     if centered:
         values = values[:-1] + [-sum(values[:-1], Fraction(0))]
@@ -420,7 +560,7 @@ def test_drawn_set_checker_agrees_with_check_sequence(values, centered, shift):
         (mtilde, n - 2),
         (lambda k, s, t: mtilde(k, s, t) + (c if k == j else 0), n - 2),
     ):
-        table = _check_order_free(pop, fn, 1, k_max)
+        table = _check_drawn_sets(pop, fn, 1, k_max)
         generic = check_sequence(
             pop,
             lambda prefix: fn(
@@ -443,6 +583,7 @@ def test_drawn_set_checker_agrees_with_check_sequence(values, centered, shift):
 
 
 def test_weighted_checker_holds_on_seeded_populations():
+    # the independent route: the generic walk over every prefix
     rng = random.Random(31)
     for _ in range(5):
         pop = random_centered_population(5, rng)

@@ -54,6 +54,20 @@ def test_parse_scalar_lenient_refuses_exponents_past_the_digit_limit():
     assert parse_scalar("2e1_000", lenient=True) == 2 * 10**1000
 
 
+def test_parse_scalar_lenient_refuses_mantissas_past_the_digit_limit_briefly():
+    # a decimal's integer or fractional digits past the limit get the short
+    # refusal that strict scalars get, not an echo of the whole value
+    limit = sys.get_int_max_str_digits()
+    for text in ["0." + "1" * (limit + 700), "1" * (limit + 700) + ".5",
+                 "-" + "2_" * (limit + 1) + "2.25"]:
+        with pytest.raises(InvalidInputError, match="limit on integer digits") as exc:
+            parse_scalar(text, lenient=True)
+        assert len(str(exc.value)) < 100
+    with pytest.raises(InvalidInputError, match="limit on integer digits"):
+        parse_scalar("1" * (limit + 1))
+    assert parse_scalar("0." + "1" * limit, lenient=True) == Fraction(10**limit // 9, 10**limit)
+
+
 def test_as_fraction_accepts_exact_types_only():
     assert as_fraction(7) == 7
     assert as_fraction(Fraction(2, 3)) == Fraction(2, 3)
