@@ -10,7 +10,17 @@ sweep               batch of inequality checks from a JSON spec file
 
 Exit codes: 0 when every requested check passed; 1 when at least one
 check failed, was inconclusive, or a sweep row errored; 2 on usage,
-input, or file errors.
+input, file or limit errors.
+
+Start-up: this module imports only ``choices`` (the parser's enums) and
+``errors``, so ``--help`` and usage errors load no engine.  Each handler
+binds the engine names it calls: beside ``population``, ``rationals``
+and ``weights``, ``check-inequality`` and ``sweep`` load
+``inequalities``, ``verify-martingale`` ``construction`` and
+``martingales``, ``moments`` those and ``moments``, and ``dump-matrices``
+``construction``.  numpy loads only for Monte Carlo sampling and sweep
+seeds, csv only for csv output.  A name bound from outside first (a
+tracer's wrapper, a test's stand-in) is kept.
 
 Output is deterministic for fixed flags and seed: JSON is emitted with
 sorted keys, exact scalars as "p/q" strings, and floats in shortest
@@ -21,47 +31,52 @@ a default seed where --seed is omitted.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
 import os
-import random
 import sys
-from fractions import Fraction
-from typing import Sequence
+from importlib import import_module
+from typing import TYPE_CHECKING, Sequence
 
-from .construction import (
-    Basis,
-    build_transition_system,
-    matrix_as_strings,
-)
+from .choices import Basis, InequalityId, MartingaleKind, VerifyMode
 from .errors import Error, InvalidInputError, coerce_enum
-from .inequalities import (
-    InequalityId,
-    InequalityReport,
-    VerifyMode,
-    ensure_exact_size,
-    verify,
-)
-from .martingales import (
-    MartingaleKind,
-    check_martingale,
-    ensure_checkable,
-    make_spec,
-)
-from .moments import ensure_reportable, moment_report
-from .population import (
-    load_population,
-    make_population,
-    parse_scalar_lines,
-    random_centered_population,
-    read_text_file,
-    value_lines,
-)
-from .rationals import format_rational, parse_rational
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .inequalities import InequalityReport
+
+# the engine names the handlers call, by module; each handler binds those
+# of the modules it runs (_bind), keeping any name bound from outside
+_ENGINE_NAMES = {
+    "population": "load_population make_population parse_scalar_lines "
+    "random_centered_population read_text_file value_lines",
+    "rationals": "format_rational parse_rational",
+    "inequalities": "ensure_exact_size ensure_samplable verify",
+    "martingales": "check_martingale ensure_checkable make_spec",
+    "moments": "ensure_reportable moment_report",
+    "construction": "build_transition_system matrix_as_strings",
+}
+_HOME = {n: m for m, names in _ENGINE_NAMES.items() for n in names.split()}
+
+
+def __getattr__(name: str):
+    # PEP 562: an engine name read from outside before a handler bound it
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__package__}.{_HOME[name]}"), name)
+
+
+def _bind(*modules: str) -> None:
+    for module in modules:
+        for name in _ENGINE_NAMES[module].split():
+            globals().setdefault(name, __getattr__(name))
+
 
 _CSV_REPORT_FIELDS = ("id", "n", "mode", "lhs", "rhs", "holds", "seed", "samples")
+# the matrices (about 2n) above which dump-matrices refuses: about 5 s
+# and 35 MB of JSON, over 800 times the largest test call
+_MAX_MATRICES = 100_000
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -189,6 +204,8 @@ def _emit(args, payload: dict, lines: Sequence[str], table=None) -> None:
     """Write a command's result in ``args.format``: ``payload`` as JSON,
     ``table`` = (header, rows) as CSV, or ``lines`` as text."""
     if args.format == "json":
+        import json
+
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif args.format == "csv":
         text = _csv_text(*table)
@@ -202,6 +219,8 @@ def _emit(args, payload: dict, lines: Sequence[str], table=None) -> None:
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -261,6 +280,7 @@ def _count_values(path: str) -> int:
 
 
 def _cmd_verify_martingale(args) -> int:
+    _bind("population", "rationals", "martingales")
     ensure_checkable(_count_values(args.population), args.cutoff)
     pop = load_population(args.population)
     multipliers = _read_scalars(args.multipliers)
@@ -298,6 +318,7 @@ def _report_text_lines(rd: dict) -> list[str]:
 
 
 def _cmd_check_inequality(args) -> int:
+    _bind("population", "inequalities")
     mode = VerifyMode(args.mode)
     lenient = mode is VerifyMode.MONTE_CARLO
     if args.population is not None and not lenient:
@@ -326,6 +347,7 @@ def _cmd_check_inequality(args) -> int:
 
 
 def _cmd_moments(args) -> int:
+    _bind("population", "rationals", "moments")
     ensure_reportable(_count_values(args.population), args.cutoff)
     pop = load_population(args.population)
     rows = moment_report(
@@ -355,16 +377,25 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_dump_matrices(args) -> int:
+    _bind("population", "rationals", "construction")
     if args.basis == Basis.WEIGHTED and (
         args.total is not None or args.square_sum is not None
     ):
         raise InvalidInputError(
             "the weighted matrices do not involve --total/--square-sum"
         )
+    multipliers = _read_scalars(args.multipliers)
+    pop = _optional(load_population, args.population)
+    n = args.n if pop is None else pop.n
+    if n is not None and 2 * n > _MAX_MATRICES:
+        raise InvalidInputError(
+            f"dump-matrices at n={n} writes about 2n = 2 x {n} matrices, "
+            f"above the limit of {_MAX_MATRICES:,}; use a smaller n"
+        )
     system = build_transition_system(
         args.basis,
-        multipliers=_read_scalars(args.multipliers),
-        population=_optional(load_population, args.population),
+        multipliers=multipliers,
+        population=pop,
         n=args.n,
         total=_optional(parse_rational, args.total),
         square_sum=_optional(parse_rational, args.square_sum),
@@ -445,9 +476,14 @@ def _sweep_population(row: dict, index: int, master_seed: int, mode, cutoff):
             isinstance(seed, float) and math.isfinite(seed)
         ):
             raise InvalidInputError(f"row {index}: 'seed' must be a finite number or string")
-        if mode is VerifyMode.EXACT and isinstance(spec["n"], int):
+        if isinstance(spec["n"], int):
             # refuse before building the population
-            ensure_exact_size(row["id"], spec["n"], cutoff)
+            if mode is VerifyMode.EXACT:
+                ensure_exact_size(row["id"], spec["n"], cutoff)
+            else:
+                ensure_samplable(spec["n"], row.get("samples"))
+        import random
+
         rng = random.Random(
             seed if seed is not None else f"{master_seed}:{index}"
         )
@@ -505,6 +541,9 @@ def _run_sweep_row(
 
 
 def _cmd_sweep(args) -> int:
+    import json
+
+    _bind("population", "inequalities")
     text = read_text_file(args.specfile, "spec")
     try:
         data = json.loads(text)

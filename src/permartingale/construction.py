@@ -37,11 +37,11 @@ step-by-step products.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
+from .choices import Basis
 from .errors import DomainError, InvalidInputError, PreconditionError, coerce_enum
 from .population import Population
 from .rationals import as_fraction, format_rational
@@ -49,13 +49,6 @@ from .weights import validate_weights
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
-
-
-class Basis(str, Enum):
-    """Which state vector a transition system linearizes."""
-
-    QUADRATIC = "quadratic"
-    WEIGHTED = "weighted"
 
 
 def _as_matrix(rows: Sequence[Sequence]) -> Matrix:

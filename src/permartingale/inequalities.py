@@ -47,7 +47,6 @@ or "violation-suspected".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
@@ -55,6 +54,7 @@ from math import factorial, isfinite, lcm, sqrt
 from operator import itemgetter
 from typing import Callable, Sequence
 
+from .choices import InequalityId, VerifyMode
 from .errors import (
     DomainError,
     InvalidInputError,
@@ -73,26 +73,13 @@ from .rationals import float_values, format_rational, fraction_sequence, scaled_
 from .weights import alternating_weights, validate_weights
 
 MC_BLOCK_SIZE = 1 << 16
+# the floats (samples x n) above which a Monte Carlo run is refused:
+# about 150 s of sampling, 950 times the largest benchmark call
+MC_MAX_FLOATS = 10**10
 # the floats of one Monte Carlo chunk (2 MiB); at least one row is held
 _MC_CHUNK_FLOATS = 1 << 18
 # the thresholds of one pass of the chain-count engine
 _CHAIN_CHUNK = 256
-
-
-class InequalityId(str, Enum):
-    MAX_AVERAGES = "max_averages"
-    GARSIA_UNWEIGHTED = "garsia_unweighted"
-    QUADRATIC = "quadratic"
-    BRIDGE = "bridge"
-    ALTERNATING = "alternating"
-    VNA_WEIGHTED = "vna_weighted"
-    GARSIA_WEIGHTED = "garsia_weighted"
-    HARDY = "hardy"
-
-
-class VerifyMode(str, Enum):
-    EXACT = "exact"
-    MONTE_CARLO = "mc"
 
 
 def _resolve(
@@ -811,6 +798,19 @@ def ensure_exact_size(id, n: int, cutoff: int | None) -> None:
     )
 
 
+def ensure_samplable(n: int, samples) -> None:
+    """Refuse a Monte Carlo run of ``samples`` orderings of n items (one,
+    when ``samples`` is not a positive int) above MC_MAX_FLOATS floats;
+    run before building a large population, it refuses at no cost."""
+    count = samples if isinstance(samples, int) and samples > 0 else 1
+    if count * n > MC_MAX_FLOATS:
+        raise InvalidInputError(
+            f"a Monte Carlo run over n={n} items permutes samples x n = "
+            f"{count} x {n} floats, above the limit of {MC_MAX_FLOATS:,}; "
+            "use fewer samples or a smaller population"
+        )
+
+
 def verify(
     id,
     population: Population | None = None,
@@ -829,8 +829,9 @@ def verify(
     order-free ids and over the odd-position graph ``alternating``, in
     memory bounded by its threshold chunk, and the prefix-sharing walk
     serves the given-weight ids.  It decides lhs <= rhs exactly.  Monte
-    Carlo mode needs ``samples`` and ``seed`` and reports a verdict that
-    is never stronger than "consistent".
+    Carlo mode needs ``samples`` and ``seed``, refuses more than
+    MC_MAX_FLOATS floats (samples x n), and reports a verdict that is
+    never stronger than "consistent".
     """
     iid = coerce_enum(InequalityId, id, "inequality id")
     mode = coerce_enum(VerifyMode, mode, "verification mode")
@@ -858,6 +859,7 @@ def verify(
             raise InvalidInputError(f"samples must be a positive int, got {samples!r}")
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise InvalidInputError(f"seed must be a nonnegative int, got {seed!r}")
+        ensure_samplable(n, samples)
         try:
             rhs_f = float(rhs)
         except OverflowError:

@@ -32,26 +32,18 @@ the witness whenever the slots do not certify.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import perm
 from typing import Callable, ClassVar, Iterable, Sequence
 
-from .construction import (Basis, build_transition_system, matrix_vector,
+from .choices import Basis, MartingaleKind
+from .construction import (build_transition_system, matrix_vector,
                            vector_martingale_value)
 from .errors import DomainError, InvalidInputError, PreconditionError, coerce_enum
 from .population import (Population, drawn_prefix, drawn_set_values,
                          ensure_enumerable, make_population)
 from .rationals import format_rational
 from .weights import validate_weights
-
-
-class MartingaleKind(str, Enum):
-    M2 = "m2"
-    M3 = "m3"
-    MTILDE = "mtilde"
-    WEIGHTED = "weighted"
-    CHAIN_QUADRATIC = "chain_quadratic"
 
 
 def _m2_value(pop: Population) -> Callable[[int, Fraction, Fraction], Fraction]:

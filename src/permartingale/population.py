@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -174,6 +173,8 @@ def random_centered_population(
     the last is the negated sum, so the total is exactly 0 and the
     square sum is positive.
     """
+    import random
+
     for name, v, low in (("n", n, 2), ("max_numerator", max_numerator, 1),
                          ("max_denominator", max_denominator, 1)):
         if not isinstance(v, int) or isinstance(v, bool) or v < low:

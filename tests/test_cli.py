@@ -8,6 +8,7 @@ import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -566,6 +567,43 @@ def test_oversized_exact_runs_are_refused_before_building(tmp_path, monkeypatch)
     assert "size 13, above the cutoff 12" in errors[1]
 
 
+def test_huge_sizes_are_refused_by_their_estimate(tmp_path, four_file, monkeypatch):
+    def work(*args, **kwargs):
+        raise AssertionError("work began before the size check")
+
+    monkeypatch.setattr("permartingale.inequalities._mc_lhs", work)
+    monkeypatch.setattr("permartingale.cli.build_transition_system", work)
+    monkeypatch.setattr("permartingale.cli.random_centered_population", work)
+    huge = 10**21
+    rc, out, err = run_cli(
+        ["check-inequality", "--id", "quadratic", "--population", four_file,
+         "--mode", "mc", "--samples", str(huge), "--seed", "1"]
+    )
+    assert rc == 2 and out == ""
+    assert f"permutes samples x n = {huge} x 4 floats, above the limit of " \
+        "10,000,000,000; use fewer samples" in err
+    rc, out, err = run_cli(
+        ["dump-matrices", "--basis", "quadratic", "--n", str(10**30), "--total",
+         "0", "--square-sum", "1"]
+    )
+    assert rc == 2 and out == ""
+    assert f"about 2n = 2 x {10**30} matrices, above the limit of 100,000" in err
+    rc, _, err = run_cli(
+        ["dump-matrices", "--basis", "quadratic", "--n", "50001", "--total", "0",
+         "--square-sum", "1"]
+    )
+    assert rc == 2 and "above the limit of 100,000" in err
+    rows = [{"id": "quadratic", "mode": "mc", "random": {"n": huge}},
+            {"id": "hardy", "mode": "mc", "random": {"n": 40}, "samples": huge}]
+    spec = tmp_path / "rows.json"
+    spec.write_text(json.dumps(rows), encoding="utf-8")
+    rc, out, _ = run_cli(["sweep", str(spec)])
+    errors = [r["error"] for r in json.loads(out)["rows"]]
+    assert rc == 1
+    assert f"samples x n = 1 x {huge} floats" in errors[0]
+    assert f"samples x n = {huge} x 40 floats" in errors[1]
+
+
 def test_only_the_exact_verify_refusal_advises_monte_carlo(tmp_path, four_file):
     # verify-martingale and the moment oracles have no Monte Carlo mode
     weights = pop_file(tmp_path, [1, 2, 3, 4], name="w4.txt")
@@ -850,33 +888,114 @@ def test_module_entry_point_runs_as_subprocess(four_file):
     assert json.loads(result.stdout)["all_equal"] is True
 
 
-def test_exact_paths_do_not_import_numpy(tmp_path, four_file):
-    # numpy is loaded only for Monte Carlo sampling and sweep seeds
+CORE_MODULES = {"permartingale", "permartingale.choices", "permartingale.cli",
+                "permartingale.errors"}
+SHARED = CORE_MODULES | {"permartingale.population", "permartingale.rationals",
+                         "permartingale.weights"}
+INEQUALITIES = SHARED | {"permartingale.inequalities"}
+MARTINGALES = SHARED | {"permartingale.construction", "permartingale.martingales"}
+# the standard modules whose loading is pinned, beyond those of a bare start
+OPTIONAL = ("csv", "json", "numpy", "random")
+# none of these loads for --help or a usage error
+HEAVY = ("csv", "dataclasses", "decimal", "fractions", "inspect", "json")
+
+
+def test_each_entry_point_imports_only_its_modules(tmp_path, four_file):
+    # the package's modules each entry point loads, and of OPTIONAL the
+    # ones it adds to what the interpreter loads at start: numpy only for
+    # Monte Carlo sampling and sweep seeds, csv only for csv output,
+    # random only for a random sweep row
     weights = pop_file(tmp_path, [1, -1, 1, 1], name="w.txt")
+    spec = tmp_path / "rows.json"
+    spec.write_text(json.dumps(
+        [{"id": "max_averages", "mode": "exact", "random": {"n": 4}}]
+    ), encoding="utf-8")
     probe = (
         "import sys\n"
-        "from permartingale.cli import main\n"
-        "rc = main(sys.argv[1:])\n"
-        "print('numpy' in sys.modules, rc, file=sys.stderr)\n"
+        "start = set(sys.modules)\n"
+        "argv = sys.argv[1:]\n"
+        "if argv == ['import']:\n"
+        "    import permartingale\n"
+        "    rc = 0\n"
+        "else:\n"
+        "    from permartingale.cli import main\n"
+        "    rc = main(argv)\n"
+        "print(rc, *sorted(set(sys.modules) - start), file=sys.stderr)\n"
     )
+    check = ["check-inequality", "--id", "quadratic", "--population", four_file]
     runs = [
-        (["--help"], 0),
-        (["check-inequality", "--id", "quadratic", "--mode", "exact",
-          "--population", four_file], 0),
+        (["import"], 0, {"permartingale"}, ()),
+        (["--help"], 0, CORE_MODULES, ()),
+        (["check-inequality", "--id", "nope"], 2, CORE_MODULES, ()),
+        ([*check, "--mode", "exact"], 0, INEQUALITIES, ("json",)),
+        ([*check, "--mode", "exact", "--format", "csv"], 0, INEQUALITIES, ("csv",)),
         (["check-inequality", "--id", "garsia_weighted", "--mode", "exact",
-          "--population", four_file, "--weights", weights], 0),
-        (["verify-martingale", "--kind", "m2", "--population", four_file], 0),
-        (["moments", "--population", four_file], 0),
-        (["dump-matrices", "--basis", "quadratic", "--population", four_file], 0),
-        (["check-inequality", "--id", "quadratic", "--mode", "mc",
-          "--population", four_file, "--samples", "10", "--seed", "1"], None),
+          "--population", four_file, "--weights", weights, "--format", "text"],
+         0, INEQUALITIES, ()),
+        ([*check, "--mode", "mc", "--samples", "10", "--seed", "1"], None,
+         INEQUALITIES, ("json", "numpy")),
+        # refused by its count of floats before numpy is imported
+        ([*check, "--mode", "mc", "--samples", str(10**21), "--seed", "1"], 2,
+         INEQUALITIES, ()),
+        (["verify-martingale", "--kind", "m2", "--population", four_file],
+         0, MARTINGALES, ("json",)),
+        (["moments", "--population", four_file], 0,
+         MARTINGALES | {"permartingale.moments"}, ("json",)),
+        (["dump-matrices", "--basis", "quadratic", "--population", four_file],
+         0, SHARED | {"permartingale.construction"}, ("json",)),
+        (["sweep", str(spec), "--format", "text"], 0, INEQUALITIES, ("json", "random")),
     ]
-    for argv, rc in runs:
+    bare = subprocess.run(
+        [sys.executable, "-c", "import sys; print(*sys.modules)"],
+        capture_output=True, text=True,
+    ).stdout.split()
+    for argv, rc, package, optional in runs:
         result = subprocess.run(
             [sys.executable, "-c", probe, *argv], capture_output=True, text=True
         )
-        loaded, code = result.stderr.split()[-2:]
-        if rc is None:
-            assert loaded == "True", argv
-        else:
-            assert (loaded, code) == ("False", str(rc)), (argv, result.stderr)
+        code, *loaded = result.stderr.splitlines()[-1].split()
+        if rc is not None:
+            assert code == str(rc), (argv, result.stderr)
+        assert {m for m in loaded if m.startswith("permartingale")} == package, argv
+        expected = {m for m in optional if m not in bare}
+        assert {m for m in loaded if m in OPTIONAL} == expected, argv
+        if package == CORE_MODULES:
+            assert not set(loaded) & set(HEAVY), argv
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_traced_calls_record_every_layer_span(tmp_path, four_file):
+    # perfbench/traced.py rebinds engine names on the cli module and the
+    # package from outside; each call must still run through its wrappers
+    spec = tmp_path / "rows.json"
+    spec.write_text(json.dumps(
+        [{"id": "max_averages", "mode": "exact", "population": [1, -1, 2, -2]}]
+    ), encoding="utf-8")
+    cli = ["-m", "permartingale"]
+    calls = [
+        ([*cli, "check-inequality", "--id", "quadratic", "--mode", "exact",
+          "--population", four_file], {"inequalities.verify", "population.load"}),
+        ([*cli, "verify-martingale", "--kind", "m2", "--population", four_file],
+         {"martingales.check", "population.load"}),
+        ([*cli, "moments", "--population", four_file],
+         {"moments.report", "population.load"}),
+        ([*cli, "dump-matrices", "--basis", "quadratic", "--population", four_file],
+         {"construction.build", "population.load"}),
+        ([*cli, "sweep", str(spec)], {"inequalities.verify"}),
+        ([str(PERFBENCH / "libcall.py"), "vector", "--basis", "quadratic",
+          "--population", four_file],
+         {"martingales.vector_check", "construction.build", "population.load"}),
+    ]
+    layers = {"inequalities.verify", "martingales.check", "moments.report",
+              "construction.build", "population.load", "martingales.vector_check"}
+    out = tmp_path / "spans.json"
+    for target, expected in calls:
+        result = subprocess.run(
+            [sys.executable, str(PERFBENCH / "traced.py"), str(out), *target],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, (target, result.stderr)
+        spans = json.loads(out.read_text(encoding="utf-8"))["spans"]
+        assert {span[2] for span in spans} & layers == expected, target

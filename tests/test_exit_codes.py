@@ -5,9 +5,10 @@ no exception escape and prints no traceback; exit 2 comes with an
 ``error:`` line or an argparse usage message, and exit 1 with a report
 that shows a failed check.  Valid sizes stay small (exact n <= 8,
 samples <= 2,000, ``dump-matrices --n`` <= 60, random sweep rows n <= 8),
-so every example ends quickly.  A huge size that is valid only runs
-long, which the contract allows, so none is drawn where it is accepted
-(``--samples``, ``dump-matrices --n``, a Monte Carlo row's random n).
+so every example ends quickly.  Huge sizes are drawn everywhere: each
+is refused with exit 2 before any work, ``--samples``, a sweep row's
+samples and a Monte Carlo row's random n by their count of floats, and
+``dump-matrices --n`` by its count of matrices.
 """
 
 import contextlib
@@ -42,14 +43,12 @@ CENTERED = st.lists(st.integers(-9, 9), min_size=1, max_size=7).map(
 )
 
 
-def ints(low, high, huge=True):
-    """Mostly a valid int option in [low, high], else a hostile value;
-    ``huge`` allows ints far past any valid size, where they are refused."""
+def ints(low, high):
+    """Mostly a valid int option in [low, high], else a hostile value,
+    ints far past any valid size included."""
     valid = st.integers(low, high).map(str)
-    bad = ("0", "-1", "-7", "", "x", "nan", "2.5", "½", BIG)
-    return st.one_of(valid, valid, valid, st.sampled_from(
-        bad + ((HUGE, "-" + HUGE) if huge else ())
-    ))
+    bad = ("0", "-1", "-7", "", "x", "nan", "2.5", "½", BIG, HUGE, "-" + HUGE)
+    return st.one_of(valid, valid, valid, st.sampled_from(bad))
 
 
 def choice(values):
@@ -92,7 +91,7 @@ def sweep_row(draw, files):
         ),
         "population_file": st.sampled_from(files) | st.just(7),
         "random": st.fixed_dictionaries(
-            {"n": st.integers(-1, 8) | st.sampled_from(("3", 2.5, None))},
+            {"n": st.integers(-1, 8) | st.sampled_from(("3", 2.5, None, int(HUGE)))},
             optional={"seed": st.integers() | st.text(max_size=3) | st.just(1e400),
                       "max_numerator": st.integers(-2, 10**30),
                       "max_denominator": st.integers(-2, 9),
@@ -101,7 +100,7 @@ def sweep_row(draw, files):
         "bridge_m": st.integers(-1, 4) | st.sampled_from((int(HUGE), "2", 1.5)),
         "weights": st.lists(st.integers(-3, 3) | SCALAR, max_size=8),
         "weights_file": st.sampled_from(files),
-        "samples": st.integers(-1, 2_000) | st.sampled_from(("9", 1.5)),
+        "samples": st.integers(-1, 2_000) | st.sampled_from(("9", 1.5, int(HUGE))),
         "seed": st.integers(-1, 10**30) | st.just("s"),
         "cutoff": st.integers(-1, 13) | st.just(int(HUGE)),
         "unknown": st.just(1),
@@ -162,7 +161,7 @@ def options(files):
             "--id": choice([i.value for i in InequalityId]),
             "--population": file, "--weights": file,
             "--bridge-m": ints(1, 4), "--mode": choice(("exact", "mc", "mc")),
-            "--samples": ints(1, 2_000, huge=False),
+            "--samples": ints(1, 2_000),
             "--seed": ints(0, 2**64), **common,
         },
         "moments": {
@@ -171,7 +170,7 @@ def options(files):
         "dump-matrices": {
             "--basis": choice([b.value for b in Basis]),
             "--population": file, "--multipliers": file,
-            "--n": ints(0, 60, huge=False),
+            "--n": ints(0, 60),
             "--total": SCALAR, "--square-sum": SCALAR,
             "--format": FORMATS, "--output": common["--output"],
         },
@@ -235,9 +234,10 @@ def failed_check(command, fmt, text, err):
     )
 
 
-# two refusals that random draws seldom reach: a bridge of more items
-# than an index holds, and a weight past float range on a population
-# whose bound is 0, so that the bound itself is in range
+# refusals that random draws seldom reach: a bridge of more items than
+# an index holds; a weight past float range on a population whose bound
+# is 0, so that the bound itself is in range; and the huge sizes that
+# ran without end before their ceilings
 @example((["check-inequality", "--id", "bridge", "--mode", "mc", "--bridge-m",
            HUGE, "--samples", "3", "--seed", "1"], {}))
 @example((["check-inequality", "--id", "garsia_weighted", "--mode", "mc",
@@ -245,6 +245,15 @@ def failed_check(command, fmt, text, err):
            os.path.join(DIR, "w"), "--samples", "3", "--seed", "1"],
           {os.path.join(DIR, "p"): b"0\n0\n0\n",
            os.path.join(DIR, "w"): b"1" + b"0" * 400 + b"\n1\n1\n"}))
+@example((["check-inequality", "--id", "quadratic", "--mode", "mc", "--population",
+           os.path.join(DIR, "p"), "--samples", HUGE, "--seed", "1"],
+          {os.path.join(DIR, "p"): b"1\n-1\n2\n-2\n"}))
+@example((["dump-matrices", "--basis", "quadratic", "--n", HUGE, "--total", "0",
+           "--square-sum", "1"], {}))
+@example((["sweep", os.path.join(DIR, "s")],
+          {os.path.join(DIR, "s"): json.dumps(
+              [{"id": "quadratic", "mode": "mc", "random": {"n": int(HUGE)},
+                "samples": 10}]).encode()}))
 @settings(max_examples=300, derandomize=True, database=None, deadline=5_000,
           suppress_health_check=[HealthCheck.too_slow])
 @given(invocation())

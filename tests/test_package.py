@@ -1,6 +1,8 @@
 import ast
 import contextlib
+import importlib
 import io
+import pkgutil
 import re
 import types
 from pathlib import Path
@@ -15,6 +17,24 @@ def test_all_exports_resolve_and_are_not_modules():
         assert not isinstance(value, types.ModuleType), name
     assert "verify" in permartingale.__all__
     assert "inequalities" not in permartingale.__all__
+    assert set(permartingale.__all__) <= set(dir(permartingale))
+
+
+def test_every_export_is_the_object_its_submodules_hold():
+    # the lazy namespace hands out each submodule's own object, and the
+    # engines re-export the choice enums of the leaf module
+    modules = [
+        importlib.import_module(f"permartingale.{info.name}")
+        for info in pkgutil.iter_modules(permartingale.__path__)
+        if info.name != "__main__"
+    ]
+    for name in permartingale.__all__:
+        held = [vars(m)[name] for m in modules if name in vars(m)]
+        assert held and all(v is getattr(permartingale, name) for v in held), name
+    assert permartingale.inequalities.InequalityId is permartingale.InequalityId
+    assert permartingale.construction.Basis is permartingale.Basis
+    assert repr(permartingale.InequalityId.HARDY) == "<InequalityId.HARDY: 'hardy'>"
+    assert repr(permartingale.VerifyMode.MONTE_CARLO) == "<VerifyMode.MONTE_CARLO: 'mc'>"
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
