@@ -52,7 +52,7 @@ _ENGINE_NAMES = {
     "population": "load_population make_population parse_scalar_lines "
     "random_centered_population read_text_file value_lines",
     "rationals": "format_rational parse_rational",
-    "inequalities": "ensure_exact_size ensure_samplable verify",
+    "inequalities": "ensure_exact_size ensure_mc_arguments ensure_samplable verify",
     "martingales": "check_martingale ensure_checkable make_spec",
     "moments": "ensure_reportable moment_report",
     "construction": "build_transition_system matrix_as_strings",
@@ -441,7 +441,7 @@ _SWEEP_ROW_KEYS = frozenset(
 _SWEEP_RANDOM_KEYS = frozenset({"n", "seed", "max_numerator", "max_denominator"})
 
 
-def _sweep_population(row: dict, index: int, master_seed: int, mode, cutoff):
+def _sweep_population(row: dict, index: int, master_seed: int, mode, cutoff, mc_seed):
     sources = [
         k for k in ("population", "population_file", "random", "bridge_m") if k in row
     ]
@@ -482,6 +482,7 @@ def _sweep_population(row: dict, index: int, master_seed: int, mode, cutoff):
                 ensure_exact_size(row["id"], spec["n"], cutoff)
             else:
                 ensure_samplable(spec["n"], row.get("samples"))
+                ensure_mc_arguments(row.get("samples"), mc_seed)
         import random
 
         rng = random.Random(
@@ -514,7 +515,10 @@ def _run_sweep_row(
         raise InvalidInputError(f"row {index}: missing 'id'")
     mode = coerce_enum(VerifyMode, row.get("mode", "exact"), "verification mode")
     cutoff = row.get("cutoff", cutoff)
-    pop = _sweep_population(row, index, master_seed, mode, cutoff)
+    seed = row.get("seed")
+    if mode is VerifyMode.MONTE_CARLO and seed is None:
+        seed = _sweep_row_seed(master_seed, index)
+    pop = _sweep_population(row, index, master_seed, mode, cutoff, seed)
     weights = None
     if "weights" in row and "weights_file" in row:
         raise InvalidInputError(f"row {index}: both 'weights' and 'weights_file'")
@@ -524,17 +528,13 @@ def _run_sweep_row(
         weights = row["weights"]
     elif "weights_file" in row:
         weights = _read_scalars(row["weights_file"], mode is VerifyMode.MONTE_CARLO)
-    samples = row.get("samples")
-    seed = row.get("seed")
-    if mode is VerifyMode.MONTE_CARLO and seed is None:
-        seed = _sweep_row_seed(master_seed, index)
     return verify(
         row["id"],
         population=pop,
         weights=weights,
         bridge_m=row.get("bridge_m"),
         mode=mode,
-        samples=samples,
+        samples=row.get("samples"),
         seed=seed,
         cutoff=cutoff,
     )

@@ -77,7 +77,7 @@ def matrix_vector(a: Matrix, v: Vector) -> Vector:
     if len(a[0]) != len(v):
         raise InvalidInputError("matrix and vector shapes do not match")
     return tuple(
-        sum((a[i][j] * v[j] for j in range(len(v))), Fraction(0))
+        sum((a[i][j] * v[j] for j in range(len(v)) if a[i][j]), Fraction(0))
         for i in range(len(a))
     )
 

@@ -811,6 +811,16 @@ def ensure_samplable(n: int, samples) -> None:
         )
 
 
+def ensure_mc_arguments(samples, seed) -> None:
+    """Refuse the Monte Carlo samples or seed ``verify`` cannot run."""
+    if samples is None or seed is None:
+        raise InvalidInputError("Monte Carlo mode needs samples and seed")
+    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
+        raise InvalidInputError(f"samples must be a positive int, got {samples!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise InvalidInputError(f"seed must be a nonnegative int, got {seed!r}")
+
+
 def verify(
     id,
     population: Population | None = None,
@@ -853,12 +863,7 @@ def verify(
         stderr = None
         status = "holds" if lhs <= rhs else "fails"
     else:
-        if samples is None or seed is None:
-            raise InvalidInputError("Monte Carlo mode needs samples and seed")
-        if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
-            raise InvalidInputError(f"samples must be a positive int, got {samples!r}")
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise InvalidInputError(f"seed must be a nonnegative int, got {seed!r}")
+        ensure_mc_arguments(samples, seed)
         ensure_samplable(n, samples)
         try:
             rhs_f = float(rhs)

@@ -21,19 +21,21 @@ every history by enumeration, never by algebra, so a wrong evaluator
 cannot certify itself.  Two routes report the first violating history.
 The drawn-set checker compares each drawn set's value, computed once in
 the table the exact inequality engine also reads, with the average over
-its one-item extensions.  W_k and A_k, which WEIGHTED, CHAIN_QUADRATIC
-and the weighted-basis vector also see, enter it as formal slots that
-may only be added and scaled, so an identity in the slots holds at every
-history that reaches the set.  The generic ``Fraction`` walker over
-ordered prefixes serves ``check_sequence``, and gives the verdict and
-the witness whenever the slots do not certify.
+its one-item extensions.  It compares in ints, each layer of the table
+scaled to one common denominator, and the ``Fraction`` table gives the
+witness.  W_k and A_k, which WEIGHTED, CHAIN_QUADRATIC and the
+weighted-basis vector also see, enter it as formal slots that may only
+be added and scaled, so an identity in the slots holds at every history
+that reaches the set.  The generic ``Fraction`` walker over ordered
+prefixes, the independent route, serves ``check_sequence``, and gives
+the verdict and the witness whenever the slots do not certify.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import perm
+from math import lcm, perm
 from typing import Callable, ClassVar, Iterable, Sequence
 
 from .choices import Basis, MartingaleKind
@@ -42,7 +44,7 @@ from .construction import (build_transition_system, matrix_vector,
 from .errors import DomainError, InvalidInputError, PreconditionError, coerce_enum
 from .population import (Population, drawn_prefix, drawn_set_values,
                          ensure_enumerable, make_population)
-from .rationals import format_rational
+from .rationals import format_rational, scaled_integers
 from .weights import validate_weights
 
 
@@ -280,21 +282,12 @@ for _op in ("eq ne lt le gt ge bool hash pos abs pow rpow rtruediv floordiv rflo
 _W, _A = _Form(0, 1, 0), _Form(0, 0, 1)
 
 
-def _terms(v):
-    """``v`` for ==: a form's coefficients (a number has no slot terms),
-    coordinatewise for a vector; forms refuse to compare themselves."""
+def _coefficients(v, slots: bool) -> tuple:
+    """The numbers the identity compares in ``v``: a form's (c0, c1, c2), a
+    number's (v, 0, 0) with slots, else (v,), a vector's entries' in order."""
     if isinstance(v, tuple):
-        return tuple(map(_terms, v))
-    return v.terms if isinstance(v, _Form) else (v, 0, 0)
-
-
-def _slope(v, x):
-    """What the value ``v`` of a set reached by drawing x gains, in its
-    parent's slots, per unit of a = a_{k+1}: its own slots are the
-    parent's W_k + a x and A_k + a, so ``v`` gains a (x c1 + c2)."""
-    if isinstance(v, tuple):
-        return _Vector(_slope(c, x) for c in v)
-    return x * v.terms[1] + v.terms[2] if isinstance(v, _Form) else 0
+        return tuple(c for x in v for c in _coefficients(x, slots))
+    return v.terms if isinstance(v, _Form) else (v, 0, 0) if slots else (v,)
 
 
 def _check_drawn_sets(
@@ -302,35 +295,53 @@ def _check_drawn_sets(
     value_fn: Callable[[int, Fraction, Fraction], object],
     k_min: int,
     k_max: int,
-    moves: Callable[[int, list], Iterable] | None = None,
+    moves: Callable[[int, list, int], Iterable] | None = None,
 ) -> MartingaleCheck:
     """The one drawn-set loop: each set's value, ``value_fn(k, S_k, T_k)``
     from ``drawn_set_values``, must be the average over its n-k one-item
     extensions.  Every ordering of a set gives the same (k, S_k, T_k), so
     the 2^n sets cover all n! histories.  A value may also hold the slots
     ``_W`` and ``_A`` of the histories that reach its set; for each
-    a_{k+1} = a in ``moves(k, drawn)``, an extension by x moves them to
-    W_k + a x and A_k + a.  Sets go in lexicographic order of their item
-    indices, and a witness prefix lists the set's values in that order.
-    """
+    a_{k+1} = alpha/e in ``moves(k, drawn, d)`` (drawn values X = d x), an
+    extension by x moves them to W_k + a x and A_k + a.  The identity is
+    compared in ints: layer k's coefficients times Q_k, the lcm of their
+    denominators, give Q_k * (sum over the extensions) = (n-k) Q_{k+1} *
+    (the set's value).  Sets go in lexicographic order of their item
+    indices; at the first that fails the ``Fraction`` table gives the
+    witness, whose prefix lists the set's values in that order.
+    ``_check_ordered`` remains the independent route."""
     n, xs = population.n, population.values
     value = drawn_set_values(xs, value_fn, range(k_min, k_max + 1))
+    flat = [v if v is None else _coefficients(v, moves is not None) for v in value]
+    dens = [set() for _ in range(n + 1)]
+    for mask, cs in enumerate(flat):
+        dens[mask.bit_count()].update(c.denominator for c in cs or ())
+    q = [lcm(*ds) for ds in dens]  # Q_k
+    coef = [cs and tuple(c.numerator * (q[mask.bit_count()] // c.denominator) for c in cs)
+            for mask, cs in enumerate(flat)]
+    ints, d = scaled_integers(xs)
     sets = [mask for mask in range(1 << n) if k_min <= mask.bit_count() < k_max]
     sets.sort(key=lambda mask: [i for i in range(n) if mask >> i & 1])
     for states, mask in enumerate(sets, start=1):
-        k, v = mask.bit_count(), value[mask]
-        drawn = [x for i, x in enumerate(xs) if mask >> i & 1]
-        children = [(x, value[mask | 1 << i])
-                    for i, x in enumerate(xs) if not mask >> i & 1]
-        acc = sum(c for _, c in children)
-        sums = [acc]
-        if moves is not None:
-            drift = sum(_slope(c, x) for x, c in children)
-            sums = [acc + a * drift for a in moves(k, drawn)]
-        target = _terms((n - k) * v)
-        if any(_terms(s) != target for s in sums):
-            violation = MartingaleViolation(tuple(drawn), v, acc / (n - k))
-            return MartingaleCheck(violation, states)
+        k, free = mask.bit_count(), [i for i in range(n) if not mask >> i & 1]
+        rows = [coef[mask | 1 << i] for i in free]
+        sums = [sum(col) for col in zip(*rows)]
+        gaps = [q[k] * s - (n - k) * q[k + 1] * p for s, p in zip(sums, coef[mask])]
+        if moves is None:
+            fails = any(gaps)
+        else:  # the c0 gap must cancel the drift, a (x c1 + c2) per child
+            alphas = moves(k, [x for i, x in enumerate(ints) if mask >> i & 1], d)
+            forms = range(0, len(gaps), 3)
+            drifts = [q[k] * (sum(ints[i] * row[j + 1] for i, row in zip(free, rows))
+                              + d * sums[j + 2]) for j in forms]
+            fails = any(gaps[j + 1] or gaps[j + 2]
+                        or any(e * d * gaps[j] + alpha * drift for alpha, e in alphas)
+                        for j, drift in zip(forms, drifts))
+        if fails:
+            acc = sum(value[mask | 1 << i] for i in free)
+            drawn = tuple(x for i, x in enumerate(xs) if mask >> i & 1)
+            return MartingaleCheck(MartingaleViolation(drawn, value[mask], acc / (n - k)),
+                                   states)
     return MartingaleCheck(None, len(sets))
 
 
@@ -348,9 +359,11 @@ def _check_slots(
     slots' identity fail, or ``value_fn`` do more to a slot than add and
     scale it, the generic walk over ``prefix_value`` gives the verdict."""
 
-    def moves(k: int, drawn: list) -> set:
+    ratios = multipliers and [(a.numerator, a.denominator) for a in multipliers]
+
+    def moves(k: int, drawn: list, d: int) -> set:
         lasts = drawn if multipliers is None else (None,)
-        return {_next_multiplier(multipliers, k, last) for last in lasts}
+        return {_next_multiplier(ratios, k, (last, d)) for last in lasts}
 
     try:
         if _check_drawn_sets(population, value_fn, 1, k_max, moves).holds:

@@ -199,7 +199,8 @@ def drawn_set_values(values: Sequence, fn: Callable, ks: range) -> list:
     s, t = [0], [0]
     for x in values:
         s += [v + x for v in s]
-        t += [v + x * x for v in t]
+        square = x * x
+        t += [v + square for v in t]
     out = []
     for mask in range(len(s)):
         k = mask.bit_count()

@@ -604,6 +604,30 @@ def test_huge_sizes_are_refused_by_their_estimate(tmp_path, four_file, monkeypat
     assert f"samples x n = {huge} x 40 floats" in errors[1]
 
 
+def test_a_monte_carlo_sweep_row_without_samples_is_refused_before_drawing(
+    tmp_path, monkeypatch
+):
+    # verify's own message, given before the row's population is drawn
+    def draw(*args, **kwargs):
+        raise AssertionError("the population was drawn before the samples check")
+
+    monkeypatch.setattr("permartingale.cli.random_centered_population", draw)
+    rows = [{"id": "quadratic", "mode": "mc", "random": {"n": 300000}},
+            {"id": "quadratic", "mode": "mc", "random": {"n": 5}, "samples": 0},
+            {"id": "quadratic", "mode": "mc", "random": {"n": 5}, "samples": "7"},
+            {"id": "hardy", "mode": "mc", "random": {"n": 5}, "samples": 9, "seed": -1}]
+    spec = tmp_path / "rows.json"
+    spec.write_text(json.dumps(rows), encoding="utf-8")
+    rc, out, _ = run_cli(["sweep", str(spec)])
+    assert rc == 1
+    assert [r["error"] for r in json.loads(out)["rows"]] == [
+        "Monte Carlo mode needs samples and seed",
+        "samples must be a positive int, got 0",
+        "samples must be a positive int, got '7'",
+        "seed must be a nonnegative int, got -1",
+    ]
+
+
 def test_only_the_exact_verify_refusal_advises_monte_carlo(tmp_path, four_file):
     # verify-martingale and the moment oracles have no Monte Carlo mode
     weights = pop_file(tmp_path, [1, 2, 3, 4], name="w4.txt")

@@ -582,6 +582,169 @@ def test_drawn_set_checker_agrees_with_check_sequence(values, centered, shift):
         assert w.value == fn(w.k, s, sum((x * x for x in w.prefix), Fraction(0)))
 
 
+def _grid_populations(n, rng):
+    # centered p/q values, repeated values, +-1 values and 1/p for
+    # distinct primes p, whose layers' common denominators grow large
+    primes = (2, 3, 5, 7, 11, 13, 17)
+    heads = (
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n - 1)],
+        [Fraction(rng.choice((-2, -1, 1, 3))) for _ in range(n - 1)],
+        [Fraction(rng.choice((-1, 1))) for _ in range(n - 1)],
+        [Fraction(rng.choice((-1, 1)), p) for p in primes[: n - 1]],
+    )
+    for head in heads:
+        yield make_population(head + [-sum(head, Fraction(0))])
+
+
+def _table_reference(pop, fn, k_min, k_max, slots=None):
+    """The independent route: each drawn set's value recomputed from its
+    items and its extensions' values summed as Fractions, set by set in
+    lexicographic order.  With ``slots`` (the multipliers, or "chain")
+    values are forms in W_k and A_k, and each a_{k+1} must carry the
+    extensions' forms, shifted by a (x c1 + c2), to the set's."""
+    from permartingale.martingales import MartingaleCheck, MartingaleViolation, _Form
+
+    n, xs = pop.n, pop.values
+
+    def value(items):
+        drawn = [xs[i] for i in items]
+        return fn(len(drawn), sum(drawn, Fraction(0)), sum((x * x for x in drawn), Fraction(0)))
+
+    def terms(v):
+        if isinstance(v, tuple):
+            return [c for x in v for c in terms(x)]
+        return list(v.terms) if isinstance(v, _Form) else [v, 0, 0]
+
+    sets = sorted(c for k in range(k_min, k_max) for c in itertools.combinations(range(n), k))
+    for states, items in enumerate(sets, start=1):
+        k, kids = len(items), [i for i in range(n) if i not in items]
+        rows = [(xs[i], terms(value(tuple(sorted(items + (i,)))))) for i in kids]
+        target = [(n - k) * c for c in terms(value(items))]
+        moves = ({0} if slots is None else {xs[i] for i in items} if slots == "chain"
+                 else {slots[k]})
+        for a in moves:
+            got = [sum(r[j] + (a * (x * r[j + 1] + r[j + 2]) if j % 3 == 0 else 0)
+                       for x, r in rows) for j in range(len(target))]
+            if got != target:
+                acc = sum(value(tuple(sorted(items + (i,)))) for i in kids)
+                witness = tuple(xs[i] for i in items)
+                return MartingaleCheck(MartingaleViolation(witness, value(items), acc / (n - k)),
+                                       states)
+    return MartingaleCheck(None, len(sets))
+
+
+def _valid_witness(w, pop, prefix_value):
+    # the evaluator at the witness, and the average of its extensions,
+    # recomputed coordinatewise from the prefix and the items it leaves
+    def vec(v):
+        return tuple(v) if isinstance(v, tuple) else (v,)
+
+    rest = list(pop.values)
+    for x in w.prefix:
+        rest.remove(x)
+    kids = [vec(prefix_value((*w.prefix, x))) for x in rest]
+    mean = tuple(sum(c) / len(rest) for c in zip(*kids))
+    value, conditional_mean = vec(w.value), vec(w.conditional_mean)
+    return value == vec(prefix_value(w.prefix)) != conditional_mean == mean
+
+
+def test_integer_drawn_set_checker_against_the_exact_routes_on_a_seeded_grid(monkeypatch):
+    # Every drawn-set check, recorded as it runs inside the public checks,
+    # against the Fraction-table reference above; every public verdict
+    # against check_sequence (the ordered walk) up to n = 6; and every
+    # witness against the evaluator it names.
+    from permartingale import martingales
+    from permartingale.martingales import ORDER_FREE_VALUES, _check_drawn_sets
+
+    calls = []
+
+    def record(*args):
+        calls.append((args, _check_drawn_sets(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(martingales, "_check_drawn_sets", record)
+    rng = random.Random(19)
+    right = martingales.weighted_value
+    failures = slot_failures = 0
+    for n in range(3, 9):
+        for pop in _grid_populations(n, rng):
+            ws = [Fraction(rng.choice((-3, 0, 1, 2)), rng.choice((1, 2, 7))) for _ in range(n)]
+            # (patch, slots, k_max, the check, the evaluator on a prefix)
+            checks = []
+            slot_kinds = {MartingaleKind.WEIGHTED: ws, MartingaleKind.CHAIN_QUADRATIC: "chain"}
+            for kind in MartingaleKind:
+                spec = make_spec(kind, pop, ws if kind is MartingaleKind.WEIGHTED else None)
+                patches = [None]
+                if kind in slot_kinds and n <= 6:
+                    patches += [
+                        lambda m, j=j, mutate=mutate: m.setattr(
+                            martingales, "weighted_value",
+                            lambda n: mutate(right(n), ws, j))
+                        for kinds, mutate in _MUTATIONS.values() if kind in kinds
+                        for j in range(1, n)
+                    ]
+                checks += [(patch, slot_kinds.get(kind), spec.k_max,
+                            lambda spec=spec: check_martingale(spec),
+                            lambda p, spec=spec: evaluate_prefix(spec, p))
+                           for patch in patches]
+            for basis, basis_ws in ((Basis.WEIGHTED, ws), (Basis.QUADRATIC, None)):
+                system = build_transition_system(basis, population=pop, multipliers=basis_ws)
+                checks.append((None, basis_ws, system.max_product_index,
+                               lambda b=basis, w=basis_ws: check_vector_martingale(pop, b, w),
+                               lambda p, s=system: vector_martingale_value(s, p)))
+            mtilde = ORDER_FREE_VALUES[MartingaleKind.MTILDE](pop)
+            for j in range(1, n - 1):
+                def shifted(k, s, t, j=j):
+                    return mtilde(k, s, t) + (1 if k == j else 0)
+                checks.append((None, None, n - 2,
+                               lambda f=shifted: _check_drawn_sets(pop, f, 1, n - 2),
+                               lambda p, f=shifted: f(len(p), sum(p, Fraction(0)),
+                                                      sum((x * x for x in p), Fraction(0)))))
+            for patch, slots, k_max, run, prefix_value in checks:
+                with monkeypatch.context() as m:
+                    if patch is not None:
+                        patch(m)
+                    calls.clear()
+                    report = run()
+                    for args, result in calls:
+                        reference = _table_reference(*args[:4], slots)
+                        if slots is None:
+                            assert result == reference, (pop.values, args[2:4])
+                        else:  # a failing slot check gives no witness
+                            assert result.holds == reference.holds, (pop.values, slots)
+                            slot_failures += not result.holds
+                    if n <= 6:
+                        generic = check_sequence(pop, prefix_value, 1, k_max)
+                        assert report.holds == generic.holds, (pop.values, k_max)
+                    if not report.holds:
+                        failures += 1
+                        assert _valid_witness(report.worst_history, pop, prefix_value)
+    assert failures >= 100 and slot_failures >= 100, (failures, slot_failures)
+    # the negative controls, recorded the same way
+    for n in range(4, 9):
+        for pop in _grid_populations(n, rng):
+            calls.clear()
+            try:
+                counterexample_suite(pop)
+            except PreconditionError:
+                continue
+            assert len(calls) == 5
+            for args, result in calls:
+                assert result == _table_reference(*args), (pop.values, args[2:])
+
+
+def test_the_slot_identity_must_hold_for_every_move():
+    # W_k alone drifts by a_{k+1} (M - S_k) per step: on a centered
+    # population the identity holds for a = 0 and fails for a = 1, so a
+    # set must fail when either of its moves is a = 1, in either order
+    from permartingale.martingales import _W, _check_drawn_sets
+
+    for moves, holds in (([(0, 1)], True), ([(0, 1), (1, 1)], False),
+                         ([(1, 1), (0, 1)], False), ([(0, 5), (3, 7), (0, 1)], False)):
+        check = _check_drawn_sets(FOUR, lambda k, s, t: _W, 1, 3, lambda k, drawn, d: moves)
+        assert check.holds is holds, moves
+
+
 def test_weighted_checker_holds_on_seeded_populations():
     # the independent route: the generic walk over every prefix
     rng = random.Random(31)
