@@ -35,6 +35,7 @@ import io
 import math
 import os
 import sys
+from functools import partial
 from importlib import import_module
 from typing import TYPE_CHECKING, Sequence
 
@@ -52,10 +53,10 @@ _ENGINE_NAMES = {
     "population": "load_population make_population parse_scalar_lines "
     "random_centered_population read_text_file value_lines",
     "rationals": "format_rational parse_rational",
-    "inequalities": "ensure_exact_size ensure_mc_arguments ensure_samplable verify",
+    "inequalities": "ensure_runnable verify",
     "martingales": "check_martingale ensure_checkable make_spec",
     "moments": "ensure_reportable moment_report",
-    "construction": "build_transition_system matrix_as_strings",
+    "construction": "build_transition_system ensure_matrix_count matrix_as_strings",
 }
 _HOME = {n: m for m, names in _ENGINE_NAMES.items() for n in names.split()}
 
@@ -74,9 +75,6 @@ def _bind(*modules: str) -> None:
 
 
 _CSV_REPORT_FIELDS = ("id", "n", "mode", "lhs", "rhs", "holds", "seed", "samples")
-# the matrices (about 2n) above which dump-matrices refuses: about 5 s
-# and 35 MB of JSON, over 800 times the largest test call
-_MAX_MATRICES = 100_000
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -275,7 +273,7 @@ def _read_scalars(
 
 def _count_values(path: str) -> int:
     """The number of values in a population file, counted without
-    parsing any, so that an exact run refuses an oversized file at once."""
+    parsing any, so that a run too large is refused at once."""
     return sum(1 for _ in value_lines(read_text_file(path, "population")))
 
 
@@ -321,11 +319,12 @@ def _cmd_check_inequality(args) -> int:
     _bind("population", "inequalities")
     mode = VerifyMode(args.mode)
     lenient = mode is VerifyMode.MONTE_CARLO
-    if args.population is not None and not lenient:
-        ensure_exact_size(args.id, _count_values(args.population), args.cutoff)
+    seed = _default_seed(args.seed) if lenient else args.seed
+    if args.population is not None:
+        n = _count_values(args.population)
+        ensure_runnable(args.id, n, mode, args.samples, seed, args.cutoff)
     pop = _optional(lambda path: load_population(path, lenient), args.population)
     weights = _read_scalars(args.weights, lenient=lenient)
-    seed = _default_seed(args.seed) if mode is VerifyMode.MONTE_CARLO else args.seed
     report = verify(
         args.id,
         population=pop,
@@ -387,11 +386,8 @@ def _cmd_dump_matrices(args) -> int:
     multipliers = _read_scalars(args.multipliers)
     pop = _optional(load_population, args.population)
     n = args.n if pop is None else pop.n
-    if n is not None and 2 * n > _MAX_MATRICES:
-        raise InvalidInputError(
-            f"dump-matrices at n={n} writes about 2n = 2 x {n} matrices, "
-            f"above the limit of {_MAX_MATRICES:,}; use a smaller n"
-        )
+    if n is not None:
+        ensure_matrix_count(n)
     system = build_transition_system(
         args.basis,
         multipliers=multipliers,
@@ -441,7 +437,9 @@ _SWEEP_ROW_KEYS = frozenset(
 _SWEEP_RANDOM_KEYS = frozenset({"n", "seed", "max_numerator", "max_denominator"})
 
 
-def _sweep_population(row: dict, index: int, master_seed: int, mode, cutoff, mc_seed):
+def _sweep_population(row: dict, index: int, master_seed: int, mode, refuse):
+    """The row's population, refused by its size (``refuse(n)``) before it
+    is parsed or drawn; None for a bridge_m row, which ``verify`` builds."""
     sources = [
         k for k in ("population", "population_file", "random", "bridge_m") if k in row
     ]
@@ -453,12 +451,10 @@ def _sweep_population(row: dict, index: int, master_seed: int, mode, cutoff, mc_
         values = row["population"]
         if not isinstance(values, list):
             raise InvalidInputError(f"row {index}: 'population' must be a list")
-        if mode is VerifyMode.EXACT:
-            ensure_exact_size(row["id"], len(values), cutoff)
+        refuse(len(values))
         return make_population(values)
     if "population_file" in row:
-        if mode is VerifyMode.EXACT:
-            ensure_exact_size(row["id"], _count_values(row["population_file"]), cutoff)
+        refuse(_count_values(row["population_file"]))
         return load_population(row["population_file"], mode is VerifyMode.MONTE_CARLO)
     if "random" in row:
         spec = row["random"]
@@ -477,12 +473,7 @@ def _sweep_population(row: dict, index: int, master_seed: int, mode, cutoff, mc_
         ):
             raise InvalidInputError(f"row {index}: 'seed' must be a finite number or string")
         if isinstance(spec["n"], int):
-            # refuse before building the population
-            if mode is VerifyMode.EXACT:
-                ensure_exact_size(row["id"], spec["n"], cutoff)
-            else:
-                ensure_samplable(spec["n"], row.get("samples"))
-                ensure_mc_arguments(row.get("samples"), mc_seed)
+            refuse(spec["n"])
         import random
 
         rng = random.Random(
@@ -518,7 +509,9 @@ def _run_sweep_row(
     seed = row.get("seed")
     if mode is VerifyMode.MONTE_CARLO and seed is None:
         seed = _sweep_row_seed(master_seed, index)
-    pop = _sweep_population(row, index, master_seed, mode, cutoff, seed)
+    refuse = partial(ensure_runnable, row["id"], mode=mode, samples=row.get("samples"),
+                     seed=seed, cutoff=cutoff)
+    pop = _sweep_population(row, index, master_seed, mode, refuse)
     weights = None
     if "weights" in row and "weights_file" in row:
         raise InvalidInputError(f"row {index}: both 'weights' and 'weights_file'")

@@ -50,6 +50,11 @@ from .weights import validate_weights
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
 
+# the matrices (about 2n) above which a transition system is refused:
+# dump-matrices writes about 5 s and 35 MB of JSON at this size, over
+# 800 times the largest test call
+_MAX_MATRICES = 100_000
+
 
 def _as_matrix(rows: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
@@ -291,6 +296,16 @@ class TransitionSystem:
         return (w, s)
 
 
+def ensure_matrix_count(n: int) -> None:
+    """Refuse a transition system of about 2n matrices above _MAX_MATRICES;
+    run before any matrix is built, it refuses at no cost."""
+    if 2 * n > _MAX_MATRICES:
+        raise InvalidInputError(
+            f"dump-matrices at n={n} writes about 2n = 2 x {n} matrices, "
+            f"above the limit of {_MAX_MATRICES:,}; use a smaller n"
+        )
+
+
 def build_transition_system(
     basis: Basis | str,
     population: Population | None = None,
@@ -304,7 +319,9 @@ def build_transition_system(
     Pass either ``population`` or explicit inputs.  The quadratic basis
     needs ``(n, total, square_sum)``; the weighted basis needs n and
     ``multipliers`` of length n, and a total, if one is given, of 0.
-    Sums not given stay None on the system.
+    Sums not given stay None on the system.  An n whose system holds
+    more than _MAX_MATRICES matrices (about 2n) is refused before any
+    product is built.
     """
     basis = coerce_enum(Basis, basis, "basis")
     if population is not None:
@@ -323,6 +340,7 @@ def build_transition_system(
         )
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise InvalidInputError(f"need integer n >= 2, got {n!r}")
+    ensure_matrix_count(n)
     total = None if total is None else as_fraction(total)
     square_sum = None if square_sum is None else as_fraction(square_sum)
     ws: tuple[Fraction, ...] | None = None

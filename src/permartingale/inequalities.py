@@ -738,12 +738,12 @@ def _mc_lhs(
     time, each row's terms by the rule's ``reduce``, into the block's
     vector of per-row values.  ``permuted`` draws from the stream row by
     row, so the chunks see exactly the orderings of the whole block.
+    A MemoryError from the float image of the values on, the statistic's
+    own arrays included, is refused as a block that does not fit.
     """
     import numpy as np
 
     n = pop.n
-    base = np.array(pop.as_floats(), dtype=np.float64)
-    stat = rule.floats(n, ws)
     reduce_rows = {max: np.max, sum: np.sum}[rule.reduce]
     take_max = rule.over_orderings == "max"
     rows = max(1, min(samples, MC_BLOCK_SIZE, _MC_CHUNK_FLOATS // n))
@@ -752,8 +752,10 @@ def _mc_lhs(
     total = 0.0
     total_sq = 0.0
     running_max = -np.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
+    try:
+        base = np.array(pop.as_floats(), dtype=np.float64)
+        stat = rule.floats(n, ws)
+        with np.errstate(over="ignore", invalid="ignore"):
             chunk = np.tile(base, (rows, 1))
             values = np.empty(min(samples, MC_BLOCK_SIZE))
             while done < samples:
@@ -774,12 +776,12 @@ def _mc_lhs(
                     total_sq += float((v * v).sum())
                 done += b
                 block += 1
-        except MemoryError:
-            raise InvalidInputError(
-                f"a Monte Carlo block of {rows} x {n} floats "
-                f"({rows * n / 2**27:.2f} GiB) does not fit in memory; "
-                "use fewer samples or a smaller population"
-            ) from None
+    except MemoryError:
+        raise InvalidInputError(
+            f"a Monte Carlo block of {rows} x {n} floats "
+            f"({rows * n / 2**27:.2f} GiB) does not fit in memory; "
+            "use fewer samples or a smaller population"
+        ) from None
     if take_max:
         return running_max, None
     mean = total / samples
@@ -789,19 +791,19 @@ def _mc_lhs(
     return mean, sqrt(var / samples)
 
 
-def ensure_exact_size(id, n: int, cutoff: int | None) -> None:
-    """Refuse exact verification of ``id`` over n items above the cutoff;
-    run before building a large population, it refuses at no cost."""
+def ensure_runnable(id, n: int, mode, samples=None, seed=None, cutoff=None) -> None:
+    """Refuse an inequality run over n items that ``verify`` would not do:
+    an exact run above the cutoff; a Monte Carlo run above MC_MAX_FLOATS
+    floats (samples x n, one sample counted when ``samples`` is not a
+    positive int), then one without a positive int ``samples`` and a
+    nonnegative int ``seed``.  Every entry point calls it on the size it
+    knows before any population is parsed, drawn or built."""
     iid = coerce_enum(InequalityId, id, "inequality id")
-    ensure_enumerable(
-        n, cutoff, f"exact verification of {iid.value!r}", "use Monte Carlo mode"
-    )
-
-
-def ensure_samplable(n: int, samples) -> None:
-    """Refuse a Monte Carlo run of ``samples`` orderings of n items (one,
-    when ``samples`` is not a positive int) above MC_MAX_FLOATS floats;
-    run before building a large population, it refuses at no cost."""
+    if mode is VerifyMode.EXACT:
+        ensure_enumerable(
+            n, cutoff, f"exact verification of {iid.value!r}", "use Monte Carlo mode"
+        )
+        return
     count = samples if isinstance(samples, int) and samples > 0 else 1
     if count * n > MC_MAX_FLOATS:
         raise InvalidInputError(
@@ -809,10 +811,6 @@ def ensure_samplable(n: int, samples) -> None:
             f"{count} x {n} floats, above the limit of {MC_MAX_FLOATS:,}; "
             "use fewer samples or a smaller population"
         )
-
-
-def ensure_mc_arguments(samples, seed) -> None:
-    """Refuse the Monte Carlo samples or seed ``verify`` cannot run."""
     if samples is None or seed is None:
         raise InvalidInputError("Monte Carlo mode needs samples and seed")
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
@@ -841,17 +839,18 @@ def verify(
     serves the given-weight ids.  It decides lhs <= rhs exactly.  Monte
     Carlo mode needs ``samples`` and ``seed``, refuses more than
     MC_MAX_FLOATS floats (samples x n), and reports a verdict that is
-    never stronger than "consistent".
+    never stronger than "consistent".  Both modes ask
+    :func:`ensure_runnable` first, on ``population.n`` or on 2 x
+    ``bridge_m``, so that a refused run builds nothing.
     """
     iid = coerce_enum(InequalityId, id, "inequality id")
     mode = coerce_enum(VerifyMode, mode, "verification mode")
-    if mode is VerifyMode.EXACT:
-        # refused before any sum of the population is read, and before
-        # a bridge's 2m items are built
-        if population is not None:
-            ensure_exact_size(iid, population.n, cutoff)
-        elif _RULES[iid].bridge and isinstance(bridge_m, int):
-            ensure_exact_size(iid, 2 * bridge_m, cutoff)
+    # refused before any sum of the population is read, and before a
+    # bridge's 2m items are built; without either, _resolve refuses
+    if population is not None:
+        ensure_runnable(iid, population.n, mode, samples, seed, cutoff)
+    elif _RULES[iid].bridge and isinstance(bridge_m, int):
+        ensure_runnable(iid, 2 * bridge_m, mode, samples, seed, cutoff)
     iid, rule, pop, ws = _resolve(iid, population, weights, bridge_m)
     rhs = rule.rhs(pop, ws)
     n = pop.n
@@ -863,8 +862,6 @@ def verify(
         stderr = None
         status = "holds" if lhs <= rhs else "fails"
     else:
-        ensure_mc_arguments(samples, seed)
-        ensure_samplable(n, samples)
         try:
             rhs_f = float(rhs)
         except OverflowError:

@@ -117,12 +117,11 @@ def make_bridge_population(m: int) -> Population:
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise InvalidInputError(f"bridge parameter must be an int >= 1, got {m!r}")
     try:
-        values = (1,) * m + (-1,) * m
+        return make_population((1,) * m + (-1,) * m)
     except (OverflowError, MemoryError):
         raise InvalidInputError(
             f"a bridge population of 2m = {2 * m} items does not fit in memory"
         ) from None
-    return make_population(values)
 
 
 def bridge_parameter(population: Population) -> int | None:

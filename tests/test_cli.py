@@ -15,6 +15,7 @@ import pytest
 
 from permartingale import (
     EnumerationLimitError,
+    Error,
     InequalityId,
     check_martingale,
     make_population,
@@ -628,6 +629,86 @@ def test_a_monte_carlo_sweep_row_without_samples_is_refused_before_drawing(
     ]
 
 
+def _cutoff_refusal(iid, n):
+    return (
+        f"exact verification of '{iid}' needs enumeration over a population of "
+        f"size {n}, above the cutoff 10; raise the cutoff (hard maximum 12) or "
+        "use Monte Carlo mode"
+    )
+
+
+def _ceiling_refusal(n, count):
+    return (
+        f"a Monte Carlo run over n={n} items permutes samples x n = {count} x {n} "
+        "floats, above the limit of 10,000,000,000; use fewer samples or a "
+        "smaller population"
+    )
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_every_inequality_run_is_refused_before_its_population_is_built(
+    tmp_path, monkeypatch, mode
+):
+    # verify, check-inequality and each sweep row source ask one refusal,
+    # on the size they know, before any population is parsed, drawn, built
+    # or read; the messages are those of the checks it replaced
+    def work(*args, **kwargs):
+        raise AssertionError("a population was built before the refusal")
+
+    for name in ("cli.load_population", "cli.make_population",
+                 "cli.random_centered_population",
+                 "inequalities.make_bridge_population", "inequalities._resolve"):
+        monkeypatch.setattr(f"permartingale.{name}", work)
+    eleven = pop_file(tmp_path, range(-5, 6), name="eleven.txt")
+    four = pop_file(tmp_path, [1, -1, 2, -2], name="four.txt")
+    huge = 10**10
+    if mode == "exact":
+        calls = [(dict(population=make_population(range(-5, 6))),
+                  _cutoff_refusal("quadratic", 11)),
+                 (dict(bridge_m=6), _cutoff_refusal("bridge", 12))]
+        argvs = [(["--id", "max_averages", "--population", eleven],
+                  _cutoff_refusal("max_averages", 11))]
+        rows = [({"id": "hardy", "population": list(range(-5, 6))},
+                 _cutoff_refusal("hardy", 11)),
+                ({"id": "quadratic", "population_file": eleven},
+                 _cutoff_refusal("quadratic", 11)),
+                ({"id": "garsia_unweighted", "random": {"n": 11}},
+                 _cutoff_refusal("garsia_unweighted", 11)),
+                ({"id": "bridge", "bridge_m": 6}, _cutoff_refusal("bridge", 12))]
+    else:
+        calls = [(dict(population=make_population([1, -1, 2, -2]), seed=1),
+                  "Monte Carlo mode needs samples and seed"),
+                 (dict(bridge_m=huge, samples=1, seed=1),
+                  _ceiling_refusal(2 * huge, 1))]
+        argvs = [(["--id", "max_averages", "--population", four, "--samples", "0",
+                   "--seed", "1"], "samples must be a positive int, got 0"),
+                 (["--id", "hardy", "--population", four, "--samples",
+                   str(10**21), "--seed", "1"], _ceiling_refusal(4, 10**21))]
+        rows = [({"id": "hardy", "population": [1, -1, 2, -2]},
+                 "Monte Carlo mode needs samples and seed"),
+                ({"id": "quadratic", "population_file": four, "samples": "7"},
+                 "samples must be a positive int, got '7'"),
+                ({"id": "garsia_unweighted", "random": {"n": 4}, "samples": 9,
+                  "seed": -1}, "seed must be a nonnegative int, got -1"),
+                ({"id": "bridge", "bridge_m": huge, "samples": 1},
+                 _ceiling_refusal(2 * huge, 1))]
+    for kwargs, want in calls:
+        iid = "bridge" if "bridge_m" in kwargs else "quadratic"
+        with pytest.raises(Error) as caught:
+            verify(iid, mode=mode, **kwargs)
+        assert str(caught.value) == want
+    for argv, want in argvs:
+        rc, out, err = run_cli(["check-inequality", "--mode", mode, *argv])
+        assert (rc, out, err) == (2, "", f"error: {want}\n")
+    spec = tmp_path / "rows.json"
+    spec.write_text(
+        json.dumps([{**row, "mode": mode} for row, _ in rows]), encoding="utf-8"
+    )
+    rc, out, _ = run_cli(["sweep", str(spec)])
+    assert rc == 1
+    assert [r["error"] for r in json.loads(out)["rows"]] == [w for _, w in rows]
+
+
 def test_only_the_exact_verify_refusal_advises_monte_carlo(tmp_path, four_file):
     # verify-martingale and the moment oracles have no Monte Carlo mode
     weights = pop_file(tmp_path, [1, 2, 3, 4], name="w4.txt")
@@ -771,6 +852,32 @@ def test_mc_block_out_of_memory_is_an_input_error(four_file, monkeypatch):
     assert rc == 2 and out == ""
     assert err.count("error:") == 1 and err.startswith("error: ")
     assert "block of 100 x 4" in err and "does not fit in memory" in err
+
+
+@pytest.mark.parametrize("where", ["float_image", "statistic", "bridge"])
+def test_memory_errors_before_the_first_block_are_input_errors(
+    four_file, monkeypatch, where
+):
+    # the float image of the values, the statistic's own arrays and the
+    # bridge's items are built inside a memory conversion: exit 2, not 1
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    argv = ["check-inequality", "--id", "quadratic", "--population", four_file,
+            "--mode", "mc", "--samples", "100", "--seed", "1"]
+    want = "a Monte Carlo block of 100 x 4 floats (0.00 GiB) does not fit in memory"
+    if where == "float_image":
+        monkeypatch.setattr("permartingale.population.Population.as_floats",
+                            out_of_memory)
+    elif where == "statistic":
+        monkeypatch.setattr(np, "arange", out_of_memory)
+    else:
+        monkeypatch.setattr("permartingale.population.as_fraction", out_of_memory)
+        argv[1:5] = ["--id", "bridge", "--bridge-m", "4"]
+        want = "a bridge population of 2m = 8 items does not fit in memory"
+    rc, out, err = run_cli(argv)
+    assert rc == 2 and out == ""
+    assert err.count("error:") == 1 and err.startswith(f"error: {want}")
 
 
 def test_sweep_rejects_malformed_files(tmp_path):

@@ -237,6 +237,28 @@ def test_build_transition_system_input_validation():
     ).inverse_products
 
 
+def test_build_transition_system_refuses_more_matrices_than_its_ceiling(monkeypatch):
+    # the library call is refused like dump-matrices, before any product
+    from permartingale import construction
+
+    def product(*args):
+        raise AssertionError("a product was built before the matrix ceiling")
+
+    monkeypatch.setattr(construction, "quadratic_inverse_product", product)
+    monkeypatch.setattr(construction, "_weighted_product", product)
+    for n, kwargs in ((10**6, dict(total=0, square_sum=1)),
+                      (50_001, dict(multipliers=[1] * 50_001))):
+        basis = "weighted" if "multipliers" in kwargs else "quadratic"
+        with pytest.raises(InvalidInputError) as caught:
+            build_transition_system(basis, n=n, **kwargs)
+        assert str(caught.value) == (
+            f"dump-matrices at n={n} writes about 2n = 2 x {n} matrices, above "
+            "the limit of 100,000; use a smaller n"
+        )
+    with pytest.raises(AssertionError, match="a product was built"):
+        build_transition_system("quadratic", n=50_000, total=0, square_sum=1)
+
+
 def test_weighted_basis_requires_a_centered_total():
     # the weighted step matrix omits a_{k+1} M/(n-k) and M/(n-k)
     uncentered = make_population([1, 2, 3, 4])

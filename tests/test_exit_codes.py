@@ -6,9 +6,10 @@ no exception escape and prints no traceback; exit 2 comes with an
 that shows a failed check.  Valid sizes stay small (exact n <= 8,
 samples <= 2,000, ``dump-matrices --n`` <= 60, random sweep rows n <= 8),
 so every example ends quickly.  Huge sizes are drawn everywhere: each
-is refused with exit 2 before any work, ``--samples``, a sweep row's
-samples and a Monte Carlo row's random n by their count of floats, and
-``dump-matrices --n`` by its count of matrices.
+is refused with exit 2 before any work, ``--samples``, a Monte Carlo
+``--bridge-m``, a sweep row's samples and a Monte Carlo row's random n
+by their count of floats, and ``dump-matrices --n`` by its count of
+matrices.
 """
 
 import contextlib
@@ -248,6 +249,11 @@ def failed_check(command, fmt, text, err):
 @example((["check-inequality", "--id", "quadratic", "--mode", "mc", "--population",
            os.path.join(DIR, "p"), "--samples", HUGE, "--seed", "1"],
           {os.path.join(DIR, "p"): b"1\n-1\n2\n-2\n"}))
+@example((["check-inequality", "--id", "bridge", "--mode", "mc", "--bridge-m",
+           str(10**10), "--samples", "1", "--seed", "1"], {}))
+@example((["check-inequality", "--id", "max_averages", "--mode", "mc", "--population",
+           os.path.join(DIR, "p"), "--samples", str(10**21), "--seed", "1"],
+          {os.path.join(DIR, "p"): b"1\n-1\n" * 100}))
 @example((["dump-matrices", "--basis", "quadratic", "--n", HUGE, "--total", "0",
            "--square-sum", "1"], {}))
 @example((["sweep", os.path.join(DIR, "s")],

@@ -189,14 +189,22 @@ def test_check_martingale_counts_checked_histories():
 def test_weighted_checks_visit_every_state_of_the_drawn_set_graph(monkeypatch):
     # One a_{k+1} per state: a drawn set of size 1..n-2 for a fixed
     # multiplier (1,012 at n=10), and for the chain a set with each of its
-    # draws as the last (5,020 at n=10), so no history goes unchecked.
+    # draws as the last (5,020 at n=10), so no history goes unchecked.  A
+    # call past the expected count fails at once: a checker that fell back
+    # to the ordered walk would ask at each of millions of prefixes.
     from permartingale import martingales
 
-    asked = []
+    asked = 0
+    states = 0
     rule = martingales._next_multiplier
-    monkeypatch.setattr(
-        martingales, "_next_multiplier", lambda *args: asked.append(args) or rule(*args)
-    )
+
+    def counted(*args):
+        nonlocal asked
+        asked += 1
+        assert asked <= states, f"more than {states} states asked for a_(k+1)"
+        return rule(*args)
+
+    monkeypatch.setattr(martingales, "_next_multiplier", counted)
     pop = random_centered_population(10, random.Random(29))
     assert len(set(pop.values)) == 10
     ws = [Fraction(k % 3 - 1, 2) for k in range(10)]
@@ -205,9 +213,9 @@ def test_weighted_checks_visit_every_state_of_the_drawn_set_graph(monkeypatch):
         (lambda: check_vector_martingale(pop, Basis.WEIGHTED, ws), 1012),
         (lambda: check_martingale(make_spec(MartingaleKind.CHAIN_QUADRATIC, pop)), 5020),
     ):
-        asked.clear()
+        asked = 0
         assert check().holds
-        assert len(asked) == states
+        assert asked == states
 
 
 def test_check_vector_martingale_both_bases():
