@@ -52,7 +52,7 @@ if TYPE_CHECKING:
 _ENGINE_NAMES = {
     "population": "load_population make_population parse_scalar_lines "
     "random_centered_population read_text_file value_lines",
-    "rationals": "format_rational parse_rational",
+    "rationals": "format_rational parse_rational parse_scalar",
     "inequalities": "ensure_runnable verify",
     "martingales": "check_martingale ensure_checkable make_spec",
     "moments": "ensure_reportable moment_report",
@@ -452,7 +452,7 @@ def _sweep_population(row: dict, index: int, master_seed: int, mode, refuse):
         if not isinstance(values, list):
             raise InvalidInputError(f"row {index}: 'population' must be a list")
         refuse(len(values))
-        return make_population(values)
+        return make_population(_row_scalars(values, mode))
     if "population_file" in row:
         refuse(_count_values(row["population_file"]))
         return load_population(row["population_file"], mode is VerifyMode.MONTE_CARLO)
@@ -482,6 +482,12 @@ def _sweep_population(row: dict, index: int, master_seed: int, mode, refuse):
         bounds = {k: spec[k] for k in ("max_numerator", "max_denominator") if k in spec}
         return random_centered_population(spec["n"], rng, **bounds)
     return None  # bridge_m rows build their population inside verify
+
+
+def _row_scalars(values: list, mode) -> list:
+    """An inline list, whose strings a Monte Carlo row reads as a file row."""
+    mc = mode is VerifyMode.MONTE_CARLO
+    return [parse_scalar(v, lenient=True) if mc and isinstance(v, str) else v for v in values]
 
 
 def _sweep_row_seed(master_seed: int, index: int) -> int:
@@ -518,7 +524,7 @@ def _run_sweep_row(
     if "weights" in row:
         if not isinstance(row["weights"], list):
             raise InvalidInputError(f"row {index}: 'weights' must be a list")
-        weights = row["weights"]
+        weights = _row_scalars(row["weights"], mode)
     elif "weights_file" in row:
         weights = _read_scalars(row["weights_file"], mode is VerifyMode.MONTE_CARLO)
     return verify(
@@ -536,7 +542,7 @@ def _run_sweep_row(
 def _cmd_sweep(args) -> int:
     import json
 
-    _bind("population", "inequalities")
+    _bind("population", "rationals", "inequalities")
     text = read_text_file(args.specfile, "spec")
     try:
         data = json.loads(text)

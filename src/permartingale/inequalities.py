@@ -34,18 +34,20 @@ W_k is S_k minus twice the sum drawn at odd positions, the graph of
 (drawn set, odd-position part) pairs.  Chain counts per threshold give
 the mean of the maximum, in passes over fixed-size chunks of thresholds
 that bound the memory; a max-plus recursion gives the ``hardy`` maximum.
-The given-weight ids (``vna_weighted``, ``garsia_weighted``) walk the
-prefixes depth first, each prefix once for all orderings that extend
-it.  All refuse n above the enumeration cutoff (default 10, hard maximum
-12).  Monte Carlo mode samples uniformly random orderings in floating
-point with a block-seeded generator, so results are reproducible
-bit-for-bit for a fixed seed and sample count.  A Monte Carlo run can
-never prove an inequality: its verdict is "consistent", "inconclusive",
-or "violation-suspected".
+The given-weight ids (``vna_weighted``, ``garsia_weighted``) meet in
+the middle: the first n - n//2 draws are walked forward and the last
+n//2 back from the end, each half merged by its state, and the halves on
+complementary drawn sets are joined by sorted sums.  All refuse n above
+the enumeration cutoff (default 10, hard maximum 12).  Monte Carlo mode
+samples uniformly random orderings in floating point with a block-seeded
+generator, so results are reproducible bit-for-bit for a fixed seed and
+sample count.  A Monte Carlo run can never prove an inequality: its
+verdict is "consistent", "inconclusive", or "violation-suspected".
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -365,7 +367,8 @@ def _bridge_key(n, d):
 # drawn set D, bit i for item i.  An odd-position state, for
 # ``alternating``, is D | O << n, with O the part of D drawn at odd
 # positions, since W_k = S_k - 2 (sum of O); its last layer holds one
-# state per O.  The given-weight ids keep the walk ``_exact_weighted``.
+# state per O.  The given-weight ids, whose W_k depends on the order of
+# the draws, run the split walk ``_exact_weighted`` instead.
 
 
 def _state_layers(n: int, odd: bool):
@@ -466,46 +469,60 @@ def _exact_alternating(xs, d, count, ws) -> Fraction:
                        count, d * d)
 
 
+def _half_walk(xs, wsc, step):
+    # {drawn set: {step's pair: orderings}} after draws weighted by wsc
+    layer = {0: {(0, 0): 1}}
+    for a in wsc:
+        items = [(1 << i, a * x) for i, x in enumerate(xs)]
+        nxt: dict[int, dict[tuple[int, int], int]] = {}
+        for drawn, states in layer.items():
+            for bit, v in items:
+                if not drawn & bit:
+                    out = nxt.setdefault(drawn | bit, {})
+                    for (p, q), c in states.items():
+                        key = step(v, p, q)
+                        out[key] = out.get(key, 0) + c
+        layer = nxt
+    return layer
+
+
+def _by_arm(rows, at):
+    # rows (h, g, k) sorted by t = row[at], and suffix sums of k, k t, k t^2
+    rows = sorted(rows, key=itemgetter(at))
+    sums = [[*accumulate((r[2] * r[at] ** p for r in reversed(rows)), initial=0)][::-1]
+            for p in range(3)]
+    return [r[at] for r in rows], rows, *sums
+
+
 def _exact_weighted(xs, d, count, ws) -> Fraction:
-    # W_k depends on the order of the draws, so walk the prefixes depth
-    # first: each prefix's W_k and running max are computed once, about
-    # e n! nodes instead of n n! steps, with the last three draws unrolled
+    # meet in the middle (after Horowitz and Sahni): the first m = n - n//2
+    # draws forward, to (D, w = W_m, b = max_{k<=m} |W_k|), the last n//2
+    # back from the end, to (R, h, g), the most the tail's partial sums rise
+    # and fall, at least 0.  Then max_k |W_k| = max(b, w + h, g - w), whose
+    # square is b^2, plus (w + h)^2 - b^2 where h > b - w and (g - w)^2 - b^2
+    # where g > b + w (suffix sums), less the smaller where both hold
     wsc, e = scaled_integers(ws)
-    a1, a2 = wsc[-2], wsc[-1]
-
-    def walk(rest, k, w, best):
-        if not rest:
-            return best
-        a = wsc[k]
-        total = 0
-        if len(rest) == 3:
-            x0, x1, x2 = rest
-            for x, p, q in ((x0, x1, x2), (x1, x0, x2), (x2, x0, x1)):
-                u = w + a * x
-                top = u * u
-                if top < best:
-                    top = best
-                # the two orders of the last two draws
-                v = u + a1 * p
-                b = v * v
-                v += a2 * q
-                c = v * v
-                b = b if b > c else c
-                total += b if b > top else top
-                v = u + a1 * q
-                b = v * v
-                v += a2 * p
-                c = v * v
-                b = b if b > c else c
-                total += b if b > top else top
-            return total
-        for i, x in enumerate(rest):
-            u = w + a * x
-            sq = u * u
-            total += walk(rest[:i] + rest[i + 1:], k + 1, u, sq if sq > best else best)
-        return total
-
-    return Fraction(walk(tuple(xs), 0, 0, 0), count * (d * e) ** 2)
+    n = len(xs)
+    m = n - n // 2
+    tail = _half_walk(xs, wsc[:m - 1:-1], lambda v, h, g: (max(0, h + v), max(0, g - v)))
+    head = _half_walk(xs, wsc[:m],
+                      lambda v, w, b: ((u := w + v), b if -b <= u <= b else abs(u)))
+    full = (1 << n) - 1
+    total = 0
+    for drawn, states in head.items():
+        rows = [(*hg, k) for hg, k in tail.pop(full ^ drawn).items()]
+        (hs, hrows, h0, h1, h2), (gs, grows, g0, g1, g2) = _by_arm(rows, 0), _by_arm(rows, 1)
+        for (w, b), c in states.items():
+            bb = b * b
+            i, j = bisect_right(hs, b - w), bisect_right(gs, b + w)
+            s = (h0[0] * bb + (h0[i] + g0[j]) * (w * w - bb) + 2 * w * (h1[i] - g1[j])
+                 + h2[i] + g2[j])
+            for h, g, k in hrows[i:] if len(hs) - i < len(gs) - j else grows[j:]:
+                if h > b - w and g > b + w:
+                    u = w + h if h + w <= g - w else g - w
+                    s -= k * (u * u - bb)
+            total += c * s
+    return Fraction(total, count * (d * e) ** 2)
 
 
 # Float statistics: (n, ws) -> the per-k terms of a (rows, n) chunk of
@@ -835,8 +852,9 @@ def verify(
     ``hardy``) over the n! orderings without listing them, subject to
     the cutoff: the chain-count engine over the subset lattice serves the
     order-free ids and over the odd-position graph ``alternating``, in
-    memory bounded by its threshold chunk, and the prefix-sharing walk
-    serves the given-weight ids.  It decides lhs <= rhs exactly.  Monte
+    memory bounded by its threshold chunk, and a walk split at n//2 draws
+    from the end, its two halves joined by drawn set, serves the
+    given-weight ids.  It decides lhs <= rhs exactly.  Monte
     Carlo mode needs ``samples`` and ``seed``, refuses more than
     MC_MAX_FLOATS floats (samples x n), and reports a verdict that is
     never stronger than "consistent".  Both modes ask

@@ -393,17 +393,20 @@ def _check_ordered(
     n, vals = population.n, list(population.values)  # vals[:k] is the prefix
     states = 0
 
-    def dfs(k: int) -> MartingaleViolation | None:
+    def dfs(k: int, v=None) -> MartingaleViolation | None:
         nonlocal states
+        children = None  # their values, passed down: each prefix is evaluated once
         if k_min <= k < k_max:
             states += 1
             prefix = tuple(vals[:k])
-            v, acc = fn(prefix), sum(fn((*prefix, x)) for x in vals[k:])
+            v = fn(prefix) if v is None else v
+            children = [fn((*prefix, x)) for x in vals[k:]]
+            acc = sum(children)
             if acc != (n - k) * v:
                 return MartingaleViolation(prefix, v, acc / (n - k))
         for i in range(k, n) if k < k_max - 1 else ():
             vals[k], vals[i] = vals[i], vals[k]
-            violation = dfs(k + 1)
+            violation = dfs(k + 1, None if children is None else children[i - k])
             vals[k], vals[i] = vals[i], vals[k]
             if violation is not None:
                 return violation

@@ -535,6 +535,35 @@ def test_sweep_records_per_row_errors(tmp_path):
         assert "decimals are not accepted in exact mode" in r["error"]
 
 
+def test_a_monte_carlo_inline_row_reads_its_strings_as_a_file_row_does(tmp_path):
+    # the same decimal values inline and in files give the same report;
+    # exact inline rows stay strict, and JSON floats stay refused
+    pop, ws = ["0.5", "-0.5", "1.25e0", "-5/4"], ["0.5", "1", 2, "1e0"]
+    mc = {"mode": "mc", "samples": 50, "seed": 3}
+    rows = [
+        {"id": "vna_weighted", "population": pop, "weights": ws, **mc},
+        {"id": "vna_weighted", "population_file": pop_file(tmp_path, pop),
+         "weights_file": pop_file(tmp_path, ws, "w.txt"), **mc},
+        {"id": "quadratic", "population": pop, **mc},
+        {"id": "quadratic", "population_file": pop_file(tmp_path, pop), **mc},
+        {"id": "quadratic", "mode": "exact", "population": pop},
+        {"id": "vna_weighted", "mode": "exact", "population": [1, -1], "weights": ["0.5", 1]},
+        {"id": "quadratic", "population": [0.5, -0.5], **mc},
+    ]
+    spec = tmp_path / "rows.json"
+    spec.write_text(json.dumps(rows), encoding="utf-8")
+    rc, out, _ = run_cli(["sweep", str(spec)])
+    assert rc == 1
+    got = json.loads(out)["rows"]
+    assert got[0]["report"] == got[1]["report"]
+    assert got[0]["report"]["params"]["weights"] == ["1/2", "1", "2", "1"]
+    assert got[2]["report"] == got[3]["report"]
+    assert got[2]["report"]["status"] == "consistent"
+    for r in got[4:6]:
+        assert "decimals are not accepted in exact mode" in r["error"]
+    assert "got float 0.5" in got[6]["error"]
+
+
 def test_oversized_exact_runs_are_refused_before_building(tmp_path, monkeypatch):
     def builder(*args, **kwargs):
         raise AssertionError("the population was built before the cutoff check")

@@ -260,6 +260,15 @@ def failed_check(command, fmt, text, err):
           {os.path.join(DIR, "s"): json.dumps(
               [{"id": "quadratic", "mode": "mc", "random": {"n": int(HUGE)},
                 "samples": 10}]).encode()}))
+# decimals in a Monte Carlo row's inline population and weights
+@example((["sweep", os.path.join(DIR, "s")],
+          {os.path.join(DIR, "s"): json.dumps(
+              [{"id": "quadratic", "mode": "mc", "population": ["0.5", "-0.5"],
+                "samples": 5, "seed": 1}]).encode()}))
+@example((["sweep", os.path.join(DIR, "s")],
+          {os.path.join(DIR, "s"): json.dumps(
+              [{"id": "vna_weighted", "mode": "mc", "population": ["1", "-1", "2", "-2"],
+                "weights": ["0.5", "1", "1", "1"], "samples": 5, "seed": 1}]).encode()}))
 @settings(max_examples=300, derandomize=True, database=None, deadline=5_000,
           suppress_health_check=[HealthCheck.too_slow])
 @given(invocation())

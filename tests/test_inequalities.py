@@ -178,14 +178,110 @@ def engine_grid(n, rng):
 
 
 def walk_alternating(pop):
-    """The prefix walk of the given-weight ids with the signs (-1)^i: an
-    independent route to exact ``alternating``."""
+    """The split walk of the given-weight ids with the signs (-1)^i: it
+    never forms the odd-position graph, so it is an independent route to
+    exact ``alternating``."""
     from permartingale.inequalities import _exact_weighted
     from permartingale.rationals import scaled_integers
 
     xs, d = scaled_integers(pop.values)
     return _exact_weighted(xs, d, math.factorial(pop.n),
                            alternating_weights(pop.n))
+
+
+def prefix_walk(xs, d, count, ws):
+    """The independent reference for the given-weight engine: E max_k W_k^2
+    by walking every ordered prefix depth first, each prefix's W_k and
+    running max once, with the last three draws unrolled; the engine of
+    ``vna_weighted`` and ``garsia_weighted`` before the split walk."""
+    from permartingale.rationals import scaled_integers
+
+    wsc, e = scaled_integers(ws)
+    a1, a2 = wsc[-2], wsc[-1]
+
+    def walk(rest, k, w, best):
+        if not rest:
+            return best
+        a = wsc[k]
+        total = 0
+        if len(rest) == 3:
+            x0, x1, x2 = rest
+            for x, p, q in ((x0, x1, x2), (x1, x0, x2), (x2, x0, x1)):
+                u = w + a * x
+                top = u * u
+                if top < best:
+                    top = best
+                # the two orders of the last two draws
+                v = u + a1 * p
+                b = v * v
+                v += a2 * q
+                c = v * v
+                b = b if b > c else c
+                total += b if b > top else top
+                v = u + a1 * q
+                b = v * v
+                v += a2 * p
+                c = v * v
+                b = b if b > c else c
+                total += b if b > top else top
+            return total
+        for i, x in enumerate(rest):
+            u = w + a * x
+            sq = u * u
+            total += walk(rest[:i] + rest[i + 1:], k + 1, u, sq if sq > best else best)
+        return total
+
+    return Fraction(walk(tuple(xs), 0, 0, 0), count * (d * e) ** 2)
+
+
+def weight_kinds(n, rng):
+    """All equal, ±1, three values with zeros, and p/q weights of the
+    benchmark's kind (±1, ±2 or ±3 over 1 or 2)."""
+    return [
+        [Fraction(2)] * n,
+        [rng.choice((-1, 1)) for _ in range(n)],
+        [rng.choice((-1, 0, 2)) for _ in range(n)],
+        [Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2)) for _ in range(n)],
+    ]
+
+
+def tail_crosses_both_bounds(pop, ws):
+    """Whether some ordering's W_k, after the first n - n//2 draws, rises
+    above their max_k |W_k| and falls below its negative: both arms of
+    the split walk's maximum."""
+    n, m = pop.n, pop.n - pop.n // 2
+    for perm in itertools.permutations(pop.values):
+        path = list(itertools.accumulate(a * x for a, x in zip(ws, perm)))
+        b = max(abs(w) for w in path[:m])
+        if max(path[m:]) > b and min(path[m:]) < -b:
+            return True
+    return False
+
+
+def test_split_walk_equals_the_prefix_walk():
+    from permartingale.inequalities import _exact_weighted
+    from permartingale.rationals import scaled_integers
+
+    rng = random.Random(2100)
+    cases = []
+    for n in range(2, 10):
+        pops, kinds = engine_grid(n, rng), weight_kinds(n, rng)
+        # the walk takes about 60 ms a case at n = 9, so one kind a population
+        cases += ([(pop, ws) for pop in pops for ws in kinds] if n < 9
+                  else list(zip(pops, kinds)))
+    cases += [(random_centered_population(10, rng, 99, 7), weight_kinds(10, rng)[3]),
+              (engine_grid(10, rng)[2], weight_kinds(10, rng)[1])]
+    both = [(make_population([0, 0, 3, -3]), [1, 1, 1, 2]),
+            (make_population([0, 1, -1, 6, -6]), [1, 1, 1, 1, 2]),
+            (make_population([2, -1, -1, 5, -5, 0]), [1, 1, 1, 1, -2, 1])]
+    assert all(tail_crosses_both_bounds(pop, [Fraction(w) for w in ws]) for pop, ws in both)
+    for pop, ws in cases + both:
+        xs, d = scaled_integers(pop.values)
+        count = math.factorial(pop.n)
+        want = prefix_walk(xs, d, count, ws)
+        assert _exact_weighted(xs, d, count, ws) == want, (pop.values, ws)
+        if pop.n <= 5:
+            assert want == reference_lhs(InequalityId.VNA_WEIGHTED, pop, ws)
 
 
 def test_alternating_on_the_odd_position_graph():
@@ -220,7 +316,7 @@ def test_every_state_of_a_layer_has_one_in_degree(odd):
 def test_chain_counts_across_threshold_chunks(chunk, monkeypatch):
     # thresholds one or three to a pass, so that chains cross chunk edges;
     # up to n = 7 against the reference, then against the default chunk
-    # and, for alternating, the prefix walk
+    # and, for alternating, the split walk
     import permartingale.inequalities as ineq
 
     rng = random.Random(f"chunks:{chunk}")
