@@ -25,20 +25,18 @@ bridge population of m ones and m minus-ones.
 
 Exact mode computes the expectation over all n! orderings in integer
 arithmetic (values scaled by their common denominator), bit-for-bit an
-expectation, not an estimate, without listing the orderings.  The ids
-with fixed weights run a chain-count engine over a layered state graph
-whose chains are the orderings: the lattice of the 2^n drawn sets for
-the order-free ids (``max_averages``, ``garsia_unweighted``,
-``quadratic``, ``bridge``, ``hardy``), and for ``alternating``, whose
-W_k is S_k minus twice the sum drawn at odd positions, the graph of
-(drawn set, odd-position part) pairs.  Chain counts per threshold give
-the mean of the maximum, in passes over fixed-size chunks of thresholds
-that bound the memory; a max-plus recursion gives the ``hardy`` maximum.
-The given-weight ids (``vna_weighted``, ``garsia_weighted``) meet in
-the middle: the first n - n//2 draws are walked forward and the last
-n//2 back from the end, each half merged by its state, and the halves on
-complementary drawn sets are joined by sorted sums.  All refuse n above
-the enumeration cutoff (default 10, hard maximum 12).  Monte Carlo mode
+expectation, not an estimate, without listing the orderings.  The
+order-free ids (``max_averages``, ``garsia_unweighted``, ``quadratic``,
+``bridge``, ``hardy``) run a chain-count engine over the lattice of the
+2^n drawn sets, whose chains are the orderings.  Chain counts per
+threshold give the mean of the maximum, in passes over fixed-size
+chunks of thresholds that bound the memory; a max-plus recursion gives
+the ``hardy`` maximum.  The weighted ids (``alternating`` with its fixed
+signs, ``vna_weighted``, ``garsia_weighted``) meet in the middle: the
+first n - n//2 draws are walked forward and the last n//2 back from the
+end, each half merged by its state, and the halves on complementary
+drawn sets are joined by sorted sums.  All refuse n above the
+enumeration cutoff (default 10, hard maximum 12).  Monte Carlo mode
 samples uniformly random orderings in floating point with a block-seeded
 generator, so results are reproducible bit-for-bit for a fixed seed and
 sample count.  A Monte Carlo run can never prove an inequality: its
@@ -78,8 +76,13 @@ MC_BLOCK_SIZE = 1 << 16
 # the floats (samples x n) above which a Monte Carlo run is refused:
 # about 150 s of sampling, 950 times the largest benchmark call
 MC_MAX_FLOATS = 10**10
-# the floats of one Monte Carlo chunk (2 MiB); at least one row is held
+# the floats of one Monte Carlo chunk (2 MiB); at least one ordering is held
 _MC_CHUNK_FLOATS = 1 << 18
+# the fewest orderings a chunk holds (n <= 512) for its statistic to run
+# across orderings, one add per k; below about 300 (n about 800-1,000)
+# the call per k costs more than a cumsum down each ordering, so a
+# narrower chunk keeps an ordering contiguous
+_MC_WIDE_CHUNK = 512
 # the thresholds of one pass of the chain-count engine
 _CHAIN_CHUNK = 256
 
@@ -358,34 +361,30 @@ def _bridge_key(n, d):
     return (lambda k, s, t: (c1 * s * s - k * (n - k) * dd) ** 2), (c1 * dd) ** 2
 
 
-# Chain-count engine, for the ids whose weights are fixed.  A layered
-# state graph has one layer per number of draws; a state has an integer
-# id, its predecessors (one edge per draw) and a key, a square; a state
-# outside the id's k-range has the least key, 0, which passes every
-# threshold and adds 0 to a chain sum.  The chains from the root through
-# the last layer are the n! orderings.  A subset-lattice state is the
-# drawn set D, bit i for item i.  An odd-position state, for
-# ``alternating``, is D | O << n, with O the part of D drawn at odd
-# positions, since W_k = S_k - 2 (sum of O); its last layer holds one
-# state per O.  The given-weight ids, whose W_k depends on the order of
-# the draws, run the split walk ``_exact_weighted`` instead.
+# Chain-count engine, for the order-free ids.  A layered state graph has
+# one layer per number of draws; a state has an integer id, its
+# predecessors (one edge per draw) and a key, a square; a state outside the
+# id's k-range has the least key, 0, which passes every threshold and adds
+# 0 to a chain sum.  The chains from the root through the last layer are
+# the n! orderings.  A subset-lattice state is the drawn set D, bit i for
+# item i.  The weighted ids, ``alternating`` with its fixed signs among
+# them, whose W_k depends on the order of the draws, run the split walk
+# ``_exact_weighted`` instead.
 
 
-def _state_layers(n: int, odd: bool):
-    """Layers 1..n of the subset lattice, or of the odd-position graph;
-    each maps a state id to its predecessors' places in the prior layer."""
+def _state_layers(n: int):
+    """Layers 1..n of the subset lattice; each maps a state id to its
+    predecessors' places in the prior layer."""
     low = (1 << n) - 1
     layer = [0]
-    for k in range(1, n + 1):
-        # a draw at an odd position joins O as well as D
-        tag = 1 + (1 << n) if odd and k % 2 else 1
+    for _ in range(n):
         nxt: dict[int, list[int]] = {}
         for i, sid in enumerate(layer):
             free = low & ~sid
             while free:
                 bit = free & -free
                 free ^= bit
-                nxt.setdefault(sid | bit * tag, []).append(i)
+                nxt.setdefault(sid | bit, []).append(i)
         yield nxt
         layer = list(nxt)
 
@@ -410,8 +409,8 @@ def _chain_mean(layers, key, count, den) -> Fraction:
     # slot carries); key rank r zeroes the slots below r, a state with r
     # past the chunk has none, and one whose every chain stays below the
     # chunk (M, the chains' largest rank) has all its chains in each slot.
-    # A layer's states share one in-degree (k on the lattice, ceil(k/2) or
-    # floor(k/2) on the odd-position graph), so by induction one chain count.
+    # A layer's states share one in-degree (k on the lattice), so by
+    # induction one chain count.
     plan = _chain_plan(layers, key)
     values = sorted({v for keys, _ in plan for v in keys})
     rank = {v: j for j, v in enumerate(values)}
@@ -458,15 +457,7 @@ def _on_lattice(engine, ks, key_factory, xs, d, count, ws) -> Fraction:
     n = len(xs)
     key, den = key_factory(n, d)
     keys = drawn_set_values(xs, key, ks(n))
-    return engine(_state_layers(n, odd=False), keys.__getitem__, count, den)
-
-
-def _exact_alternating(xs, d, count, ws) -> Fraction:
-    n, low = len(xs), (1 << len(xs)) - 1
-    sums = drawn_set_values(xs, lambda k, s, t: s, range(n + 1))
-    return _chain_mean(_state_layers(n, odd=True),
-                       lambda sid: (sums[sid & low] - 2 * sums[sid >> n]) ** 2,
-                       count, d * d)
+    return engine(_state_layers(n), keys.__getitem__, count, den)
 
 
 def _half_walk(xs, wsc, step):
@@ -525,35 +516,47 @@ def _exact_weighted(xs, d, count, ws) -> Fraction:
     return Fraction(total, count * (d * e) ** 2)
 
 
-# Float statistics: (n, ws) -> the per-k terms of a (rows, n) chunk of
-# orderings, a column per k in the id's k-range, for ``_mc_lhs`` to reduce
-# by the id's ``reduce``.  Each works in place on its argument, so a run
-# holds one chunk at a time; every element sees the same float operations
-# in the same order as the out-of-place formula, so the values keep every
-# bit.  numpy is imported here and in ``_mc_lhs`` only, not by exact routes.
+# Float statistics: (n, ws) -> the per-k terms of an (n, orderings) chunk,
+# a row per k in the id's k-range and a column per ordering, for
+# ``_mc_lhs`` to reduce over k by the id's ``reduce``.  Each works in place
+# on its argument, so a run holds one chunk at a time.  ``_prefix_sums``
+# adds row k-1 into row k across every ordering at once; these are the
+# adds of a row-wise ``np.cumsum``, in the same order, and every other
+# operation is elementwise, so the values keep every bit.  numpy is
+# imported here and in ``_mc_lhs`` only, not by exact routes.
+
+
+def _prefix_sums(Y):
+    """Running sums down axis 0, in place: S_k = S_{k-1} + x_k."""
+    import numpy as np
+
+    if Y.strides[0] == Y.itemsize:
+        # each ordering contiguous (a narrow chunk): one cumsum a column
+        np.cumsum(Y, axis=0, out=Y)
+    else:
+        for k in range(1, len(Y)):
+            np.add(Y[k - 1], Y[k], out=Y[k])
 
 
 def _float_averages(n, ws):
     import numpy as np
 
-    ks = np.arange(1, n + 1, dtype=np.float64)
+    ks = np.arange(1, n + 1, dtype=np.float64)[:, None]
 
-    def averages(X):
-        np.cumsum(X, axis=1, out=X)
-        X /= ks
-        X *= X
-        return X
+    def averages(Y):
+        _prefix_sums(Y)
+        Y /= ks
+        Y *= Y
+        return Y
 
     return averages
 
 
 def _float_garsia_unweighted(n, ws):
-    import numpy as np
-
-    def stat(X):
-        np.cumsum(X, axis=1, out=X)
-        X *= X
-        return X
+    def stat(Y):
+        _prefix_sums(Y)
+        Y *= Y
+        return Y
 
     return stat
 
@@ -561,16 +564,16 @@ def _float_garsia_unweighted(n, ws):
 def _float_quadratic(n, ws):
     import numpy as np
 
-    ks = np.arange(2, n + 1, dtype=np.float64)
+    ks = np.arange(2, n + 1, dtype=np.float64)[:, None]
     coef = (n - ks) / (n - 1)
     den = ks * (ks - 1)
 
-    def stat(X):
+    def stat(Y):
         # T_k needs a second chunk beside S_k
-        t = X * X
-        np.cumsum(t, axis=1, out=t)
-        np.cumsum(X, axis=1, out=X)
-        s, t = X[:, 1:], t[:, 1:]
+        t = Y * Y
+        _prefix_sums(t)
+        _prefix_sums(Y)
+        s, t = Y[1:], t[1:]
         s *= s
         t *= coef
         s -= t
@@ -584,12 +587,12 @@ def _float_quadratic(n, ws):
 def _float_bridge(n, ws):
     import numpy as np
 
-    ks = np.arange(1, n, dtype=np.float64)
+    ks = np.arange(1, n, dtype=np.float64)[:, None]
     comp = ks * (n - ks) / (n - 1)
 
-    def stat(X):
-        s = X[:, : n - 1]
-        np.cumsum(s, axis=1, out=s)
+    def stat(Y):
+        s = Y[: n - 1]
+        _prefix_sums(s)
         s *= s
         s -= comp
         s *= s
@@ -601,13 +604,13 @@ def _float_bridge(n, ws):
 def _float_weighted(n, ws):
     import numpy as np
 
-    a = np.array(float_values(ws, "a weight"))
+    a = np.array(float_values(ws, "a weight"))[:, None]
 
-    def stat(X):
-        X *= a
-        np.cumsum(X, axis=1, out=X)
-        X *= X
-        return X
+    def stat(Y):
+        Y *= a
+        _prefix_sums(Y)
+        Y *= Y
+        return Y
 
     return stat
 
@@ -625,11 +628,12 @@ class _Rule:
     means the id needs the ±1 bridge population, whose m is n/2.
     ``rhs(pop, ws)`` is the closed-form bound.  ``reduce`` (max or sum)
     reduces ``term(n, k, S_k, T_k, W_k)`` over k in ``ks(n)``, for the
-    reference statistic of one ordering and for each row of float terms
-    in ``_mc_lhs``; the LHS is their mean or max (``over_orderings``)
+    reference statistic of one ordering and for each column of float
+    terms in ``_mc_lhs``; the LHS is their mean or max (``over_orderings``)
     over all orderings.  ``exact`` is the exact engine; ``floats(n, ws)``
-    maps a numpy array of orderings to their per-k terms.  ``folding``
-    is the constant on the id's folding path, if it has one.
+    maps an (n, orderings) numpy array, an ordering a column, to their
+    per-k terms, a row per k.  ``folding`` is the constant on the id's
+    folding path, if it has one.
     """
 
     rhs: Callable[[Population, tuple[Fraction, ...] | None], Fraction]
@@ -698,7 +702,7 @@ _RULES: dict[InequalityId, _Rule] = {
         weights="alternating",
         rhs=lambda pop, ws: Fraction(305, 17) * pop.square_sum,
         term=_w_squared,
-        exact=_exact_alternating,
+        exact=_exact_weighted,
         floats=_float_weighted,
         folding=_alternating_folding,
     ),
@@ -751,40 +755,55 @@ def _mc_lhs(
     in index order, so the result is reproducible bit-for-bit for a
     given (seed, samples) regardless of when or where it runs.  A block
     is never held whole: one buffer of about ``_MC_CHUNK_FLOATS`` floats
-    is refilled, permuted and reduced in place one chunk of rows at a
-    time, each row's terms by the rule's ``reduce``, into the block's
-    vector of per-row values.  ``permuted`` draws from the stream row by
-    row, so the chunks see exactly the orderings of the whole block.
-    A MemoryError from the float image of the values on, the statistic's
-    own arrays included, is refused as a block that does not fit.
+    is refilled, permuted and reduced in place one chunk at a time, an
+    (n, orderings) view with an ordering a column, each column's terms
+    by the rule's ``reduce``, into the block's vector of per-ordering
+    values.  ``permuted`` draws from the stream column by column, so the
+    chunks see exactly the orderings of the whole block.  A chunk of at
+    least ``_MC_WIDE_CHUNK`` orderings is laid out k-major, so that each
+    step of the running sums is one add across its orderings; a narrower
+    one keeps each ordering contiguous.  A MemoryError from the float
+    image of the values on, the statistic's own arrays included, is
+    refused as a block that does not fit.
     """
     import numpy as np
 
     n = pop.n
-    reduce_rows = {max: np.max, sum: np.sum}[rule.reduce]
     take_max = rule.over_orderings == "max"
-    rows = max(1, min(samples, MC_BLOCK_SIZE, _MC_CHUNK_FLOATS // n))
+    width = max(1, min(samples, MC_BLOCK_SIZE, _MC_CHUNK_FLOATS // n))
+    order = "C" if width >= _MC_WIDE_CHUNK else "F"
     done = 0
     block = 0
     total = 0.0
     total_sq = 0.0
     running_max = -np.inf
     try:
-        base = np.array(pop.as_floats(), dtype=np.float64)
+        base = np.array(pop.as_floats(), dtype=np.float64)[:, None]
         stat = rule.floats(n, ws)
         with np.errstate(over="ignore", invalid="ignore"):
-            chunk = np.tile(base, (rows, 1))
+            buffer = np.empty((width | 1) * n)
             values = np.empty(min(samples, MC_BLOCK_SIZE))
             while done < samples:
                 b = min(MC_BLOCK_SIZE, samples - done)
                 rng = np.random.Generator(
                     np.random.PCG64(np.random.SeedSequence(entropy=(seed, block)))
                 )
-                for lo in range(0, b, rows):
-                    x = chunk[: min(rows, b - lo)]
-                    x[...] = base
-                    rng.permuted(x, axis=1, out=x)
-                    values[lo : lo + len(x)] = reduce_rows(stat(x), axis=1)
+                for lo in range(0, b, width):
+                    m = min(width, b - lo)
+                    # an odd row stride: a power-of-two one maps a k-major
+                    # column onto few cache sets, and ``permuted`` ran 40%
+                    # slower, ``hardy``'s transpose 6 times
+                    y = buffer[: n * (m | 1)].reshape((n, m | 1), order=order)[:, :m]
+                    y[...] = base
+                    rng.permuted(y, axis=0, out=y)
+                    terms = stat(y)
+                    if rule.reduce is sum:
+                        # numpy sums a contiguous row pairwise: the same
+                        # rows, and so the same bits, as one ordering a row
+                        np.sum(np.ascontiguousarray(terms.T), axis=1,
+                               out=values[lo : lo + m])
+                    else:
+                        np.max(terms, axis=0, out=values[lo : lo + m])
                 v = values[:b]
                 if take_max:
                     running_max = max(running_max, float(v.max()))
@@ -795,8 +814,8 @@ def _mc_lhs(
                 block += 1
     except MemoryError:
         raise InvalidInputError(
-            f"a Monte Carlo block of {rows} x {n} floats "
-            f"({rows * n / 2**27:.2f} GiB) does not fit in memory; "
+            f"a Monte Carlo block of {width} x {n} floats "
+            f"({width * n / 2**27:.2f} GiB) does not fit in memory; "
             "use fewer samples or a smaller population"
         ) from None
     if take_max:
@@ -851,12 +870,12 @@ def verify(
     Exact mode computes the LHS as an exact expectation (maximum for
     ``hardy``) over the n! orderings without listing them, subject to
     the cutoff: the chain-count engine over the subset lattice serves the
-    order-free ids and over the odd-position graph ``alternating``, in
-    memory bounded by its threshold chunk, and a walk split at n//2 draws
-    from the end, its two halves joined by drawn set, serves the
-    given-weight ids.  It decides lhs <= rhs exactly.  Monte
-    Carlo mode needs ``samples`` and ``seed``, refuses more than
-    MC_MAX_FLOATS floats (samples x n), and reports a verdict that is
+    order-free ids, in memory bounded by its threshold chunk, and a walk
+    split at n//2 draws from the end, its two halves joined by drawn set,
+    serves the weighted ids, ``alternating`` among them.  It decides
+    lhs <= rhs exactly.  Monte Carlo mode needs ``samples`` and ``seed``,
+    refuses more than MC_MAX_FLOATS floats (samples x n), samples in
+    chunks that hold an ordering a column, and reports a verdict that is
     never stronger than "consistent".  Both modes ask
     :func:`ensure_runnable` first, on ``population.n`` or on 2 x
     ``bridge_m``, so that a refused run builds nothing.

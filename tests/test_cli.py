@@ -870,10 +870,11 @@ def test_integers_past_the_digit_limit_are_refused(case, tmp_path):
 
 
 def test_mc_block_out_of_memory_is_an_input_error(four_file, monkeypatch):
-    def tile(*args, **kwargs):
+    # the chunk buffer is the block's first allocation
+    def empty(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(np, "tile", tile)
+    monkeypatch.setattr(np, "empty", empty)
     rc, out, err = run_cli(
         ["check-inequality", "--id", "garsia_unweighted", "--population",
          four_file, "--mode", "mc", "--samples", "100", "--seed", "1"]

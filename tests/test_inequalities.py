@@ -177,16 +177,38 @@ def engine_grid(n, rng):
     ]
 
 
-def walk_alternating(pop):
-    """The split walk of the given-weight ids with the signs (-1)^i: it
-    never forms the odd-position graph, so it is an independent route to
-    exact ``alternating``."""
-    from permartingale.inequalities import _exact_weighted
+def odd_position_layers(n):
+    """Layers 1..n of the odd-position graph: a state is D | O << n, the
+    drawn set D and O, the part of D drawn at odd positions; each layer
+    maps a state to its predecessors' places in the prior layer."""
+    low = (1 << n) - 1
+    layer = [0]
+    for k in range(1, n + 1):
+        # a draw at an odd position joins O as well as D
+        tag = 1 + (1 << n) if k % 2 else 1
+        nxt = {}
+        for i, sid in enumerate(layer):
+            for bit in (1 << j for j in range(n) if not sid & low & 1 << j):
+                nxt.setdefault(sid | bit * tag, []).append(i)
+        yield nxt
+        layer = list(nxt)
+
+
+def graph_alternating(pop):
+    """The independent route to exact ``alternating``, the engine it ran on
+    before the split walk: since W_k = S_k - 2 (the sum drawn at odd
+    positions), the chain-count engine over the odd-position graph, whose
+    last layer holds one state per O."""
+    from permartingale.inequalities import _chain_mean
+    from permartingale.population import drawn_set_values
     from permartingale.rationals import scaled_integers
 
     xs, d = scaled_integers(pop.values)
-    return _exact_weighted(xs, d, math.factorial(pop.n),
-                           alternating_weights(pop.n))
+    n, low = len(xs), (1 << len(xs)) - 1
+    sums = drawn_set_values(xs, lambda k, s, t: s, range(n + 1))
+    return _chain_mean(odd_position_layers(n),
+                       lambda sid: (sums[sid & low] - 2 * sums[sid >> n]) ** 2,
+                       math.factorial(n), d * d)
 
 
 def prefix_walk(xs, d, count, ws):
@@ -285,6 +307,8 @@ def test_split_walk_equals_the_prefix_walk():
 
 
 def test_alternating_on_the_odd_position_graph():
+    # the split walk with the signs (-1)^i against the reference up to
+    # n = 7, then against the odd-position graph
     rng = random.Random(1200)
     for n in range(2, 11):
         for pop in engine_grid(n, rng)[: 2 if n in (7, 10) else 4]:
@@ -292,7 +316,7 @@ def test_alternating_on_the_odd_position_graph():
             if n <= 7:
                 want = reference_lhs(InequalityId.ALTERNATING, pop)
             else:
-                want = walk_alternating(pop)
+                want = graph_alternating(pop)
             assert got == want, (n, pop.values)
 
 
@@ -305,7 +329,8 @@ def test_every_state_of_a_layer_has_one_in_degree(odd):
 
     for n in range(1, 11):
         chains = 1
-        for k, layer in enumerate(_state_layers(n, odd), start=1):
+        layers = odd_position_layers(n) if odd else _state_layers(n)
+        for k, layer in enumerate(layers, start=1):
             degree = (k + 1) // 2 if odd else k
             assert {len(ps) for ps in layer.values()} == {degree}, (n, k)
             chains *= degree
@@ -315,8 +340,9 @@ def test_every_state_of_a_layer_has_one_in_degree(odd):
 @pytest.mark.parametrize("chunk", [1, 3])
 def test_chain_counts_across_threshold_chunks(chunk, monkeypatch):
     # thresholds one or three to a pass, so that chains cross chunk edges;
-    # up to n = 7 against the reference, then against the default chunk
-    # and, for alternating, the split walk
+    # up to n = 7 against the reference, then against the default chunk.
+    # alternating runs the split walk, which has no thresholds, so the
+    # odd-position graph of the tests runs in its place
     import permartingale.inequalities as ineq
 
     rng = random.Random(f"chunks:{chunk}")
@@ -329,20 +355,25 @@ def test_chain_counts_across_threshold_chunks(chunk, monkeypatch):
     cases += [(InequalityId.BRIDGE, make_bridge_population(m)) for m in range(1, 5)]
     cases += [(InequalityId.ALTERNATING, pop) for pop in grid if pop.n <= 8]
     for iid, pop in cases:
-        whole = verify(iid, population=pop).lhs
+        def run():
+            if iid is InequalityId.ALTERNATING:
+                return graph_alternating(pop)
+            return verify(iid, population=pop).lhs
+
+        whole = run()
         if pop.n <= 7:
             assert whole == reference_lhs(iid, pop, m=pop.n // 2
                                           if iid is InequalityId.BRIDGE else None)
         elif iid is InequalityId.ALTERNATING:
-            assert whole == walk_alternating(pop)
+            assert whole == verify(iid, population=pop).lhs
         with monkeypatch.context() as m:
             m.setattr(ineq, "_CHAIN_CHUNK", chunk)
-            assert verify(iid, population=pop).lhs == whole, (iid, pop.values)
+            assert run() == whole, (iid, pop.values)
 
 
-def test_alternating_memory_is_bounded_by_the_chunk():
-    # one chunk of 256 thresholds per pass; held for all of its ~5,000
-    # distinct keys at once the counts need about 148 MiB
+def test_alternating_memory_is_bounded():
+    # the split walk holds only the last layer of each half: a few MiB
+    # on p/q values with ~5,000 distinct keys
     import tracemalloc
 
     pop = random_centered_population(10, random.Random(10), 99, 7)
@@ -777,11 +808,13 @@ def test_exact_holds_on_many_random_populations():
 @pytest.mark.parametrize("iid", list(InequalityId))
 def test_float_statistic_matches_reference_on_every_ordering(iid):
     # the float route of Monte Carlo mode against the exact Fraction
-    # reference on every ordering, n <= 6 and bridge m <= 3: each term
-    # column against the id's term at its k, and each row reduced by the
-    # id's rule against lhs_statistic.  Every term is a square u^2, and a
-    # u that cancels to 0 (S_n of a centered population) keeps a float
-    # residue, so the terms' roots are compared, to within the scale of u
+    # reference on every ordering, n <= 6 and bridge m <= 3, fed an
+    # ordering a column: each term row against the id's term at its k,
+    # and each column reduced by the id's rule against lhs_statistic.
+    # The k-major and the ordering-major layout give the same bits.
+    # Every term is a square u^2, and a u that cancels to 0 (S_n of a
+    # centered population) keeps a float residue, so the terms' roots
+    # are compared, to within the scale of u
     from permartingale.inequalities import _RULES
 
     rule = _RULES[iid]
@@ -801,12 +834,14 @@ def test_float_statistic_matches_reference_on_every_ordering(iid):
         rows = np.array(
             [[float(pop.values[i - 1]) for i in perm] for perm in perms]
         )
-        terms = rule.floats(n, effective)(rows)
+        stat = rule.floats(n, effective)
+        terms = stat(rows.T.copy(order="C"))
+        assert np.array_equal(stat(rows.T.copy(order="F")), terms)
         scale = (1 + float(sum(map(abs, pop.values)))) ** 2 * (
             1 + max(map(abs, effective or [0]))
         )
-        assert terms.shape == (len(perms), len(ks))
-        for perm, row in zip(perms, terms):
+        assert terms.shape == (len(ks), len(perms))
+        for perm, row in zip(perms, terms.T):
             drawn = [pop.values[i - 1] for i in perm]
             for k, value in zip(ks, row):
                 s = sum(drawn[:k], Fraction(0))
@@ -884,24 +919,31 @@ def whole_block_mc(iid, pop, ws, samples, seed):
 
 def test_mc_chunks_match_the_whole_block_route():
     # every estimate keeps every bit when a block is permuted and reduced
-    # in row chunks: one chunk, a partial chunk, chunk boundaries and,
-    # with MC_BLOCK_SIZE + rows + 3 samples, a block boundary as well
-    from permartingale.inequalities import _MC_CHUNK_FLOATS, MC_BLOCK_SIZE
+    # in chunks of orderings: one chunk, a partial chunk, chunk boundaries
+    # and, with MC_BLOCK_SIZE + rows + 3 samples, a block boundary as well.
+    # Chunks of fewer than _MC_WIDE_CHUNK orderings (1 or 2 samples, and
+    # every chunk at n=600) keep an ordering contiguous; wider ones (n=512
+    # sits at the cut-over) run k-major, down to a last chunk of one.
+    # Even widths (n=2, 160 and 512) sit on a padded, odd row stride
+    from permartingale.inequalities import _MC_CHUNK_FLOATS, _MC_WIDE_CHUNK, MC_BLOCK_SIZE
 
+    assert _MC_CHUNK_FLOATS // 600 < _MC_WIDE_CHUNK == _MC_CHUNK_FLOATS // 512
     rng = random.Random("mc-chunks")
-    for n in (2, 7, 160):
+    for n in (2, 7, 160, 512, 600):
         pop = random_centered_population(n, rng)
         for iid in InequalityId:
             case = pop
             if iid is InequalityId.BRIDGE:
-                # the bridge needs an even n: m = 1, 4 and 80
+                # the bridge needs an even n: m = 1, 4, 80, 256 and 300
                 case = make_bridge_population((n + 1) // 2)
             ws = weights_for(iid, case.n, rng)
             effective = ws
             if iid is InequalityId.ALTERNATING:
                 effective = alternating_weights(case.n)
             rows = max(1, min(MC_BLOCK_SIZE, _MC_CHUNK_FLOATS // case.n))
-            for samples in (1, 2, rows - 1, rows, rows + 1, MC_BLOCK_SIZE + rows + 3):
+            counts = ((1, 2, rows - 1, rows, rows + 1, MC_BLOCK_SIZE + rows + 3)
+                      if n <= 160 else (rows + 1,))
+            for samples in counts:
                 seed = samples + case.n
                 report = verify(iid, population=case, weights=ws, mode="mc",
                                 samples=samples, seed=seed)
