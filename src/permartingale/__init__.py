@@ -14,8 +14,6 @@ the leaf module ``choices``, which imports only ``enum``, so that the
 argument parser needs no engine; the engines re-export them.
 """
 
-from importlib import import_module as _import_module
-
 __version__ = "0.1.0"
 
 # each public name, by the submodule it is read from; the one source
@@ -67,7 +65,7 @@ def __getattr__(name: str):
     module = _HOME.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(_import_module(f"{__name__}.{module}"), name)
+    value = getattr(__import__(module, globals(), None, (name,), 1), name)
     globals()[name] = value
     return value
 

@@ -19,7 +19,8 @@ and ``weights``, ``check-inequality`` and ``sweep`` load
 ``inequalities``, ``verify-martingale`` ``construction`` and
 ``martingales``, ``moments`` those and ``moments``, and ``dump-matrices``
 ``construction``.  numpy loads only for Monte Carlo sampling and sweep
-seeds, csv only for csv output.  A name bound from outside first (a
+seeds, csv only for csv output.  No call loads ``dataclasses``, nor
+``inspect`` unless numpy imports it.  A name bound from outside first (a
 tracer's wrapper, a test's stand-in) is kept.
 
 Output is deterministic for fixed flags and seed: JSON is emitted with
@@ -36,7 +37,6 @@ import math
 import os
 import sys
 from functools import partial
-from importlib import import_module
 from typing import TYPE_CHECKING, Sequence
 
 from .choices import Basis, InequalityId, MartingaleKind, VerifyMode
@@ -62,10 +62,11 @@ _HOME = {n: m for m, names in _ENGINE_NAMES.items() for n in names.split()}
 
 
 def __getattr__(name: str):
-    # PEP 562: an engine name read from outside before a handler bound it
+    # PEP 562: an engine name read from outside before a handler bound it;
+    # loaded by __import__, which -X importtime logs, as importlib is not
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f"{__package__}.{_HOME[name]}"), name)
+    return getattr(__import__(_HOME[name], globals(), None, (name,), 1), name)
 
 
 def _bind(*modules: str) -> None:

@@ -36,10 +36,9 @@ step-by-step products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .choices import Basis
 from .errors import DomainError, InvalidInputError, PreconditionError, coerce_enum
@@ -232,8 +231,7 @@ def _weighted_product(n: int, k: int, alpha1: Fraction) -> Matrix:
     return _as_matrix([[1, alpha1 * r], [0, n * r]])
 
 
-@dataclass(frozen=True)
-class TransitionSystem:
+class TransitionSystem(NamedTuple):
     """A population's transition matrices with cached inverse products.
 
     ``inverse_products[k-1]`` is inv(A_1)...inv(A_k).  The cache is

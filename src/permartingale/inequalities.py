@@ -46,13 +46,12 @@ verdict is "consistent", "inconclusive", or "violation-suspected".
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
 from math import factorial, isfinite, lcm, sqrt
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .choices import InequalityId, VerifyMode
 from .errors import (
@@ -183,15 +182,17 @@ def vna(weights: Sequence) -> Fraction:
     ws = fraction_sequence(tuple(weights))
     if len(ws) < 2:
         raise InvalidInputError("need at least two weights")
-    a2 = sum(w * w for w in ws)
+    a2, peak = _weight_squares(ws)
     if a2 == 0:
         raise DomainError("the cancelation measure needs a nonzero weight")
-    return _peak_prefix_square(ws) / a2
+    return peak / a2
 
 
-def _peak_prefix_square(ws: Sequence[Fraction]) -> Fraction:
-    """max_{1<=k<=n-1} alpha_1(k)^2, from one running sum."""
-    return max(a * a for a in accumulate(ws[:-1]))
+def _weight_squares(ws: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
+    """alpha_2(n) and max_{1<=k<=n-1} alpha_1(k)^2, in one pass over ints."""
+    wsc, d = scaled_integers(ws)
+    peak = max(a * a for a in accumulate(wsc[:-1]))
+    return Fraction(sum(w * w for w in wsc), d * d), Fraction(peak, d * d)
 
 
 def rhs_value(
@@ -206,12 +207,11 @@ def rhs_value(
 
 
 def _vna_weighted_rhs(pop: Population, ws) -> Fraction:
-    n = pop.n
-    a2 = sum(w * w for w in ws)
+    # 16/(n-1) (1 + 2 vna) alpha_2(n) B, and vna alpha_2(n) is the peak
+    a2, peak = _weight_squares(ws)
     if a2 == 0:
         raise DomainError("the vna_weighted bound needs a nonzero weight")
-    v = _peak_prefix_square(ws) / a2
-    return Fraction(16, n - 1) * (1 + 2 * v) * a2 * pop.square_sum
+    return Fraction(16, pop.n - 1) * (a2 + 2 * peak) * pop.square_sum
 
 
 def folding_constant(id, n: int, m: int | None = None) -> Fraction:
@@ -258,8 +258,7 @@ def _split_folding(form: Callable[[int, int], Fraction]) -> Callable:
     return fold
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     """Verification outcome for one (id, population, mode) triple.
 
     In exact mode ``lhs`` is the true expectation (maximum for
@@ -619,8 +618,7 @@ def _all_ks(n: int) -> range:
     return range(1, n + 1)
 
 
-@dataclass(frozen=True)
-class _Rule:
+class _Rule(NamedTuple):
     """Everything that differs between inequality ids, written once.
 
     ``weights`` is the weight policy: "none", "given" (the caller must
@@ -716,7 +714,7 @@ _RULES: dict[InequalityId, _Rule] = {
     InequalityId.GARSIA_WEIGHTED: _Rule(
         weights="given",
         rhs=lambda pop, ws: Fraction(16404, 205)
-        * sum(w * w for w in ws) * pop.square_sum / (pop.n - 1),
+        * _weight_squares(ws)[0] * pop.square_sum / (pop.n - 1),
         term=_w_squared,
         exact=_exact_weighted,
         floats=_float_weighted,

@@ -33,10 +33,9 @@ the verdict and the witness whenever the slots do not certify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, perm
-from typing import Callable, ClassVar, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .choices import Basis, MartingaleKind
 from .construction import (build_transition_system, matrix_vector,
@@ -97,8 +96,7 @@ def weighted_prefix_value(n: int, multipliers, drawn: Sequence[Fraction]) -> Fra
     return weighted_value(n)(len(drawn), s, w, alpha)
 
 
-@dataclass(frozen=True)
-class MartingaleSpec:
+class MartingaleSpec(NamedTuple):
     """A martingale family bound to one population.
 
     ``multipliers`` is set only for WEIGHTED.  CHAIN_QUADRATIC derives
@@ -109,7 +107,7 @@ class MartingaleSpec:
     population: Population
     multipliers: tuple[Fraction, ...] | None = None
 
-    k_min: ClassVar[int] = 1
+    k_min = 1
 
     @property
     def k_max(self) -> int:
@@ -162,8 +160,7 @@ def evaluate_prefix(spec: MartingaleSpec, prefix: Sequence) -> Fraction:
     return weighted_prefix_value(spec.population.n, spec.multipliers, drawn)
 
 
-@dataclass(frozen=True)
-class MartingaleViolation:
+class MartingaleViolation(NamedTuple):
     """A history where the one-step martingale identity fails.
 
     ``value`` is the evaluator at the history; ``conditional_mean`` is
@@ -193,8 +190,7 @@ def _value_strings(v):
     return format_rational(v)
 
 
-@dataclass(frozen=True)
-class MartingaleCheck:
+class MartingaleCheck(NamedTuple):
     """Outcome of an exhaustive conditional-expectation check.
 
     ``states_checked`` counts the histories certified: distinct drawn
@@ -488,8 +484,7 @@ def check_vector_martingale(
                         lambda p: vector_martingale_value(system, p))
 
 
-@dataclass(frozen=True)
-class CounterexampleEntry:
+class CounterexampleEntry(NamedTuple):
     """One negative-control result."""
 
     name: str
@@ -514,8 +509,7 @@ class CounterexampleEntry:
         }
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
+class CounterexampleReport(NamedTuple):
     entries: tuple[CounterexampleEntry, ...]
 
     @property

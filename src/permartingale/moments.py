@@ -9,11 +9,10 @@ builder runs both so a report is never produced from one route alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, InvalidInputError
 from .martingales import ORDER_FREE_VALUES, MartingaleKind, weighted_prefix_value
@@ -186,8 +185,7 @@ def mtilde_terminal_oracle(population: Population) -> Fraction:
     return 4 * mean_over_subsets(population, 2, square)
 
 
-@dataclass(frozen=True)
-class WeightedMomentParts:
+class WeightedMomentParts(NamedTuple):
     """Second-moment pieces of M_k = W_k + alpha_1(k) S_k / (n-k).
 
     ``w_square`` = E[W_k^2], ``cross`` = E[W_k S_k], ``sum_square`` =
@@ -256,8 +254,7 @@ def weighted_second_moment_oracle(
     )
 
 
-@dataclass(frozen=True)
-class MomentRow:
+class MomentRow(NamedTuple):
     """One formula-versus-oracle comparison."""
 
     name: str

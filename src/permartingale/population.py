@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
@@ -60,9 +59,8 @@ def ensure_enumerable(
         )
 
 
-@dataclass(frozen=True)
 class Population:
-    """Immutable multiset of rational values.
+    """Immutable multiset of rational values, equal and hashed by value.
 
     ``total``, ``square_sum`` and ``fourth_sum`` are the sums of x, x^2
     and x^4, computed on first read and cached.  Duplicated values are
@@ -70,7 +68,23 @@ class Population:
     a repeated value gets proportionally higher draw weight.
     """
 
-    values: tuple[Fraction, ...]
+    def __init__(self, values: tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self.values == other.values if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.values,))
+
+    def __repr__(self) -> str:
+        return f"Population(values={self.values!r})"
 
     @property
     def n(self) -> int:

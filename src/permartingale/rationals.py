@@ -133,7 +133,7 @@ def scaled_integers(values: Iterable[Fraction]) -> tuple[tuple[int, ...], int]:
     """
     vals = [Fraction(v) for v in values]
     d = lcm(*(v.denominator for v in vals)) if vals else 1
-    return tuple(int(v * d) for v in vals), d
+    return tuple(v.numerator * (d // v.denominator) for v in vals), d
 
 
 def fraction_sequence(values: Sequence) -> tuple[Fraction, ...]:

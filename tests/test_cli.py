@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -162,7 +161,7 @@ def test_check_inequality_mc_verdicts_other_than_consistent(
                           (base.lhs, "inconclusive")):
         rhs = Fraction(bound)
         monkeypatch.setitem(inequalities._RULES, iid,
-                            replace(rule, rhs=lambda pop, ws: rhs))
+                            rule._replace(rhs=lambda pop, ws: rhs))
         rc, out, _ = run_cli(argv + ["--samples", "2000"])
         rd = json.loads(out)
         assert (rc, rd["status"], rd["holds"]) == (1, status, False)
@@ -1059,13 +1058,16 @@ MARTINGALES = SHARED | {"permartingale.construction", "permartingale.martingales
 OPTIONAL = ("csv", "json", "numpy", "random")
 # none of these loads for --help or a usage error
 HEAVY = ("csv", "dataclasses", "decimal", "fractions", "inspect", "json")
+# none of these loads for a call without numpy, which imports inspect itself
+INTROSPECTION = ("ast", "dataclasses", "dis", "inspect")
 
 
 def test_each_entry_point_imports_only_its_modules(tmp_path, four_file):
     # the package's modules each entry point loads, and of OPTIONAL the
     # ones it adds to what the interpreter loads at start: numpy only for
     # Monte Carlo sampling and sweep seeds, csv only for csv output,
-    # random only for a random sweep row
+    # random only for a random sweep row; and that no exact, martingale,
+    # moment or matrix call loads dataclasses, inspect, ast or dis
     weights = pop_file(tmp_path, [1, -1, 1, 1], name="w.txt")
     spec = tmp_path / "rows.json"
     spec.write_text(json.dumps(
@@ -1122,6 +1124,8 @@ def test_each_entry_point_imports_only_its_modules(tmp_path, four_file):
         assert {m for m in loaded if m in OPTIONAL} == expected, argv
         if package == CORE_MODULES:
             assert not set(loaded) & set(HEAVY), argv
+        if "numpy" not in loaded:
+            assert not set(loaded) & set(INTROSPECTION), argv
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

@@ -1,6 +1,5 @@
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -183,7 +182,7 @@ def test_index_ranges_follow_the_products(basis):
     for k in (pop.n, pop.n + 1):
         with pytest.raises(DomainError, match=f"outside 0..{system.max_step_state}"):
             system.step_matrix(k)
-    cut = replace(system, inverse_products=system.inverse_products[:2])
+    cut = system._replace(inverse_products=system.inverse_products[:2])
     assert (cut.max_product_index, cut.max_step_state) == (2, 1)
     assert cut.inverse_product(2) == system.inverse_product(2)
     assert cut.step_matrix(1) == system.step_matrix(1)

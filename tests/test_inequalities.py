@@ -568,27 +568,43 @@ def weight_grid(rng, n):
     yield "all zero", [Fraction(0)] * n
 
 
+def fraction_weight_bounds(pop, ws):
+    """vna and the vna_weighted and garsia_weighted bounds by the Fraction
+    formulas that the one integer pass replaced: a Fraction running sum
+    and a Fraction square sum of the weights."""
+    n, b = pop.n, pop.square_sum
+    alpha2 = sum(w * w for w in ws)
+    v = max(a * a for a in itertools.accumulate(ws[:-1])) / alpha2
+    return (v, Fraction(16, n - 1) * (1 + 2 * v) * alpha2 * b,
+            Fraction(16404, 205) * alpha2 * b / (n - 1))
+
+
 def test_vna_and_weighted_rhs_equal_their_definitions():
-    rng = random.Random(1101)
+    # the integer pass against the definitions and the Fraction formulas
+    rng, negative = random.Random(1101), random.Random(2301)
     for n in range(2, 61):
         pop = random_centered_population(n, rng)
         b = pop.square_sum
-        for kind, ws in weight_grid(rng, n):
+        negative_pq = [Fraction(-negative.randint(1, 9), negative.randint(2, 7))
+                       for _ in range(n)]
+        for kind, ws in [*weight_grid(rng, n), ("negative p/q", negative_pq)]:
             alpha2 = sum((w * w for w in ws), Fraction(0))
             if alpha2 == 0:
-                with pytest.raises(DomainError):
+                with pytest.raises(DomainError) as exc:
                     vna(ws)
-                with pytest.raises(DomainError, match="vna_weighted bound"):
+                assert str(exc.value) == "the cancelation measure needs a nonzero weight"
+                with pytest.raises(DomainError) as exc:
                     rhs_value(InequalityId.VNA_WEIGHTED, pop, weights=ws)
+                assert str(exc.value) == "the vna_weighted bound needs a nonzero weight"
+                assert rhs_value(InequalityId.GARSIA_WEIGHTED, pop, weights=ws) == 0
                 continue
             v = direct_vna(ws)
             assert vna(ws) == v, (n, kind)
-            assert rhs_value(
-                InequalityId.VNA_WEIGHTED, pop, weights=ws
-            ) == Fraction(16, n - 1) * (1 + 2 * v) * alpha2 * b, (n, kind)
-            assert rhs_value(
-                InequalityId.GARSIA_WEIGHTED, pop, weights=ws
-            ) == Fraction(16404, 205) * alpha2 * b / (n - 1), (n, kind)
+            vna_rhs = rhs_value(InequalityId.VNA_WEIGHTED, pop, weights=ws)
+            garsia_rhs = rhs_value(InequalityId.GARSIA_WEIGHTED, pop, weights=ws)
+            assert vna_rhs == Fraction(16, n - 1) * (1 + 2 * v) * alpha2 * b, (n, kind)
+            assert garsia_rhs == Fraction(16404, 205) * alpha2 * b / (n - 1), (n, kind)
+            assert (v, vna_rhs, garsia_rhs) == fraction_weight_bounds(pop, ws), (n, kind)
 
 
 def test_vna_is_linear_in_n():

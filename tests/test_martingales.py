@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -300,7 +299,7 @@ def test_weighted_vector_check_certifies_the_inverse_products(monkeypatch):
         products = list(system.inverse_products)
         (a, b), row = products[1]
         products[1] = ((a, b + Fraction(1, 7)), row)
-        corrupted.append(replace(system, inverse_products=tuple(products)))
+        corrupted.append(system._replace(inverse_products=tuple(products)))
         return corrupted[-1]
 
     assert check_vector_martingale(FOUR, Basis.WEIGHTED, ws).holds
@@ -419,7 +418,7 @@ def _corrupt(m, pop, ws, j):
     products = list(system.inverse_products)
     (a, b), row = products[j - 1]
     products[j - 1] = ((a + Fraction(1, 7), b), row)
-    system = replace(system, inverse_products=tuple(products))
+    system = system._replace(inverse_products=tuple(products))
     m.setattr(martingales, "weighted_value", wrong)
     m.setattr(martingales, "build_transition_system", lambda *args, **kw: system)
     return system

@@ -86,7 +86,7 @@ def test_format_rational_round_trips():
 def test_scaled_integers_clears_denominators():
     ints, d = scaled_integers([Fraction(1, 2), Fraction(-2, 3), Fraction(5)])
     assert d == 6
-    assert ints == (3, -4, 30)
+    assert ints == (3, -4, 30) and all(type(i) is int for i in ints)
 
 
 def test_scaled_integers_of_integers_is_identity():
