@@ -56,7 +56,7 @@ _ENGINE_NAMES = {
     "inequalities": "ensure_runnable verify",
     "martingales": "check_martingale ensure_checkable make_spec",
     "moments": "ensure_reportable moment_report",
-    "construction": "build_transition_system ensure_matrix_count matrix_as_strings",
+    "construction": "build_transition_system matrix_as_strings",
 }
 _HOME = {n: m for m, names in _ENGINE_NAMES.items() for n in names.split()}
 
@@ -386,9 +386,6 @@ def _cmd_dump_matrices(args) -> int:
         )
     multipliers = _read_scalars(args.multipliers)
     pop = _optional(load_population, args.population)
-    n = args.n if pop is None else pop.n
-    if n is not None:
-        ensure_matrix_count(n)
     system = build_transition_system(
         args.basis,
         multipliers=multipliers,

@@ -403,23 +403,15 @@ def _chain_mean(layers, key, count, den) -> Fraction:
     # E max = (1/count) sum_j v_j (C_j - C_{j-1}) over the sorted distinct
     # keys v_j, where C_j counts the chains whose keys are all <= v_j.  Each
     # chunk of _CHAIN_CHUNK thresholds is one pass holding two layers, so
-    # memory is states x chunk.  A state's count packs its chains per
-    # threshold, slot j at bit j*width (no count exceeds ``count``, so no
-    # slot carries); key rank r zeroes the slots below r, a state with r
-    # past the chunk has none, and one whose every chain stays below the
-    # chunk (M, the chains' largest rank) has all its chains in each slot.
-    # A layer's states share one in-degree (k on the lattice), so by
-    # induction one chain count.
+    # memory is states x chunk.  A state's count packs, slot j at bit
+    # j*width, its chains from the root whose keys all pass threshold j (no
+    # count exceeds ``count``, so no slot carries): the sum of its
+    # predecessors' counts, with the slots below its key's rank r cleared,
+    # or 0 when r is past the chunk.
     plan = _chain_plan(layers, key)
     values = sorted({v for keys, _ in plan for v in keys})
     rank = {v: j for j, v in enumerate(values)}
-    steps = []
-    highs, chains = [0], 1
-    for keys, getters in plan:
-        ranks = [rank[v] for v in keys]
-        chains *= len(getters[0](highs))  # the layer's in-degree
-        highs = [max(r, *get(highs)) for get, r in zip(getters, ranks)]
-        steps.append((getters, ranks, highs, chains))
+    steps = [(getters, [rank[v] for v in keys]) for keys, getters in plan]
     width = count.bit_length()
     slot = (1 << width) - 1
     total = below = 0
@@ -429,11 +421,9 @@ def _chain_mean(layers, key, count, den) -> Fraction:
         # shifts[r] drops the slots of the thresholds that key rank r fails
         shifts = [0] * lo + [j * width for j in range(hi - lo)]
         cur = [ones]
-        for getters, ranks, highs, chains in steps:
-            saturated = chains * ones
-            cur = [saturated if h < lo
-                   else sum(get(cur)) >> shifts[r] << shifts[r] if r < hi else 0
-                   for get, r, h in zip(getters, ranks, highs)]
+        for getters, ranks in steps:
+            cur = [sum(get(cur)) >> shifts[r] << shifts[r] if r < hi else 0
+                   for get, r in zip(getters, ranks)]
         full = sum(cur)  # over every state of the last layer
         for v in values[lo:hi]:
             passing = full & slot
@@ -906,8 +896,9 @@ def verify(
             ) from None
         lhs, stderr = _mc_lhs(rule, pop, ws, samples, seed)
         if not isfinite(lhs) or (stderr is not None and not isfinite(stderr)):
+            what = "statistic" if not isfinite(lhs) else "statistic's standard error"
             raise InvalidInputError(
-                f"the Monte Carlo {iid.value} statistic overflows float range "
+                f"the Monte Carlo {iid.value} {what} overflows float range "
                 "on this population; rescale the values or use exact mode"
             )
         if rule.over_orderings == "max":

@@ -26,7 +26,9 @@ from .errors import (
     InvalidInputError,
     PreconditionError,
 )
-from .rationals import as_fraction, float_values, format_rational, parse_scalar
+from .rationals import (
+    as_fraction, float_values, format_rational, parse_scalar, scaled_integers,
+)
 
 DEFAULT_ENUMERATION_CUTOFF = 10
 MAX_ENUMERATION_CUTOFF = 12
@@ -90,17 +92,22 @@ class Population:
     def n(self) -> int:
         return len(self.values)
 
+    def _power_sum(self, p: int) -> Fraction:
+        # summed in integers over the values scaled to one denominator d
+        xs, d = scaled_integers(self.values)
+        return Fraction(sum(x**p for x in xs), d**p)
+
     @cached_property
     def total(self) -> Fraction:
-        return sum(self.values, Fraction(0))
+        return self._power_sum(1)
 
     @cached_property
     def square_sum(self) -> Fraction:
-        return sum((v**2 for v in self.values), Fraction(0))
+        return self._power_sum(2)
 
     @cached_property
     def fourth_sum(self) -> Fraction:
-        return sum((v**4 for v in self.values), Fraction(0))
+        return self._power_sum(4)
 
     @property
     def is_centered(self) -> bool:

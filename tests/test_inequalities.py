@@ -320,23 +320,6 @@ def test_alternating_on_the_odd_position_graph():
             assert got == want, (n, pop.values)
 
 
-@pytest.mark.parametrize("odd", [False, True])
-def test_every_state_of_a_layer_has_one_in_degree(odd):
-    # the chain engine keeps one chain count per layer, which holds only
-    # if the layer's states share their in-degree: k on the lattice's
-    # layer k, ceil(k/2) on the odd-position graph's
-    from permartingale.inequalities import _state_layers
-
-    for n in range(1, 11):
-        chains = 1
-        layers = odd_position_layers(n) if odd else _state_layers(n)
-        for k, layer in enumerate(layers, start=1):
-            degree = (k + 1) // 2 if odd else k
-            assert {len(ps) for ps in layer.values()} == {degree}, (n, k)
-            chains *= degree
-        assert chains * len(layer) == math.factorial(n), n
-
-
 @pytest.mark.parametrize("chunk", [1, 3])
 def test_chain_counts_across_threshold_chunks(chunk, monkeypatch):
     # thresholds one or three to a pass, so that chains cross chunk edges;

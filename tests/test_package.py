@@ -7,7 +7,10 @@ import re
 import types
 from pathlib import Path
 
+import pytest
+
 import permartingale
+from permartingale.errors import DomainError, InvalidInputError
 
 
 def test_all_exports_resolve_and_are_not_modules():
@@ -59,3 +62,49 @@ def test_readme_examples_print_what_they_say():
                 assert said[1].startswith(printed[:-1]), (printed, said[1])
                 checked += 1
     assert checked == 4
+
+
+FOUR = permartingale.make_population([1, -1, 2, -2])
+
+# (call, exception class, message fragment) for the argument checks of the
+# library functions that no CLI path reaches
+LIBRARY_REFUSALS = [
+    (lambda p: p.matrix_multiply(((1, 2),), ((1, 2),)),
+     InvalidInputError, "matrix shapes do not compose"),
+    (lambda p: p.matrix_vector(((1, 2),), (1,)),
+     InvalidInputError, "matrix and vector shapes do not match"),
+    (lambda p: p.matrix_inverse(((1, 2),)), InvalidInputError, "matrix is not square"),
+    (lambda p: p.product_of_inverses([]), InvalidInputError, "need at least one matrix"),
+    (lambda p: p.quadratic_inverse_product(2, 0, 1, 1),
+     DomainError, "quadratic basis needs n >= 3, got n=2"),
+    (lambda p: p.weighted_transition(1, 1, 0),
+     DomainError, "weighted basis needs n >= 2, got n=1"),
+    (lambda p: p.weighted_inverse_product(1, [1], 1),
+     DomainError, "weighted basis needs n >= 2, got n=1"),
+    (lambda p: p.verify("bridge", bridge_m=2, weights=[1, 1, 1, 1]),
+     InvalidInputError, "the bridge inequality takes no weights"),
+    (lambda p: p.verify("quadratic"), InvalidInputError, "a population is required"),
+    (lambda p: p.folding_constant("alternating", 1), DomainError, "need n >= 2, got 1"),
+    (lambda p: p.folding_constant("garsia_unweighted", 9),
+     InvalidInputError, "the garsia_unweighted constant needs m"),
+    (lambda p: p.partial_sum_second_moment_oracle(FOUR, 5),
+     DomainError, "need 1 <= m <= 4, got m=5"),
+    (lambda p: p.bridge_moment_oracle(2, 0), InvalidInputError, "need power >= 1, got 0"),
+    (lambda p: p.mtilde_coefficients(1), DomainError, "need n >= 2, got 1"),
+    (lambda p: p.mtilde_terminal_oracle(p.make_population([1, -1, 0])),
+     DomainError, "need n >= 4, got n=3"),
+    (lambda p: p.weighted_second_moment_oracle(FOUR, [1, 1, 1, 1], 4),
+     DomainError, "need 1 <= k <= 3, got k=4"),
+    (lambda p: p.population.resolve_cutoff(10.0),
+     InvalidInputError, "cutoff must be an int, got 10.0"),
+    (lambda p: p.mean_over_subsets(FOUR, 5, sum), InvalidInputError, "need 0 <= m <= 4, got 5"),
+    (lambda p: p.as_fraction([1]), InvalidInputError, "expected a rational scalar, got [1]"),
+    (lambda p: p.alternating_weights(0), InvalidInputError, "need n >= 1"),
+]
+
+
+@pytest.mark.parametrize("call, error, fragment", LIBRARY_REFUSALS)
+def test_library_refusals_name_their_fault(call, error, fragment):
+    with pytest.raises(error) as caught:
+        call(permartingale)
+    assert caught.type is error and fragment in str(caught.value)

@@ -89,26 +89,24 @@ def test_population_is_equal_only_to_a_population():
     assert len({pop, Population(pop.values)}) == 1
 
 
-class CountedSquare(Fraction):
-    """A value that counts how often it is squared."""
+def test_population_sums_are_lazy_and_read_once(monkeypatch):
+    import permartingale.population as population
 
-    squares = 0
+    calls, scaled = [], population.scaled_integers
 
-    def __pow__(self, e):
-        CountedSquare.squares += e == 2
-        return Fraction(self) ** e
+    def counted(values):
+        calls.append(values)
+        return scaled(values)
 
-
-def test_population_sums_are_lazy_and_read_once():
-    values = tuple(CountedSquare(v) for v in (3, -1, -2))
+    monkeypatch.setattr(population, "scaled_integers", counted)
+    values = tuple(F(v) for v in (3, -1, -2))
     pop = Population(values)
-    assert vars(pop) == {"values": values}
-    CountedSquare.squares = 0
+    assert vars(pop) == {"values": values} and calls == []
     assert [pop.square_sum for _ in range(3)] == [14] * 3
-    assert CountedSquare.squares == 3
+    assert len(calls) == 1
     assert set(vars(pop)) == {"values", "square_sum"}
     assert pop.total == 0 and pop.fourth_sum == 98
-    assert pop.square_sum is pop.square_sum and CountedSquare.squares == 3
+    assert pop.square_sum is pop.square_sum and len(calls) == 3
     with pytest.raises(AttributeError):
         pop.total = 1
     assert pop == Population(values) and hash(pop) == hash(Population(values))
