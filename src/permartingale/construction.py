@@ -294,16 +294,6 @@ class TransitionSystem(NamedTuple):
         return (w, s)
 
 
-def ensure_matrix_count(n: int) -> None:
-    """Refuse a transition system of about 2n matrices above _MAX_MATRICES;
-    run before any matrix is built, it refuses at no cost."""
-    if 2 * n > _MAX_MATRICES:
-        raise InvalidInputError(
-            f"dump-matrices at n={n} writes about 2n = 2 x {n} matrices, "
-            f"above the limit of {_MAX_MATRICES:,}; use a smaller n"
-        )
-
-
 def build_transition_system(
     basis: Basis | str,
     population: Population | None = None,
@@ -338,7 +328,11 @@ def build_transition_system(
         )
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise InvalidInputError(f"need integer n >= 2, got {n!r}")
-    ensure_matrix_count(n)
+    if 2 * n > _MAX_MATRICES:
+        raise InvalidInputError(
+            f"dump-matrices at n={n} writes about 2n = 2 x {n} matrices, "
+            f"above the limit of {_MAX_MATRICES:,}; use a smaller n"
+        )
     total = None if total is None else as_fraction(total)
     square_sum = None if square_sum is None else as_fraction(square_sum)
     ws: tuple[Fraction, ...] | None = None

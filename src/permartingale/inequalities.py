@@ -882,7 +882,7 @@ def verify(
     if mode is VerifyMode.EXACT:
         if samples is not None or seed is not None:
             raise InvalidInputError("samples and seed only apply to Monte Carlo mode")
-        xs, d = scaled_integers(pop.values)
+        xs, d = pop.scaled
         lhs = rule.exact(xs, d, factorial(n), ws)
         stderr = None
         status = "holds" if lhs <= rhs else "fails"

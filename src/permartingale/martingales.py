@@ -43,7 +43,7 @@ from .construction import (build_transition_system, matrix_vector,
 from .errors import DomainError, InvalidInputError, PreconditionError, coerce_enum
 from .population import (Population, drawn_prefix, drawn_set_values,
                          ensure_enumerable, make_population)
-from .rationals import format_rational, scaled_integers
+from .rationals import format_rational
 from .weights import validate_weights
 
 
@@ -164,7 +164,9 @@ class MartingaleViolation(NamedTuple):
     """A history where the one-step martingale identity fails.
 
     ``value`` is the evaluator at the history; ``conditional_mean`` is
-    the exact average of the evaluator over the next draws.
+    the exact average of the evaluator over the next draws, a
+    ``Fraction`` for int and ``Fraction`` values, averaged coordinatewise
+    for a tuple value.
     """
 
     prefix: tuple[Fraction, ...]
@@ -217,23 +219,13 @@ class MartingaleCheck(NamedTuple):
         }
 
 
-class _Vector(tuple):
-    """A vector value whose +, scaling and / act coordinatewise, so the
-    checkers treat scalars and vectors alike (``sum`` starts from 0)."""
-
-    def __add__(self, other):
-        return _Vector(x + y for x, y in zip(self, other, strict=True))
-
-    def __radd__(self, other):
-        return self if other == 0 else self + other
-
-    def __rmul__(self, c):
-        return _Vector(c * x for x in self)
-
-    __mul__ = __rmul__
-
-    def __truediv__(self, c):
-        return _Vector(x / c for x in self)
+def _mean(values: list):
+    """The exact average of numbers, or of tuples coordinatewise: the
+    conditional mean both routes compare and report."""
+    count = Fraction(len(values))
+    if isinstance(values[0], tuple):
+        return tuple(sum(col) / count for col in zip(*values, strict=True))
+    return sum(values) / count
 
 
 class _NotAffine(Exception):
@@ -315,7 +307,7 @@ def _check_drawn_sets(
     q = [lcm(*ds) for ds in dens]  # Q_k
     coef = [cs and tuple(c.numerator * (q[mask.bit_count()] // c.denominator) for c in cs)
             for mask, cs in enumerate(flat)]
-    ints, d = scaled_integers(xs)
+    ints, d = population.scaled
     sets = [mask for mask in range(1 << n) if k_min <= mask.bit_count() < k_max]
     sets.sort(key=lambda mask: [i for i in range(n) if mask >> i & 1])
     for states, mask in enumerate(sets, start=1):
@@ -334,10 +326,9 @@ def _check_drawn_sets(
                         or any(e * d * gaps[j] + alpha * drift for alpha, e in alphas)
                         for j, drift in zip(forms, drifts))
         if fails:
-            acc = sum(value[mask | 1 << i] for i in free)
             drawn = tuple(x for i, x in enumerate(xs) if mask >> i & 1)
-            return MartingaleCheck(MartingaleViolation(drawn, value[mask], acc / (n - k)),
-                                   states)
+            mean = _mean([value[mask | 1 << i] for i in free])
+            return MartingaleCheck(MartingaleViolation(drawn, value[mask], mean), states)
     return MartingaleCheck(None, len(sets))
 
 
@@ -381,11 +372,6 @@ def _check_ordered(
     ordered prefixes, at ordered-tree cost: the route of
     ``check_sequence``, and the fallback and witness route of the slots.
     """
-
-    def fn(prefix: tuple[Fraction, ...]):
-        v = value_fn(prefix)
-        return _Vector(v) if isinstance(v, tuple) else v
-
     n, vals = population.n, list(population.values)  # vals[:k] is the prefix
     states = 0
 
@@ -395,11 +381,11 @@ def _check_ordered(
         if k_min <= k < k_max:
             states += 1
             prefix = tuple(vals[:k])
-            v = fn(prefix) if v is None else v
-            children = [fn((*prefix, x)) for x in vals[k:]]
-            acc = sum(children)
-            if acc != (n - k) * v:
-                return MartingaleViolation(prefix, v, acc / (n - k))
+            v = value_fn(prefix) if v is None else v
+            children = [value_fn((*prefix, x)) for x in vals[k:]]
+            mean = _mean(children)
+            if mean != v:
+                return MartingaleViolation(prefix, v, mean)
         for i in range(k, n) if k < k_max - 1 else ():
             vals[k], vals[i] = vals[i], vals[k]
             violation = dfs(k + 1, None if children is None else children[i - k])
@@ -429,7 +415,10 @@ def check_sequence(
     property over k_min..k_max.
 
     The general-purpose entry point for custom evaluators; it walks
-    every ordered prefix.
+    every ordered prefix.  ``value_fn`` returns an int, a ``Fraction``
+    or a tuple of them; a witness's conditional mean is then exact, a
+    ``Fraction`` or a tuple of them.  A float-valued evaluator is outside
+    this exact contract: its sums round.
     """
     n = population.n
     if not 0 <= k_min <= k_max <= n:
@@ -476,7 +465,7 @@ def check_vector_martingale(
 
     def fn(k: int, s: Fraction, t: Fraction):
         state = (s * s, s, t, Fraction(1)) if basis is Basis.QUADRATIC else (_W, s)
-        return _Vector(matrix_vector(system.inverse_product(k), state))
+        return matrix_vector(system.inverse_product(k), state)
 
     if basis is Basis.QUADRATIC:
         return _check_drawn_sets(population, fn, 1, k_max)

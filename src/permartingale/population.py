@@ -65,9 +65,10 @@ class Population:
     """Immutable multiset of rational values, equal and hashed by value.
 
     ``total``, ``square_sum`` and ``fourth_sum`` are the sums of x, x^2
-    and x^4, computed on first read and cached.  Duplicated values are
-    distinct labeled items: the uniform random order is over labels, so
-    a repeated value gets proportionally higher draw weight.
+    and x^4, summed in integers over ``scaled``; each is computed on
+    first read and cached.  Duplicated values are distinct labeled
+    items: the uniform random order is over labels, so a repeated value
+    gets proportionally higher draw weight.
     """
 
     def __init__(self, values: tuple[Fraction, ...]) -> None:
@@ -92,9 +93,14 @@ class Population:
     def n(self) -> int:
         return len(self.values)
 
+    @cached_property
+    def scaled(self) -> tuple[tuple[int, ...], int]:
+        """``(ints, d)`` with ``ints[i] == values[i] * d``: the one integer
+        image that the sums and the exact engines read."""
+        return scaled_integers(self.values)
+
     def _power_sum(self, p: int) -> Fraction:
-        # summed in integers over the values scaled to one denominator d
-        xs, d = scaled_integers(self.values)
+        xs, d = self.scaled
         return Fraction(sum(x**p for x in xs), d**p)
 
     @cached_property

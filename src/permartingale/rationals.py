@@ -127,12 +127,13 @@ def float_values(values: Iterable[Fraction], what: str) -> tuple[float, ...]:
 def scaled_integers(values: Iterable[Fraction]) -> tuple[tuple[int, ...], int]:
     """Return ``(scaled, d)`` with ``scaled[i] == values[i] * d`` exact.
 
-    ``d`` is the least common multiple of the denominators, so the
-    scaled values are plain ints.  Enumeration kernels run on these and
-    divide the scale back out once at the end.
+    The values are ints or ``Fraction``s, read through their numerators
+    and denominators.  ``d`` is the least common multiple of the
+    denominators, so the scaled values are plain ints.  Enumeration
+    kernels run on these and divide the scale back out once at the end.
     """
-    vals = [Fraction(v) for v in values]
-    d = lcm(*(v.denominator for v in vals)) if vals else 1
+    vals = tuple(values)
+    d = lcm(*(v.denominator for v in vals))
     return tuple(v.numerator * (d // v.denominator) for v in vals), d
 
 

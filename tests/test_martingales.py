@@ -246,6 +246,27 @@ def test_corrupted_evaluator_fails_with_witness():
     assert set(d) == {"prefix", "k", "value", "conditional_mean"}
 
 
+@pytest.mark.parametrize("route", ["ordered", "drawn_set"])
+@pytest.mark.parametrize("of_k, value, mean", [
+    # an evaluator of k alone, its value at the first history (1,) of
+    # FOUR and the exact mean over that history's three extensions
+    (lambda k: k, "1", "2"),
+    (lambda k: (k, 0), ["1", "0"], ["2", "0"]),
+    (lambda k: 10**400 * k, str(10**400), str(2 * 10**400)),
+], ids=["int", "tuple", "int past float range"])
+def test_witness_means_of_integer_evaluators_are_exact(route, of_k, value, mean):
+    from permartingale.martingales import _check_drawn_sets
+
+    if route == "ordered":
+        check = check_sequence(FOUR, lambda p: of_k(len(p)), 1, 3)
+    else:
+        check = _check_drawn_sets(FOUR, lambda k, s, t: of_k(k), 1, 3)
+    w = check.worst_history
+    assert w.to_dict() == {"prefix": ["1"], "k": 1, "value": value, "conditional_mean": mean}
+    means = w.conditional_mean if isinstance(w.conditional_mean, tuple) else (w.conditional_mean,)
+    assert all(type(m) is Fraction for m in means)
+
+
 def test_check_martingale_certifies_the_evaluator_it_returns(monkeypatch):
     # a typo in an order-free closed form must reach both evaluate_prefix
     # and the exhaustive check, since both read the one value table
@@ -633,10 +654,11 @@ def _table_reference(pop, fn, k_min, k_max, slots=None):
             got = [sum(r[j] + (a * (x * r[j + 1] + r[j + 2]) if j % 3 == 0 else 0)
                        for x, r in rows) for j in range(len(target))]
             if got != target:
-                acc = sum(value(tuple(sorted(items + (i,)))) for i in kids)
+                kid_values = [value(tuple(sorted(items + (i,)))) for i in kids]
+                mean = (tuple(sum(c) / Fraction(n - k) for c in zip(*kid_values))
+                        if isinstance(kid_values[0], tuple) else sum(kid_values) / Fraction(n - k))
                 witness = tuple(xs[i] for i in items)
-                return MartingaleCheck(MartingaleViolation(witness, value(items), acc / (n - k)),
-                                       states)
+                return MartingaleCheck(MartingaleViolation(witness, value(items), mean), states)
     return MartingaleCheck(None, len(sets))
 
 

@@ -92,21 +92,28 @@ def test_population_is_equal_only_to_a_population():
 def test_population_sums_are_lazy_and_read_once(monkeypatch):
     import permartingale.population as population
 
-    calls, scaled = [], population.scaled_integers
+    calls, sums = [], []
+    scaled, power_sum = population.scaled_integers, Population._power_sum
 
     def counted(values):
         calls.append(values)
         return scaled(values)
 
+    def counted_sum(self, p):
+        sums.append(p)
+        return power_sum(self, p)
+
     monkeypatch.setattr(population, "scaled_integers", counted)
+    monkeypatch.setattr(Population, "_power_sum", counted_sum)
     values = tuple(F(v) for v in (3, -1, -2))
     pop = Population(values)
-    assert vars(pop) == {"values": values} and calls == []
+    assert vars(pop) == {"values": values} and calls == [] and sums == []
     assert [pop.square_sum for _ in range(3)] == [14] * 3
-    assert len(calls) == 1
-    assert set(vars(pop)) == {"values", "square_sum"}
+    assert len(calls) == 1 and sums == [2]
+    assert set(vars(pop)) == {"values", "scaled", "square_sum"}
     assert pop.total == 0 and pop.fourth_sum == 98
-    assert pop.square_sum is pop.square_sum and len(calls) == 3
+    assert pop.square_sum is pop.square_sum and len(calls) == 1 and sums == [2, 1, 4]
+    assert pop.scaled == ((3, -1, -2), 1)
     with pytest.raises(AttributeError):
         pop.total = 1
     assert pop == Population(values) and hash(pop) == hash(Population(values))
