@@ -21,9 +21,8 @@ __version__ = "0.1.0"
 _SUBMODULES = {
     "choices": "Basis InequalityId MartingaleKind VerifyMode",
     "construction": (
-        "TransitionSystem build_transition_system identity_matrix "
-        "matrix_as_strings matrix_inverse matrix_multiply matrix_vector "
-        "product_of_inverses quadratic_inverse_product quadratic_transition "
+        "TransitionSystem build_transition_system matrix_as_strings "
+        "matrix_vector quadratic_inverse_product quadratic_transition "
         "vector_martingale_value weighted_inverse_product weighted_transition"
     ),
     "errors": (
@@ -50,8 +49,8 @@ _SUBMODULES = {
     "population": (
         "DEFAULT_ENUMERATION_CUTOFF MAX_ENUMERATION_CUTOFF Population "
         "bridge_parameter load_population make_bridge_population "
-        "make_population mean_over_ordered_draws mean_over_orderings "
-        "mean_over_subsets random_centered_population validate_permutation"
+        "make_population mean_over_ordered_draws mean_over_subsets "
+        "random_centered_population validate_permutation"
     ),
     "rationals": "as_fraction format_rational parse_rational parse_scalar",
     "weights": "alternating_weights validate_weights",

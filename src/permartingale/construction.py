@@ -59,24 +59,6 @@ def _as_matrix(rows: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-def identity_matrix(size: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(size))
-        for i in range(size)
-    )
-
-
-def matrix_multiply(a: Matrix, b: Matrix) -> Matrix:
-    if len(a[0]) != len(b):
-        raise InvalidInputError("matrix shapes do not compose")
-    cols = range(len(b[0]))
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
-              for j in cols)
-        for i in range(len(a))
-    )
-
-
 def matrix_vector(a: Matrix, v: Vector) -> Vector:
     if len(a[0]) != len(v):
         raise InvalidInputError("matrix and vector shapes do not match")
@@ -84,40 +66,6 @@ def matrix_vector(a: Matrix, v: Vector) -> Vector:
         sum((a[i][j] * v[j] for j in range(len(v)) if a[i][j]), Fraction(0))
         for i in range(len(a))
     )
-
-
-def matrix_inverse(a: Matrix) -> Matrix:
-    """Exact Gauss-Jordan inverse of a square rational matrix."""
-    size = len(a)
-    if any(len(row) != size for row in a):
-        raise InvalidInputError("matrix is not square")
-    work = [list(row) + list(identity_matrix(size)[i]) for i, row in enumerate(a)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if work[r][col] != 0), None)
-        if pivot is None:
-            raise DomainError("matrix is singular, no inverse exists")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = Fraction(1) / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(size):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[size:]) for row in work)
-
-
-def product_of_inverses(matrices: Sequence[Matrix]) -> Matrix:
-    """Compute inv(A_1) * inv(A_2) * ... * inv(A_k) step by step.
-
-    This is the slow reference route the closed-form inverse products
-    are verified against; it is kept deliberately independent of them.
-    """
-    if not matrices:
-        raise InvalidInputError("need at least one matrix")
-    out = matrix_inverse(matrices[0])
-    for m in matrices[1:]:
-        out = matrix_multiply(out, matrix_inverse(m))
-    return out
 
 
 def quadratic_transition(n: int, total, square_sum, k: int) -> Matrix:
@@ -235,8 +183,9 @@ class TransitionSystem(NamedTuple):
     """A population's transition matrices with cached inverse products.
 
     ``inverse_products[k-1]`` is inv(A_1)...inv(A_k).  The cache is
-    filled from the closed forms at construction; ``step_matrix`` and
-    ``product_of_inverses`` remain available as the independent route.
+    filled from the closed forms at construction; ``step_matrix`` gives
+    the steps whose inverses, multiplied one at a time, are the
+    independent route the tests check the cache against.
     """
 
     basis: Basis

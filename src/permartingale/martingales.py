@@ -19,16 +19,18 @@ With n items, grand total M, grand square sum B, and running sums S_k
 ``check_martingale`` certifies E[M_{k+1} | first k draws] = M_k on
 every history by enumeration, never by algebra, so a wrong evaluator
 cannot certify itself.  Two routes report the first violating history.
-The drawn-set checker compares each drawn set's value, computed once in
-the table the exact inequality engine also reads, with the average over
-its one-item extensions.  It compares in ints, each layer of the table
-scaled to one common denominator, and the ``Fraction`` table gives the
-witness.  W_k and A_k, which WEIGHTED, CHAIN_QUADRATIC and the
-weighted-basis vector also see, enter it as formal slots that may only
-be added and scaled, so an identity in the slots holds at every history
-that reaches the set.  The generic ``Fraction`` walker over ordered
-prefixes, the independent route, serves ``check_sequence``, and gives
-the verdict and the witness whenever the slots do not certify.
+The drawn-set checker runs the evaluator once per layer k, on formal S_k
+and T_k, and gets a polynomial in them.  Scaled to one denominator per
+layer, it makes each drawn set's value an int, and each set is compared
+in ints with the average over its one-item extensions; ``Fraction``s
+build only the witness.  W_k and A_k, which WEIGHTED, CHAIN_QUADRATIC
+and the weighted-basis vector also see, enter as formal slots, and no
+product may hold two of them, so the value is affine in the slots and an
+identity in them holds at every history that reaches the set.  The
+generic ``Fraction`` walker over ordered prefixes, the independent
+route, serves ``check_sequence``.  It gives the verdict and the witness
+whenever the formal values do not certify: the slots' identity fails,
+or the evaluator does more than add, multiply and divide by numbers.
 """
 
 from __future__ import annotations
@@ -49,12 +51,12 @@ from .weights import validate_weights
 
 def _m2_value(pop: Population) -> Callable[[int, Fraction, Fraction], Fraction]:
     n, m = pop.n, pop.total
-    return lambda k, s, t: Fraction(n * s - k * m, n - k)
+    return lambda k, s, t: (n * s - k * m) / (n - k)
 
 
 def _m3_value(pop: Population) -> Callable[[int, Fraction, Fraction], Fraction]:
     n, b = pop.n, pop.square_sum
-    return lambda k, s, t: Fraction(n * t - k * b, n - k)
+    return lambda k, s, t: (n * t - k * b) / (n - k)
 
 
 def _mtilde_value(pop: Population) -> Callable[[int, Fraction, Fraction], Fraction]:
@@ -229,30 +231,39 @@ def _mean(values: list):
 
 
 class _NotAffine(Exception):
-    """An evaluator did more to a formal slot than add and scale it."""
+    """An evaluator did more to a formal value than add, multiply where
+    at most one factor holds a slot, and divide by numbers."""
 
 
 class _Form:
-    """The form c0 + c1 W_k + c2 A_k in formal slots for W_k and A_k.  It
-    adds and scales by numbers; any other operation, comparison and truth
-    value included, raises ``_NotAffine``, so the slots never certify an
-    evaluator that compares, multiplies or branches on one."""
+    """A polynomial in formal S_k and T_k whose coefficients are affine in
+    formal slots for W_k and A_k: ``terms`` maps (slot, i, j) to the
+    coefficient of slot S_k^i T_k^j, slot 0 for none, 1 for W_k and 2 for
+    A_k, and holds no zero.  It adds, multiplies where at most one factor
+    holds a slot, and divides by numbers; any other operation, comparison
+    and truth value included, raises ``_NotAffine``, so the formal values
+    never certify an evaluator that compares or branches on one, or that
+    multiplies two slots."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, *terms):
-        self.terms = terms
+    def __init__(self, pairs):
+        terms = {}
+        for key, c in pairs:
+            terms[key] = terms.get(key, 0) + c
+        self.terms = {key: c for key, c in terms.items() if c}
 
     def __add__(self, other):
-        if isinstance(other, _Form):
-            return _Form(*(x + y if y else x for x, y in zip(self.terms, other.terms)))
-        c0, c1, c2 = self.terms
-        return _Form(c0 + other, c1, c2)
+        other = other.terms if isinstance(other, _Form) else {(0, 0, 0): other}
+        return _Form([*self.terms.items(), *other.items()])
 
-    def __mul__(self, c):
-        if isinstance(c, _Form):
+    def __mul__(self, other):
+        if not isinstance(other, _Form):
+            return _Form((key, other * c) for key, c in self.terms.items())
+        if any(u for u, _, _ in self.terms) and any(u for u, _, _ in other.terms):
             raise _NotAffine
-        return _Form(*(c * x if x else x for x in self.terms))
+        return _Form(((u + v, i + p, j + q), c * e) for (u, i, j), c in self.terms.items()
+                     for (v, p, q), e in other.terms.items())
 
     __radd__, __rmul__ = __add__, __mul__
     __neg__, __truediv__ = (lambda a: -1 * a), (lambda a, c: a * (Fraction(1) / c))
@@ -267,15 +278,18 @@ for _op in ("eq ne lt le gt ge bool hash pos abs pow rpow rtruediv floordiv rflo
             " mod rmod divmod rdivmod int float complex index round trunc floor"
             " ceil getattr").split():
     setattr(_Form, f"__{_op}__", _not_affine)
-_W, _A = _Form(0, 1, 0), _Form(0, 0, 1)
+_S, _T, _W, _A = (_Form([(key, 1)])
+                  for key in ((0, 1, 0), (0, 0, 1), (1, 0, 0), (2, 0, 0)))
 
 
-def _coefficients(v, slots: bool) -> tuple:
-    """The numbers the identity compares in ``v``: a form's (c0, c1, c2), a
-    number's (v, 0, 0) with slots, else (v,), a vector's entries' in order."""
+def _polynomials(v, slots: tuple) -> list:
+    """The terms (c, i, j) of c S_k^i T_k^j that a formal value ``v`` holds
+    in each of ``slots``: a form's, a number's as a constant, a vector's
+    entries' in order."""
     if isinstance(v, tuple):
-        return tuple(c for x in v for c in _coefficients(x, slots))
-    return v.terms if isinstance(v, _Form) else (v, 0, 0) if slots else (v,)
+        return [p for x in v for p in _polynomials(x, slots)]
+    terms = v.terms if isinstance(v, _Form) else {(0, 0, 0): v}
+    return [[(c, i, j) for (u, i, j), c in terms.items() if u == slot] for slot in slots]
 
 
 def _check_drawn_sets(
@@ -285,29 +299,53 @@ def _check_drawn_sets(
     k_max: int,
     moves: Callable[[int, list, int], Iterable] | None = None,
 ) -> MartingaleCheck:
-    """The one drawn-set loop: each set's value, ``value_fn(k, S_k, T_k)``
-    from ``drawn_set_values``, must be the average over its n-k one-item
-    extensions.  Every ordering of a set gives the same (k, S_k, T_k), so
-    the 2^n sets cover all n! histories.  A value may also hold the slots
-    ``_W`` and ``_A`` of the histories that reach its set; for each
-    a_{k+1} = alpha/e in ``moves(k, drawn, d)`` (drawn values X = d x), an
-    extension by x moves them to W_k + a x and A_k + a.  The identity is
-    compared in ints: layer k's coefficients times Q_k, the lcm of their
-    denominators, give Q_k * (sum over the extensions) = (n-k) Q_{k+1} *
-    (the set's value).  Sets go in lexicographic order of their item
-    indices; at the first that fails the ``Fraction`` table gives the
-    witness, whose prefix lists the set's values in that order.
-    ``_check_ordered`` remains the independent route."""
+    """The one drawn-set loop: each set's value, ``value_fn(k, S_k, T_k)``,
+    must be the average over its n-k one-item extensions.  Every ordering
+    of a set gives the same (k, S_k, T_k), so the 2^n sets cover all n!
+    histories.  ``value_fn`` runs once per layer k, on formal S_k and T_k,
+    and gives a polynomial sum c S_k^i T_k^j.  Times Q_k = lcm(its
+    denominators) d^g, g its largest i + 2j, it is an integer polynomial
+    in d S_k and d^2 T_k, the sums ``drawn_set_values`` gives on the ints
+    of ``population.scaled``: each set's value is an int over Q_k.  A value
+    may also hold the slots ``_W`` and ``_A`` of the histories that reach
+    its set; for each a_{k+1} = alpha/e in ``moves(k, drawn, d)`` (drawn
+    values X = d x), an extension by x moves them to W_k + a x and
+    A_k + a.  The identity is Q_k * (sum over the extensions) = (n-k)
+    Q_{k+1} * (the set's value).  Sets go in lexicographic order of their
+    item indices; at the first that fails, ``value_fn`` on the
+    ``Fraction`` sums of the set and of its extensions gives the witness,
+    whose prefix lists the set's values in that order.  An evaluator whose
+    formal call raises ``_NotAffine`` or ``TypeError`` goes to
+    ``_check_ordered``, the independent route: here, or, with slots,
+    through ``_NotAffine`` to the caller's fallback."""
     n, xs = population.n, population.values
-    value = drawn_set_values(xs, value_fn, range(k_min, k_max + 1))
-    flat = [v if v is None else _coefficients(v, moves is not None) for v in value]
-    dens = [set() for _ in range(n + 1)]
-    for mask, cs in enumerate(flat):
-        dens[mask.bit_count()].update(c.denominator for c in cs or ())
-    q = [lcm(*ds) for ds in dens]  # Q_k
-    coef = [cs and tuple(c.numerator * (q[mask.bit_count()] // c.denominator) for c in cs)
-            for mask, cs in enumerate(flat)]
     ints, d = population.scaled
+    ks = range(k_min, k_max + 1)
+    try:
+        formal = [value_fn(k, _S, _T) for k in ks]
+    except (_NotAffine, TypeError):
+        if moves is not None:
+            raise _NotAffine from None
+        return _check_ordered(population, lambda p: value_fn(
+            len(p), sum(p, Fraction(0)), sum((x * x for x in p), Fraction(0))),
+            k_min, k_max)
+    q, polys = [1] * (n + 1), [None] * (n + 1)  # Q_k, and layer k's polynomials times Q_k
+    for k, v in zip(ks, formal):
+        layer = _polynomials(v, (0, 1, 2) if moves is not None else (0,))
+        terms = [term for poly in layer for term in poly]
+        g = max((i + 2 * j for _, i, j in terms), default=0)
+        den = lcm(*(c.denominator for c, _, _ in terms))
+        q[k] = den * d**g
+        polys[k] = [[(c.numerator * (den // c.denominator) * d ** (g - i - 2 * j), i, j)
+                     for c, i, j in poly] for poly in layer]
+    coef = drawn_set_values(ints, lambda k, s, t: [
+        sum([c * s**i * t**j for c, i, j in poly]) for poly in polys[k]], ks)
+
+    def exact(mask):  # value_fn on the Fraction sums of a drawn set
+        drawn = [x for i, x in enumerate(ints) if mask >> i & 1]
+        return value_fn(len(drawn), Fraction(sum(drawn), d),
+                        Fraction(sum(x * x for x in drawn), d * d))
+
     sets = [mask for mask in range(1 << n) if k_min <= mask.bit_count() < k_max]
     sets.sort(key=lambda mask: [i for i in range(n) if mask >> i & 1])
     for states, mask in enumerate(sets, start=1):
@@ -327,8 +365,8 @@ def _check_drawn_sets(
                         for j, drift in zip(forms, drifts))
         if fails:
             drawn = tuple(x for i, x in enumerate(xs) if mask >> i & 1)
-            mean = _mean([value[mask | 1 << i] for i in free])
-            return MartingaleCheck(MartingaleViolation(drawn, value[mask], mean), states)
+            mean = _mean([exact(mask | 1 << i) for i in free])
+            return MartingaleCheck(MartingaleViolation(drawn, exact(mask), mean), states)
     return MartingaleCheck(None, len(sets))
 
 
@@ -343,8 +381,9 @@ def _check_slots(
     slots ``_W`` and ``_A``, for k = 1..k_max on the drawn sets.  A state
     is the drawn set, and for the chain (``multipliers`` None), whose
     a_{k+1} is the last draw, the set and its last draw.  Should the
-    slots' identity fail, or ``value_fn`` do more to a slot than add and
-    scale it, the generic walk over ``prefix_value`` gives the verdict."""
+    slots' identity fail, or ``value_fn`` do more than add, multiply and
+    divide by numbers, or multiply two slots, the generic walk over
+    ``prefix_value`` gives the verdict."""
 
     ratios = multipliers and [(a.numerator, a.denominator) for a in multipliers]
 
@@ -453,10 +492,11 @@ def check_vector_martingale(
     cutoff: int | None = None,
 ) -> MartingaleCheck:
     """Exhaustively check every coordinate of the inverse-product
-    vector martingale on the drawn sets: the quadratic basis sees a
-    history only through (k, S_k, T_k), and the weighted basis applies
-    each inverse product to (W_k, S_k) with W_k a formal slot, with
-    ``vector_martingale_value`` on every prefix as its fallback route.
+    vector martingale on the drawn sets.  Each inverse product is applied
+    once, to the formal state: (S_k^2, S_k, T_k, 1) for the quadratic
+    basis, which sees a history only through (k, S_k, T_k), and (W_k, S_k)
+    with W_k a formal slot for the weighted basis, whose fallback route is
+    ``vector_martingale_value`` on every prefix.
     """
     basis = coerce_enum(Basis, basis, "basis")
     ensure_checkable(population.n, cutoff)

@@ -278,17 +278,6 @@ def load_population(path: str, lenient: bool = False) -> Population:
     return make_population(parse_scalar_lines(text, lenient, f"{path}, "))
 
 
-def mean_over_orderings(
-    population: Population,
-    statistic: Callable[[tuple[Fraction, ...]], Fraction],
-    cutoff: int | None = None,
-) -> Fraction:
-    """Exact mean of ``statistic(ordering)`` over all n! orderings."""
-    n = population.n
-    ensure_enumerable(n, cutoff, "mean over orderings")
-    return mean_over_ordered_draws(population, n, lambda *p: statistic(p))
-
-
 def mean_over_ordered_draws(
     population: Population,
     r: int,

@@ -35,7 +35,6 @@ from permartingale import (
     mtilde_terminal_second_moment,
     partial_sum_second_moment,
     partial_sum_second_moment_oracle,
-    product_of_inverses,
     quadratic_inverse_product,
     quadratic_transition,
     random_centered_population,
@@ -46,6 +45,8 @@ from permartingale import (
     weighted_transition,
 )
 from permartingale.moments import PATTERNS
+
+from independent_routes import product_of_inverses
 
 FOUR = make_population([1, -1, 2, -2])
 

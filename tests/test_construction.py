@@ -11,19 +11,18 @@ from permartingale import (
     PreconditionError,
     build_transition_system,
     check_vector_martingale,
-    identity_matrix,
     make_population,
     matrix_as_strings,
-    matrix_inverse,
-    matrix_multiply,
     matrix_vector,
-    product_of_inverses,
     quadratic_inverse_product,
     quadratic_transition,
     vector_martingale_value,
     weighted_inverse_product,
     weighted_transition,
 )
+
+from independent_routes import (identity_matrix, matrix_inverse, matrix_multiply,
+                                product_of_inverses)
 
 
 def frac_matrix(rows):
@@ -52,6 +51,17 @@ def test_product_of_inverses_order():
     b = frac_matrix([[1, 3], [0, 2]])
     # inv(a) inv(b) = inv(b a)
     assert product_of_inverses([a, b]) == matrix_inverse(matrix_multiply(b, a))
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: matrix_multiply(((1, 2),), ((1, 2),)), "matrix shapes do not compose"),
+    (lambda: matrix_inverse(((1, 2),)), "matrix is not square"),
+    (lambda: product_of_inverses([]), "need at least one matrix"),
+])
+def test_independent_matrix_routes_refuse_bad_shapes(call, fragment):
+    with pytest.raises(InvalidInputError) as caught:
+        call()
+    assert caught.type is InvalidInputError and fragment in str(caught.value)
 
 
 def undrawn(pop, prefix):

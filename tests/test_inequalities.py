@@ -21,12 +21,13 @@ from permartingale import (
     lhs_statistic,
     make_bridge_population,
     make_population,
-    mean_over_orderings,
     random_centered_population,
     rhs_value,
     verify,
     vna,
 )
+
+from independent_routes import mean_over_orderings
 
 FOUR = make_population([1, -1, 2, -2])
 

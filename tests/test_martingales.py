@@ -23,6 +23,8 @@ from permartingale import (
     make_bridge_population,
     make_population,
     make_spec,
+    matrix_vector,
+    quadratic_inverse_product,
     random_centered_population,
     vector_martingale_value,
     weighted_second_moment,
@@ -641,7 +643,7 @@ def _table_reference(pop, fn, k_min, k_max, slots=None):
     def terms(v):
         if isinstance(v, tuple):
             return [c for x in v for c in terms(x)]
-        return list(v.terms) if isinstance(v, _Form) else [v, 0, 0]
+        return [v.terms.get((u, 0, 0), 0) for u in range(3)] if isinstance(v, _Form) else [v, 0, 0]
 
     sets = sorted(c for k in range(k_min, k_max) for c in itertools.combinations(range(n), k))
     for states, items in enumerate(sets, start=1):
@@ -772,6 +774,115 @@ def test_the_slot_identity_must_hold_for_every_move():
                          ([(1, 1), (0, 1)], False), ([(0, 5), (3, 7), (0, 1)], False)):
         check = _check_drawn_sets(FOUR, lambda k, s, t: _W, 1, 3, lambda k, drawn, d: moves)
         assert check.holds is holds, moves
+
+
+def test_order_free_checks_evaluate_each_layer_once(monkeypatch):
+    # A holding order-free check runs its evaluator once per layer k, on
+    # formal S_k and T_k, and the quadratic vector check asks for each
+    # inverse product once: not once per drawn set, of which n=10 has
+    # 1,012.  A call past the bound fails at once, so a checker that went
+    # back to one call per set cannot run on.
+    from permartingale import construction, martingales
+
+    calls = bound = 0
+
+    def counted(fn):
+        def call(*args):
+            nonlocal calls
+            calls += 1
+            assert calls <= bound, f"more than {bound} calls, one per layer"
+            return fn(*args)
+        return call
+
+    pop = random_centered_population(10, random.Random(29))
+    for kind, states in ((MartingaleKind.M2, 1012), (MartingaleKind.M3, 1012),
+                         (MartingaleKind.MTILDE, 967)):
+        factory = martingales.ORDER_FREE_VALUES[kind]
+        monkeypatch.setitem(martingales.ORDER_FREE_VALUES, kind,
+                            lambda p, factory=factory: counted(factory(p)))
+        spec = make_spec(kind, pop)
+        calls, bound = 0, spec.k_max
+        check = check_martingale(spec)
+        assert check.holds and check.states_checked == states and calls == bound, kind
+    system = construction.TransitionSystem
+    monkeypatch.setattr(system, "inverse_product", counted(system.inverse_product))
+    calls, bound = 0, 8
+    check = check_vector_martingale(pop, Basis.QUADRATIC)
+    assert check.holds and check.states_checked == 967 and calls == bound
+
+
+# Order-free evaluators that the formal values refuse, as a factory of
+# (population, m2) -> evaluator: each branches on S_k or builds a
+# Fraction from it.  Those marked True are martingales.
+_REFUSED_BY_FORMS = {
+    "abs_times_zero": (True, lambda pop, m2: lambda k, s, t: m2(k, s, t) + 0 * abs(s)),
+    "abs": (False, lambda pop, m2: lambda k, s, t: abs(s)),
+    "branch": (False, lambda pop, m2: lambda k, s, t: m2(k, s, t) + (k == 2 and s > 0)),
+    "fraction": (True, lambda pop, m2: lambda k, s, t: Fraction(
+        pop.n * s - k * pop.total, pop.n - k)),
+    "fraction_off_by_one": (False, lambda pop, m2: lambda k, s, t: Fraction(
+        pop.n * s - k * pop.total, pop.n - k + 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFUSED_BY_FORMS))
+def test_an_order_free_evaluator_the_forms_refuse_gets_the_ordered_verdict(monkeypatch, name):
+    # The formal call raises _NotAffine or TypeError, and the drawn-set
+    # check hands the evaluator to the ordered walk, whose verdict
+    # check_sequence gives too; a failure's witness is the evaluator's.
+    from permartingale import martingales
+    from permartingale.martingales import ORDER_FREE_VALUES, _check_drawn_sets
+
+    walks = []
+    walk = martingales._check_ordered
+    monkeypatch.setattr(
+        martingales, "_check_ordered", lambda *args: walks.append(args) or walk(*args)
+    )
+    martingale, factory = _REFUSED_BY_FORMS[name]
+    rng, failures = random.Random(53), 0
+    for n in range(3, 7):
+        head = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n - 1)]
+        for pop in [*_grid_populations(n, rng), make_population(head + [1 - sum(head)])]:
+            fn = factory(pop, ORDER_FREE_VALUES[MartingaleKind.M2](pop))
+
+            def prefix_value(p, fn=fn):
+                return fn(len(p), sum(p, Fraction(0)), sum((x * x for x in p), Fraction(0)))
+
+            walks.clear()
+            check = _check_drawn_sets(pop, fn, 1, n - 1)
+            assert len(walks) == 1
+            generic = check_sequence(pop, prefix_value, 1, n - 1)
+            assert check.holds == generic.holds, (name, pop.values)
+            if not check.holds:
+                failures += 1
+                assert _valid_witness(check.worst_history, pop, prefix_value)
+    assert failures == 0 if martingale else failures >= 10
+
+
+def test_quadratic_inverse_product_rows_are_the_order_free_closed_forms():
+    # Read off the paper's construction, one polynomial identity per k:
+    # the quadratic inverse product applied to the formal state
+    # (S_k^2, S_k, T_k, 1) is M2 in row 2 and M3 in row 3, and on a
+    # centered population n times MTILDE in row 1, term by term.
+    from permartingale.martingales import ORDER_FREE_VALUES, _S, _T
+
+    rng = random.Random(59)
+    compared = {True: 0, False: 0}
+    for n in range(4, 9):
+        head = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n - 1)]
+        for pop in [*_grid_populations(n, rng), make_population(head + [1 - sum(head)])]:
+            m2, m3, mtilde = (ORDER_FREE_VALUES[kind](pop) for kind in (
+                MartingaleKind.M2, MartingaleKind.M3, MartingaleKind.MTILDE))
+            for k in range(1, n - 1):
+                product = quadratic_inverse_product(n, pop.total, pop.square_sum, k)
+                rows = matrix_vector(product, (_S * _S, _S, _T, 1))
+                assert rows[1].terms == m2(k, _S, _T).terms, (pop.values, k)
+                assert rows[2].terms == m3(k, _S, _T).terms, (pop.values, k)
+                assert rows[3] == 1
+                if pop.is_centered:
+                    assert rows[0].terms == (n * mtilde(k, _S, _T)).terms, (pop.values, k)
+                compared[pop.is_centered] += 1
+    assert compared == {True: 4 * 20, False: 20}
 
 
 def test_weighted_checker_holds_on_seeded_populations():

@@ -69,12 +69,8 @@ FOUR = permartingale.make_population([1, -1, 2, -2])
 # (call, exception class, message fragment) for the argument checks of the
 # library functions that no CLI path reaches
 LIBRARY_REFUSALS = [
-    (lambda p: p.matrix_multiply(((1, 2),), ((1, 2),)),
-     InvalidInputError, "matrix shapes do not compose"),
     (lambda p: p.matrix_vector(((1, 2),), (1,)),
      InvalidInputError, "matrix and vector shapes do not match"),
-    (lambda p: p.matrix_inverse(((1, 2),)), InvalidInputError, "matrix is not square"),
-    (lambda p: p.product_of_inverses([]), InvalidInputError, "need at least one matrix"),
     (lambda p: p.quadratic_inverse_product(2, 0, 1, 1),
      DomainError, "quadratic basis needs n >= 3, got n=2"),
     (lambda p: p.weighted_transition(1, 1, 0),

@@ -22,7 +22,6 @@ from permartingale import (
     make_population,
     make_spec,
     mean_over_ordered_draws,
-    mean_over_orderings,
     mean_over_subsets,
     random_centered_population,
     validate_permutation,
@@ -31,6 +30,7 @@ from permartingale import (
 from permartingale.population import drawn_prefix, ensure_enumerable, resolve_cutoff
 
 from conftest import pop_file
+from independent_routes import mean_over_orderings
 
 
 def test_population_power_sums():
