@@ -29,14 +29,16 @@ the state after k draws to the conditional expectation of the state
 after k+1 draws.
 
 Multiplying the inverses of the first k step matrices onto the state
-vector yields a vector-valued martingale; the closed forms of those
-inverse products are implemented here and cross-checked against the
-step-by-step products.
+vector yields a vector-valued martingale.  The closed forms of those
+inverse products are written here once, every martingale kind reads its
+value off one of their rows, and the tests check them against the
+step-by-step products and the paper's formulas, their labelled routes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
@@ -105,8 +107,7 @@ def quadratic_inverse_product(n: int, total, square_sum, k: int) -> Matrix:
                   [ 0                0              n           -kB                       ]
                   [ 0                0              0           n-k                       ]
     """
-    m = as_fraction(total)
-    b = as_fraction(square_sum)
+    m, b = as_fraction(total), as_fraction(square_sum)
     if n < 3:
         raise DomainError(f"quadratic basis needs n >= 3, got n={n}")
     if not 1 <= k <= n - 2:
@@ -114,21 +115,20 @@ def quadratic_inverse_product(n: int, total, square_sum, k: int) -> Matrix:
             f"inverse product at k={k} is outside 1..n-2 for n={n}; "
             f"k={n - 1} would divide by n-k-1 = 0"
         )
+    return _as_matrix(_quadratic_product(n, m, b, k))
+
+
+@lru_cache(maxsize=256)
+def _quadratic_product(n: int, m: Fraction, b: Fraction, k: int) -> tuple[tuple, ...]:
+    """The rows of the closed form above, built once per (n, M, B, k); at k =
+    n-1, where row 1 would divide by n-k-1 = 0, rows 2-4, which M2 and M3 read."""
     r = Fraction(1, n - k)
-    s = Fraction(1, n - k - 1)
-    return _as_matrix(
-        [
-            [
-                n * (n - 1) * s * r,
-                -2 * k * n * m * s * r,
-                k * n * s * r,
-                (k * (k + 1) * m * m - k * n * b) * s * r,
-            ],
-            [0, n * r, 0, -k * m * r],
-            [0, 0, n * r, -k * b * r],
-            [0, 0, 0, (n - k) * r],
-        ]
-    )
+    rows = ((0, n * r, 0, -k * m * r), (0, 0, n * r, -k * b * r), (0, 0, 0, (n - k) * r))
+    if k == n - 1:
+        return rows
+    q = r / (n - k - 1)
+    return ((n * (n - 1) * q, -2 * k * n * m * q, k * n * q,
+             (k * (k + 1) * m * m - k * n * b) * q), *rows)
 
 
 def weighted_transition(n: int, multiplier, k: int) -> Matrix:
@@ -170,13 +170,13 @@ def weighted_inverse_product(n: int, multipliers: Sequence, k: int) -> Matrix:
             f"inverse product at k={k} is outside 1..n-1 for n={n}; "
             f"k={n} would divide by n-k = 0"
         )
-    return _weighted_product(n, k, sum(ws[:k]))
+    return _as_matrix(_weighted_product(n, k, sum(ws[:k])))
 
 
-def _weighted_product(n: int, k: int, alpha1: Fraction) -> Matrix:
-    """The closed form above, given alpha_1(k)."""
+def _weighted_product(n: int, k: int, alpha1) -> list[list]:
+    """The rows of the closed form above, given alpha_1(k) or the slot A_k."""
     r = Fraction(1, n - k)
-    return _as_matrix([[1, alpha1 * r], [0, n * r]])
+    return [[1, alpha1 * r], [0, n * r]]
 
 
 class TransitionSystem(NamedTuple):
@@ -243,6 +243,14 @@ class TransitionSystem(NamedTuple):
         return (w, s)
 
 
+def ensure_matrix_count(n: int) -> None:
+    """Refuse a system of more than _MAX_MATRICES matrices (about 2n); run
+    on a population file's value count, it refuses before any parsing."""
+    if 2 * n > _MAX_MATRICES:
+        raise InvalidInputError(f"dump-matrices at n={n} writes about 2n = 2 x {n} matrices, "
+                                f"above the limit of {_MAX_MATRICES:,}; use a smaller n")
+
+
 def build_transition_system(
     basis: Basis | str,
     population: Population | None = None,
@@ -277,11 +285,7 @@ def build_transition_system(
         )
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise InvalidInputError(f"need integer n >= 2, got {n!r}")
-    if 2 * n > _MAX_MATRICES:
-        raise InvalidInputError(
-            f"dump-matrices at n={n} writes about 2n = 2 x {n} matrices, "
-            f"above the limit of {_MAX_MATRICES:,}; use a smaller n"
-        )
+    ensure_matrix_count(n)
     total = None if total is None else as_fraction(total)
     square_sum = None if square_sum is None else as_fraction(square_sum)
     ws: tuple[Fraction, ...] | None = None
@@ -295,7 +299,7 @@ def build_transition_system(
             )
         ws = validate_weights(multipliers, n)
         products = tuple(
-            _weighted_product(n, k, alpha1)
+            _as_matrix(_weighted_product(n, k, alpha1))
             for k, alpha1 in enumerate(accumulate(ws[:-1]), start=1)
         )
     else:

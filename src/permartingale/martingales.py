@@ -16,6 +16,12 @@ With n items, grand total M, grand square sum B, and running sums S_k
                a_1 = 0; equivalently
                X_1 X_2 + ... + X_{k-1} X_k + S_{k-1} S_k / (n - k)
 
+Each kind reads its value off a row of an inverse product of
+``construction``: M2, M3 and MTILDE are rows 2, 3 and 1 (over n) of the
+quadratic one applied to (S_k^2, S_k, T_k, 1), the weighted family row 1
+of the weighted one applied to (W_k, S_k).  The formulas above are the
+tests' labelled independent route, checked against the rows term by term.
+
 ``check_martingale`` certifies E[M_{k+1} | first k draws] = M_k on
 every history by enumeration, never by algebra, so a wrong evaluator
 cannot certify itself.  Two routes report the first violating history.
@@ -40,7 +46,8 @@ from math import lcm, perm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .choices import Basis, MartingaleKind
-from .construction import (build_transition_system, matrix_vector,
+from .construction import (_quadratic_product, _weighted_product,
+                           build_transition_system, matrix_vector,
                            vector_martingale_value)
 from .errors import DomainError, InvalidInputError, PreconditionError, coerce_enum
 from .population import (Population, drawn_prefix, drawn_set_values,
@@ -49,38 +56,33 @@ from .rationals import format_rational
 from .weights import validate_weights
 
 
-def _m2_value(pop: Population) -> Callable[[int, Fraction, Fraction], Fraction]:
-    n, m = pop.n, pop.total
-    return lambda k, s, t: (n * s - k * m) / (n - k)
+def _apply(row: Sequence, state: Sequence):
+    """A row of an inverse product applied to a state, numbers or forms."""
+    return sum(c * x for c, x in zip(row, state, strict=True))
 
 
-def _m3_value(pop: Population) -> Callable[[int, Fraction, Fraction], Fraction]:
-    n, b = pop.n, pop.square_sum
-    return lambda k, s, t: (n * t - k * b) / (n - k)
+def _quadratic_row(row: int, over_n: bool = False):
+    return lambda pop: lambda k, s, t: _apply(_quadratic_product(
+        pop.n, pop.total, pop.square_sum, k)[row], (s * s, s, t, 1)) / (pop.n if over_n else 1)
 
 
-def _mtilde_value(pop: Population) -> Callable[[int, Fraction, Fraction], Fraction]:
-    n, b = pop.n, pop.square_sum
-    return lambda k, s, t: ((n - 1) * s * s - k * (b - t)) / Fraction(
-        (n - k) * (n - k - 1)
-    )
-
-
-# The one definition of each order-free closed form: kind -> factory that
-# binds a population and returns (k, S_k, T_k) -> value.
+# The one definition of each order-free kind: kind -> factory that binds a
+# population and returns (k, S_k, T_k) -> row ``row`` of its quadratic inverse
+# product, counted from the last (k = n-1 has rows 2-4 only), applied to
+# (S_k^2, S_k, T_k, 1), and over n if ``over_n``.
 ORDER_FREE_VALUES = {
-    MartingaleKind.M2: _m2_value,
-    MartingaleKind.M3: _m3_value,
-    MartingaleKind.MTILDE: _mtilde_value,
+    MartingaleKind.M2: _quadratic_row(-3),
+    MartingaleKind.M3: _quadratic_row(-2),
+    MartingaleKind.MTILDE: _quadratic_row(-4, over_n=True),
 }
 
 
 def weighted_value(n: int) -> Callable[[int, object, object, object], object]:
-    """The one definition of the weighted family, M_k = W_k + A_k S_k /
-    (n - k), where W_k = a_1 X_1 + ... + a_k X_k and A_k = a_1 + ... + a_k.
-    It runs on Fractions and on the formal slots of the drawn-set check.
-    The two kinds differ only in :func:`_next_multiplier`."""
-    return lambda k, s, w, alpha: w + alpha * s / (n - k)
+    """The weighted family, M_k = W_k + A_k S_k / (n - k), with
+    W_k = a_1 X_1 + ... + a_k X_k and A_k = a_1 + ... + a_k: row 1 of the
+    weighted inverse product applied to (W_k, S_k), on Fractions or the
+    drawn-set check's slots.  The kinds differ only in _next_multiplier."""
+    return lambda k, s, w, alpha: _apply(_weighted_product(n, k, alpha)[0], (w, s))
 
 
 def _next_multiplier(multipliers, k: int, last):
@@ -156,9 +158,8 @@ def evaluate_prefix(spec: MartingaleSpec, prefix: Sequence) -> Fraction:
             f"{spec.k_min} <= k <= {spec.k_max}, got k={k}{detail}"
         )
     if spec.kind in ORDER_FREE_VALUES:
-        return ORDER_FREE_VALUES[spec.kind](spec.population)(
-            k, sum(drawn, Fraction(0)), sum((x * x for x in drawn), Fraction(0))
-        )
+        s, t = sum(drawn, Fraction(0)), sum((x * x for x in drawn), Fraction(0))
+        return ORDER_FREE_VALUES[spec.kind](spec.population)(k, s, t)
     return weighted_prefix_value(spec.population.n, spec.multipliers, drawn)
 
 
@@ -295,40 +296,38 @@ def _polynomials(v, slots: tuple) -> list:
 def _check_drawn_sets(
     population: Population,
     value_fn: Callable[[int, Fraction, Fraction], object],
-    k_min: int,
     k_max: int,
     moves: Callable[[int, list, int], Iterable] | None = None,
 ) -> MartingaleCheck:
-    """The one drawn-set loop: each set's value, ``value_fn(k, S_k, T_k)``,
-    must be the average over its n-k one-item extensions.  Every ordering
-    of a set gives the same (k, S_k, T_k), so the 2^n sets cover all n!
-    histories.  ``value_fn`` runs once per layer k, on formal S_k and T_k,
-    and gives a polynomial sum c S_k^i T_k^j.  Times Q_k = lcm(its
-    denominators) d^g, g its largest i + 2j, it is an integer polynomial
-    in d S_k and d^2 T_k, the sums ``drawn_set_values`` gives on the ints
-    of ``population.scaled``: each set's value is an int over Q_k.  A value
-    may also hold the slots ``_W`` and ``_A`` of the histories that reach
-    its set; for each a_{k+1} = alpha/e in ``moves(k, drawn, d)`` (drawn
-    values X = d x), an extension by x moves them to W_k + a x and
-    A_k + a.  The identity is Q_k * (sum over the extensions) = (n-k)
-    Q_{k+1} * (the set's value).  Sets go in lexicographic order of their
-    item indices; at the first that fails, ``value_fn`` on the
-    ``Fraction`` sums of the set and of its extensions gives the witness,
-    whose prefix lists the set's values in that order.  An evaluator whose
-    formal call raises ``_NotAffine`` or ``TypeError`` goes to
-    ``_check_ordered``, the independent route: here, or, with slots,
-    through ``_NotAffine`` to the caller's fallback."""
+    """The one drawn-set loop: for 1 <= k < k_max, each set's value,
+    ``value_fn(k, S_k, T_k)``, must be the average over its n-k one-item
+    extensions.  Every ordering of a set gives the same (k, S_k, T_k), so
+    the 2^n sets cover all n! histories.  ``value_fn`` runs once per layer
+    k, on formal S_k and T_k, and gives a polynomial sum c S_k^i T_k^j.
+    Times Q_k = lcm(its denominators) d^g, g its largest i + 2j, it is an
+    integer polynomial in d S_k and d^2 T_k, the sums ``drawn_set_values``
+    gives on the ints of ``population.scaled``: each set's value is an int
+    over Q_k.  A value may also hold the slots ``_W`` and ``_A`` of the
+    histories that reach its set; for each a_{k+1} = alpha/e in
+    ``moves(k, drawn, d)`` (drawn values X = d x), an extension by x moves
+    them to W_k + a x and A_k + a.  The identity is Q_k * (sum over the
+    extensions) = (n-k) Q_{k+1} * (the set's value).  Sets go in
+    lexicographic order of their item indices; at the first that fails,
+    ``value_fn`` on the ``Fraction`` sums of the set and of its extensions
+    gives the witness, whose prefix lists the set's values in that order.
+    An evaluator whose formal call raises ``_NotAffine`` or ``TypeError``
+    goes to ``_check_ordered``, the independent route: here, or, with
+    slots, through ``_NotAffine`` to the caller's fallback."""
     n, xs = population.n, population.values
     ints, d = population.scaled
-    ks = range(k_min, k_max + 1)
+    ks = range(1, k_max + 1)
     try:
         formal = [value_fn(k, _S, _T) for k in ks]
     except (_NotAffine, TypeError):
         if moves is not None:
             raise _NotAffine from None
         return _check_ordered(population, lambda p: value_fn(
-            len(p), sum(p, Fraction(0)), sum((x * x for x in p), Fraction(0))),
-            k_min, k_max)
+            len(p), sum(p, Fraction(0)), sum((x * x for x in p), Fraction(0))), 1, k_max)
     q, polys = [1] * (n + 1), [None] * (n + 1)  # Q_k, and layer k's polynomials times Q_k
     for k, v in zip(ks, formal):
         layer = _polynomials(v, (0, 1, 2) if moves is not None else (0,))
@@ -346,7 +345,7 @@ def _check_drawn_sets(
         return value_fn(len(drawn), Fraction(sum(drawn), d),
                         Fraction(sum(x * x for x in drawn), d * d))
 
-    sets = [mask for mask in range(1 << n) if k_min <= mask.bit_count() < k_max]
+    sets = [mask for mask in range(1 << n) if 1 <= mask.bit_count() < k_max]
     sets.sort(key=lambda mask: [i for i in range(n) if mask >> i & 1])
     for states, mask in enumerate(sets, start=1):
         k, free = mask.bit_count(), [i for i in range(n) if not mask >> i & 1]
@@ -392,7 +391,7 @@ def _check_slots(
         return {_next_multiplier(ratios, k, (last, d)) for last in lasts}
 
     try:
-        if _check_drawn_sets(population, value_fn, 1, k_max, moves).holds:
+        if _check_drawn_sets(population, value_fn, k_max, moves).holds:
             histories = sum(perm(population.n, k) for k in range(1, k_max))
             return MartingaleCheck(None, histories)
     except _NotAffine:
@@ -478,8 +477,7 @@ def check_martingale(spec: MartingaleSpec, cutoff: int | None = None) -> Marting
     pop = spec.population
     ensure_checkable(pop.n, cutoff)
     if spec.kind in ORDER_FREE_VALUES:
-        fn = ORDER_FREE_VALUES[spec.kind](pop)
-        return _check_drawn_sets(pop, fn, spec.k_min, spec.k_max)
+        return _check_drawn_sets(pop, ORDER_FREE_VALUES[spec.kind](pop), spec.k_max)
     n, ws, value = pop.n, spec.multipliers, weighted_value(pop.n)
     return _check_slots(pop, ws, lambda k, s, t: value(k, s, _W, _A), spec.k_max,
                         lambda p: weighted_prefix_value(n, ws, p))
@@ -508,7 +506,7 @@ def check_vector_martingale(
         return matrix_vector(system.inverse_product(k), state)
 
     if basis is Basis.QUADRATIC:
-        return _check_drawn_sets(population, fn, 1, k_max)
+        return _check_drawn_sets(population, fn, k_max)
     return _check_slots(population, system.multipliers, fn, k_max,
                         lambda p: vector_martingale_value(system, p))
 
@@ -565,7 +563,7 @@ def counterexample_suite(
     pop.require_centered("the counterexample suite")
     n = pop.n
     b = pop.square_sum
-    mtilde = _mtilde_value(pop)
+    mtilde = ORDER_FREE_VALUES[MartingaleKind.MTILDE](pop)
     # The expected outcomes below are calibrated: with n < 4 the shifted
     # compensated-square entry has no step to check, and with constant
     # squares the drift entry is identically zero (a true martingale).
@@ -576,25 +574,20 @@ def counterexample_suite(
             "the counterexample suite needs a population with non-constant "
             "squares; every x_i^2 here is equal"
         )
-    library: list[tuple[str, bool, int, int, Callable]] = [
+    library: list[tuple[str, bool, int, Callable]] = [
         # plain running sum: drifts toward 0, no compensation
-        ("partial_sum", False, 1, n - 1,
-         lambda k, s, t: s),
+        ("partial_sum", False, n - 1, lambda k, s, t: s),
         # off-by-one compensation of the running sum
-        ("partial_sum_over_remaining_plus_one", False, 1, n - 1,
+        ("partial_sum_over_remaining_plus_one", False, n - 1,
          lambda k, s, t: s / Fraction(n - k + 1)),
         # the correct compensation (positive control)
-        ("partial_sum_over_remaining", True, 1, n - 1,
-         lambda k, s, t: s / Fraction(n - k)),
+        ("partial_sum_over_remaining", True, n - 1, lambda k, s, t: s / Fraction(n - k)),
         # running square sum minus its linear drift: wrong compensator
-        ("square_sum_minus_linear_drift", False, 1, n - 1,
-         lambda k, s, t: t - k * b / n),
+        ("square_sum_minus_linear_drift", False, n - 1, lambda k, s, t: t - k * b / n),
         # compensated-square martingale shifted by k
-        ("compensated_square_plus_k", False, 1, n - 2,
-         lambda k, s, t: mtilde(k, s, t) + k),
+        ("compensated_square_plus_k", False, n - 2, lambda k, s, t: mtilde(k, s, t) + k),
     ]
     return CounterexampleReport(tuple(
-        CounterexampleEntry(name, expected,
-                            _check_drawn_sets(pop, fn, k_min, k_max).worst_history)
-        for name, expected, k_min, k_max, fn in library
+        CounterexampleEntry(name, expected, _check_drawn_sets(pop, fn, k_max).worst_history)
+        for name, expected, k_max, fn in library
     ))

@@ -7,12 +7,17 @@ form, and shares no code with the route it checks:
   one at a time (exact Gauss-Jordan), against the cached closed-form
   inverse products of ``construction``;
 * ``mean_over_orderings`` averages a statistic over all n! orderings,
-  against the exact engines and the moment formulas.
+  against the exact engines and the moment formulas;
+* ``PAPER_ORDER_FREE_VALUES`` and ``paper_weighted_value`` are the
+  paper's closed forms of each martingale kind, written out by hand,
+  against the rows of the inverse products that ``martingales`` reads
+  each kind's value off.
 """
 
 from fractions import Fraction
 
-from permartingale import DomainError, InvalidInputError, mean_over_ordered_draws
+from permartingale import (DomainError, InvalidInputError, MartingaleKind,
+                           mean_over_ordered_draws)
 from permartingale.population import ensure_enumerable
 
 
@@ -69,3 +74,35 @@ def mean_over_orderings(population, statistic, cutoff=None):
     n = population.n
     ensure_enumerable(n, cutoff, "mean over orderings")
     return mean_over_ordered_draws(population, n, lambda *p: statistic(p))
+
+
+def paper_m2(pop):
+    """M2 = (n S_k - k M) / (n - k), for 1 <= k <= n-1."""
+    n, m = pop.n, pop.total
+    return lambda k, s, t: (n * s - k * m) / (n - k)
+
+
+def paper_m3(pop):
+    """M3 = (n T_k - k B) / (n - k), for 1 <= k <= n-1."""
+    n, b = pop.n, pop.square_sum
+    return lambda k, s, t: (n * t - k * b) / (n - k)
+
+
+def paper_mtilde(pop):
+    """MTILDE = ((n-1) S_k^2 - k (B - T_k)) / ((n-k)(n-k-1)), for
+    1 <= k <= n-2; the paper's form, for centered populations."""
+    n, b = pop.n, pop.square_sum
+    return lambda k, s, t: ((n - 1) * s * s - k * (b - t)) / ((n - k) * (n - k - 1))
+
+
+PAPER_ORDER_FREE_VALUES = {
+    MartingaleKind.M2: paper_m2,
+    MartingaleKind.M3: paper_m3,
+    MartingaleKind.MTILDE: paper_mtilde,
+}
+
+
+def paper_weighted_value(n):
+    """M_k = W_k + A_k S_k / (n - k), with W_k = a_1 X_1 + ... + a_k X_k
+    and A_k = a_1 + ... + a_k, for 1 <= k <= n-1."""
+    return lambda k, s, w, alpha: w + alpha * s / (n - k)

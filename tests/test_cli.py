@@ -794,6 +794,10 @@ def test_oversized_exact_files_are_refused_before_parsing(tmp_path, monkeypatch)
             rc, out, err = run_cli(argv)
             assert rc == 2 and out == "", argv
             assert "population of size 200000, above the cutoff 10" in err
+        rc, out, err = run_cli(["dump-matrices", "--basis", "quadratic", "--population", big])
+        assert rc == 2 and out == ""
+        assert err.endswith("dump-matrices at n=200000 writes about 2n = 2 x 200000 "
+                            "matrices, above the limit of 100,000; use a smaller n\n")
         rc, out, _ = run_cli(["sweep", str(spec)])
         errors = [row["error"] for row in json.loads(out)["rows"]]
         assert rc == 1

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -23,7 +24,6 @@ from permartingale import (
     make_bridge_population,
     make_population,
     make_spec,
-    matrix_vector,
     quadratic_inverse_product,
     random_centered_population,
     vector_martingale_value,
@@ -32,6 +32,7 @@ from permartingale import (
 )
 
 from conftest import centered_pops
+from independent_routes import PAPER_ORDER_FREE_VALUES, paper_weighted_value
 
 FOUR = make_population([1, -1, 2, -2])
 
@@ -262,7 +263,7 @@ def test_witness_means_of_integer_evaluators_are_exact(route, of_k, value, mean)
     if route == "ordered":
         check = check_sequence(FOUR, lambda p: of_k(len(p)), 1, 3)
     else:
-        check = _check_drawn_sets(FOUR, lambda k, s, t: of_k(k), 1, 3)
+        check = _check_drawn_sets(FOUR, lambda k, s, t: of_k(k), 3)
     w = check.worst_history
     assert w.to_dict() == {"prefix": ["1"], "k": 1, "value": value, "conditional_mean": mean}
     means = w.conditional_mean if isinstance(w.conditional_mean, tuple) else (w.conditional_mean,)
@@ -572,7 +573,7 @@ def test_an_evaluator_that_does_more_than_add_and_scale_reaches_the_generic_rout
 )
 def test_drawn_set_checker_agrees_with_check_sequence(values, centered, shift):
     # the walker over the drawn-set table against the generic Fraction
-    # walker over ordered prefixes; uncentered populations make mtilde fail
+    # walker over ordered prefixes, on holding checks and the shifted mtilde
     from permartingale.martingales import ORDER_FREE_VALUES, _check_drawn_sets
 
     if centered:
@@ -590,7 +591,7 @@ def test_drawn_set_checker_agrees_with_check_sequence(values, centered, shift):
         (mtilde, n - 2),
         (lambda k, s, t: mtilde(k, s, t) + (c if k == j else 0), n - 2),
     ):
-        table = _check_drawn_sets(pop, fn, 1, k_max)
+        table = _check_drawn_sets(pop, fn, k_max)
         generic = check_sequence(
             pop,
             lambda prefix: fn(
@@ -626,7 +627,7 @@ def _grid_populations(n, rng):
         yield make_population(head + [-sum(head, Fraction(0))])
 
 
-def _table_reference(pop, fn, k_min, k_max, slots=None):
+def _table_reference(pop, fn, k_max, slots=None):
     """The independent route: each drawn set's value recomputed from its
     items and its extensions' values summed as Fractions, set by set in
     lexicographic order.  With ``slots`` (the multipliers, or "chain")
@@ -645,7 +646,7 @@ def _table_reference(pop, fn, k_min, k_max, slots=None):
             return [c for x in v for c in terms(x)]
         return [v.terms.get((u, 0, 0), 0) for u in range(3)] if isinstance(v, _Form) else [v, 0, 0]
 
-    sets = sorted(c for k in range(k_min, k_max) for c in itertools.combinations(range(n), k))
+    sets = sorted(c for k in range(1, k_max) for c in itertools.combinations(range(n), k))
     for states, items in enumerate(sets, start=1):
         k, kids = len(items), [i for i in range(n) if i not in items]
         rows = [(xs[i], terms(value(tuple(sorted(items + (i,)))))) for i in kids]
@@ -728,7 +729,7 @@ def test_integer_drawn_set_checker_against_the_exact_routes_on_a_seeded_grid(mon
                 def shifted(k, s, t, j=j):
                     return mtilde(k, s, t) + (1 if k == j else 0)
                 checks.append((None, None, n - 2,
-                               lambda f=shifted: _check_drawn_sets(pop, f, 1, n - 2),
+                               lambda f=shifted: _check_drawn_sets(pop, f, n - 2),
                                lambda p, f=shifted: f(len(p), sum(p, Fraction(0)),
                                                       sum((x * x for x in p), Fraction(0)))))
             for patch, slots, k_max, run, prefix_value in checks:
@@ -738,9 +739,9 @@ def test_integer_drawn_set_checker_against_the_exact_routes_on_a_seeded_grid(mon
                     calls.clear()
                     report = run()
                     for args, result in calls:
-                        reference = _table_reference(*args[:4], slots)
+                        reference = _table_reference(*args[:3], slots)
                         if slots is None:
-                            assert result == reference, (pop.values, args[2:4])
+                            assert result == reference, (pop.values, args[2])
                         else:  # a failing slot check gives no witness
                             assert result.holds == reference.holds, (pop.values, slots)
                             slot_failures += not result.holds
@@ -761,7 +762,7 @@ def test_integer_drawn_set_checker_against_the_exact_routes_on_a_seeded_grid(mon
                 continue
             assert len(calls) == 5
             for args, result in calls:
-                assert result == _table_reference(*args), (pop.values, args[2:])
+                assert result == _table_reference(*args), (pop.values, args[2])
 
 
 def test_the_slot_identity_must_hold_for_every_move():
@@ -772,7 +773,7 @@ def test_the_slot_identity_must_hold_for_every_move():
 
     for moves, holds in (([(0, 1)], True), ([(0, 1), (1, 1)], False),
                          ([(1, 1), (0, 1)], False), ([(0, 5), (3, 7), (0, 1)], False)):
-        check = _check_drawn_sets(FOUR, lambda k, s, t: _W, 1, 3, lambda k, drawn, d: moves)
+        check = _check_drawn_sets(FOUR, lambda k, s, t: _W, 3, lambda k, drawn, d: moves)
         assert check.holds is holds, moves
 
 
@@ -849,7 +850,7 @@ def test_an_order_free_evaluator_the_forms_refuse_gets_the_ordered_verdict(monke
                 return fn(len(p), sum(p, Fraction(0)), sum((x * x for x in p), Fraction(0)))
 
             walks.clear()
-            check = _check_drawn_sets(pop, fn, 1, n - 1)
+            check = _check_drawn_sets(pop, fn, n - 1)
             assert len(walks) == 1
             generic = check_sequence(pop, prefix_value, 1, n - 1)
             assert check.holds == generic.holds, (name, pop.values)
@@ -859,30 +860,94 @@ def test_an_order_free_evaluator_the_forms_refuse_gets_the_ordered_verdict(monke
     assert failures == 0 if martingale else failures >= 10
 
 
-def test_quadratic_inverse_product_rows_are_the_order_free_closed_forms():
-    # Read off the paper's construction, one polynomial identity per k:
-    # the quadratic inverse product applied to the formal state
-    # (S_k^2, S_k, T_k, 1) is M2 in row 2 and M3 in row 3, and on a
-    # centered population n times MTILDE in row 1, term by term.
-    from permartingale.martingales import ORDER_FREE_VALUES, _S, _T
+def test_each_kind_is_the_papers_closed_form_on_a_seeded_grid():
+    # The labelled independent route: the paper's formulas, written out in
+    # independent_routes, against the inverse-product rows that
+    # ORDER_FREE_VALUES and weighted_value read, coefficient for coefficient
+    # on formal S_k, T_k, W_k and A_k, at every k of each kind's range:
+    # k = n-1 and n = 2 for M2 and M3, n = 3 for MTILDE, which the paper
+    # gives for centered populations.  evaluate_prefix must give the same
+    # value as the formula on a seeded prefix.
+    from permartingale.martingales import (ORDER_FREE_VALUES, _A, _S, _T, _W, _Form,
+                                           weighted_value)
+
+    def terms(v):
+        return v.terms if isinstance(v, _Form) else {(0, 0, 0): v} if v else {}
 
     rng = random.Random(59)
-    compared = {True: 0, False: 0}
-    for n in range(4, 9):
+    compared = collections.Counter()
+    for n in range(2, 9):
         head = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n - 1)]
         for pop in [*_grid_populations(n, rng), make_population(head + [1 - sum(head)])]:
-            m2, m3, mtilde = (ORDER_FREE_VALUES[kind](pop) for kind in (
-                MartingaleKind.M2, MartingaleKind.M3, MartingaleKind.MTILDE))
-            for k in range(1, n - 1):
-                product = quadratic_inverse_product(n, pop.total, pop.square_sum, k)
-                rows = matrix_vector(product, (_S * _S, _S, _T, 1))
-                assert rows[1].terms == m2(k, _S, _T).terms, (pop.values, k)
-                assert rows[2].terms == m3(k, _S, _T).terms, (pop.values, k)
-                assert rows[3] == 1
-                if pop.is_centered:
-                    assert rows[0].terms == (n * mtilde(k, _S, _T)).terms, (pop.values, k)
-                compared[pop.is_centered] += 1
-    assert compared == {True: 4 * 20, False: 20}
+            for kind, paper in PAPER_ORDER_FREE_VALUES.items():
+                if kind is MartingaleKind.MTILDE and (n < 3 or not pop.is_centered):
+                    continue
+                ours, theirs, spec = ORDER_FREE_VALUES[kind](pop), paper(pop), make_spec(kind, pop)
+                for k in range(1, spec.k_max + 1):
+                    assert terms(ours(k, _S, _T)) == terms(theirs(k, _S, _T)), (kind, pop.values, k)
+                    drawn = rng.sample(pop.values, k)
+                    s, t = sum(drawn, Fraction(0)), sum((x * x for x in drawn), Fraction(0))
+                    assert evaluate_prefix(spec, drawn) == theirs(k, s, t), (kind, drawn)
+                    compared[kind, pop.is_centered, k == n - 1] += 1
+        for k in range(1, n):
+            value = weighted_value(n)(k, _S, _W, _A)
+            assert terms(value) == terms(paper_weighted_value(n)(k, _S, _W, _A)), (n, k)
+            compared["weighted"] += 1
+    m2, m3, mtilde = MartingaleKind.M2, MartingaleKind.M3, MartingaleKind.MTILDE
+    assert compared == {
+        (m2, True, False): 4 * 21, (m2, True, True): 4 * 7, (m2, False, False): 21,
+        (m2, False, True): 7, (m3, True, False): 4 * 21, (m3, True, True): 4 * 7,
+        (m3, False, False): 21, (m3, False, True): 7, (mtilde, True, False): 4 * 21,
+        "weighted": 28,
+    }
+
+
+def test_each_kind_reads_the_one_inverse_product(monkeypatch):
+    # One definition: a wrong entry in row 2 of the quadratic closed form
+    # reaches M2's value, its exhaustive check, which gives that value's
+    # witness, the quadratic vector check and quadratic_inverse_product;
+    # a wrong entry in row 1 of the weighted one reaches both weighted
+    # kinds the same way, the weighted vector check and
+    # weighted_inverse_product.
+    from permartingale import construction, martingales, weighted_inverse_product
+
+    right_q, right_w = construction._quadratic_product, construction._weighted_product
+    assert martingales._quadratic_product is right_q
+    assert martingales._weighted_product is right_w
+
+    def wrong_q(*args):
+        rows = [list(row) for row in right_q(*args)]
+        rows[-3][1] += Fraction(1, 7)  # row 2's S_k coefficient
+        return rows
+
+    def wrong_w(*args):
+        rows = right_w(*args)
+        rows[0][1] += Fraction(1, 7)  # row 1's S_k coefficient
+        return rows
+
+    ws = [1, -2, Fraction(1, 3), 0]
+    cases = [
+        ("_quadratic_product", wrong_q, [make_spec(MartingaleKind.M2, FOUR)],
+         lambda: quadratic_inverse_product(4, 0, 10, 1),
+         lambda: check_vector_martingale(FOUR, Basis.QUADRATIC)),
+        ("_weighted_product", wrong_w,
+         [make_spec(MartingaleKind.WEIGHTED, FOUR, ws),
+          make_spec(MartingaleKind.CHAIN_QUADRATIC, FOUR)],
+         lambda: weighted_inverse_product(4, ws, 2),
+         lambda: check_vector_martingale(FOUR, Basis.WEIGHTED, ws)),
+    ]
+    for name, wrong, specs, product, vector_check in cases:
+        right = [evaluate_prefix(spec, (2, -1)) for spec in specs], product()
+        assert all(check_martingale(spec).holds for spec in specs) and vector_check().holds
+        with monkeypatch.context() as m:
+            m.setattr(construction, name, wrong)
+            m.setattr(martingales, name, wrong)
+            assert all(evaluate_prefix(spec, (2, -1)) != v for spec, v in zip(specs, right[0]))
+            assert product() != right[1]
+            assert not vector_check().holds, name
+            for spec in specs:
+                w = check_martingale(spec).worst_history
+                assert w is not None and w.value == evaluate_prefix(spec, w.prefix), spec.kind
 
 
 def test_weighted_checker_holds_on_seeded_populations():
