@@ -10,7 +10,7 @@ sweep               batch of inequality checks from a JSON spec file
 
 Exit codes: 0 when every requested check passed; 1 when at least one
 check failed, was inconclusive, or a sweep row errored; 2 on usage,
-input, file or limit errors.
+input, file or limit errors, and on output that cannot be written.
 
 Start-up: this module imports only ``choices`` (the parser's enums) and
 ``errors``, so ``--help`` and usage errors load no engine.  Each handler
@@ -21,7 +21,10 @@ and ``weights``, ``check-inequality`` and ``sweep`` load
 ``construction``.  numpy loads only for Monte Carlo sampling and sweep
 seeds, csv only for csv output.  No call loads ``dataclasses``, nor
 ``inspect`` unless numpy imports it.  A name bound from outside first (a
-tracer's wrapper, a test's stand-in) is kept.
+tracer's wrapper, a test's stand-in) is kept.  At exit, the ``gc.freeze``
+this module registers with ``atexit`` spares the final cyclic collections
+a walk over what the OS frees anyway; ``main`` itself freezes nothing, and
+``import permartingale`` alone exits as before.
 
 Output is deterministic for fixed flags and seed: JSON is emitted with
 sorted keys, exact scalars as "p/q" strings, and floats in shortest
@@ -32,6 +35,8 @@ a default seed where --seed is omitted.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import io
 import math
 import os
@@ -41,6 +46,9 @@ from typing import TYPE_CHECKING, Sequence
 
 from .choices import Basis, InequalityId, MartingaleKind, VerifyMode
 from .errors import Error, InvalidInputError, coerce_enum
+
+# at exit, the final garbage collections skip frozen objects: the OS frees them
+atexit.register(gc.freeze)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -189,11 +197,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code
-    try:
-        return args.handler(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        else:
+            rc = args.handler(args)
+        if sys.stdout is not None:  # else --output, or argparse's stderr, took it
+            _write_stdout()
+        return rc
     except (Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -214,7 +226,21 @@ def _emit(args, payload: dict, lines: Sequence[str], table=None) -> None:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        _write_stdout(text)
+
+
+def _write_stdout(text: str | None = None) -> None:
+    """Write ``text``, if any, and flush; a stream that fails is closed, so
+    that the interpreter does not retry the write at exit."""
+    if sys.stdout is None:
+        raise OSError("standard output is closed")
+    try:
+        if text is not None:
+            sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError:
+        sys.stdout.close()  # flushes again, and raises from here if that fails
+        raise
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
