@@ -61,10 +61,11 @@ _ENGINE_NAMES = {
     "population": "load_population make_population parse_scalar_lines "
     "random_centered_population read_text_file value_lines",
     "rationals": "format_rational parse_rational parse_scalar",
-    "inequalities": "ensure_runnable verify",
+    "inequalities": "ensure_runnable needs_weights verify",
     "martingales": "check_martingale ensure_checkable make_spec",
     "moments": "ensure_reportable moment_report",
     "construction": "build_transition_system ensure_matrix_count matrix_as_strings",
+    "weights": "ensure_weight_count",
 }
 _HOME = {n: m for m, names in _ENGINE_NAMES.items() for n in names.split()}
 
@@ -86,8 +87,15 @@ def _bind(*modules: str) -> None:
 _CSV_REPORT_FIELDS = ("id", "n", "mode", "lhs", "rhs", "holds", "seed", "samples")
 
 
+class _Parser(argparse.ArgumentParser):  # a failed write raises, for main; argparse drops it
+    def _print_message(self, message, file=None):
+        file = file or sys.stderr
+        if message and file is not None:
+            file.write(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="permartingale",
         description=(
             "Martingales from sampling without replacement: exact and "
@@ -204,10 +212,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             rc = args.handler(args)
         if sys.stdout is not None:  # else --output, or argparse's stderr, took it
-            _write_stdout()
+            _write(sys.stdout)
         return rc
     except (Error, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if sys.stderr is not None:
+            try:
+                _write(sys.stderr, f"error: {exc}\n")
+            except OSError:  # a report that cannot be written still exits 2
+                pass
         return 2
 
 
@@ -225,21 +237,21 @@ def _emit(args, payload: dict, lines: Sequence[str], table=None) -> None:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        _write_stdout(text)
-
-
-def _write_stdout(text: str | None = None) -> None:
-    """Write ``text``, if any, and flush; a stream that fails is closed, so
-    that the interpreter does not retry the write at exit."""
-    if sys.stdout is None:
+    elif sys.stdout is None:
         raise OSError("standard output is closed")
+    else:
+        _write(sys.stdout, text)
+
+
+def _write(stream, text: str | None = None) -> None:
+    """Write ``text``, if any, to ``stream`` and flush; a stream that fails
+    is closed, so that the interpreter does not retry the write at exit."""
     try:
         if text is not None:
-            sys.stdout.write(text)
-        sys.stdout.flush()
+            stream.write(text)
+        stream.flush()
     except OSError:
-        sys.stdout.close()  # flushes again, and raises from here if that fails
+        stream.close()  # flushes again, and raises from here if that fails
         raise
 
 
@@ -288,14 +300,17 @@ def _rationals(values) -> list[str] | None:
     return _optional(lambda vs: [format_rational(v) for v in vs], values)
 
 
-def _read_scalars(
-    path: str | None, lenient: bool = False
-) -> tuple[Fraction, ...] | None:
+def _read_scalars(path: str | None, lenient: bool = False,
+                  n: int | None = None) -> tuple[Fraction, ...] | None:
     """One scalar per line; '#' comments and blank lines ignored.  None
-    when no file is given."""
+    when no file is given.  A file that does not hold the ``n`` values a
+    run needs, if given, is refused before any value is parsed."""
     if path is None:
         return None
-    return parse_scalar_lines(read_text_file(path, "scalar"), lenient, f"{path}, ")
+    text = read_text_file(path, "scalar")
+    if n is not None:
+        ensure_weight_count(sum(1 for _ in value_lines(text)), n)
+    return parse_scalar_lines(text, lenient, f"{path}, ")
 
 
 def _count_values(path: str) -> int:
@@ -305,10 +320,12 @@ def _count_values(path: str) -> int:
 
 
 def _cmd_verify_martingale(args) -> int:
-    _bind("population", "rationals", "martingales")
-    ensure_checkable(_count_values(args.population), args.cutoff)
+    _bind("population", "rationals", "martingales", "weights")
+    n = _count_values(args.population)
+    ensure_checkable(n, args.cutoff)
     pop = load_population(args.population)
-    multipliers = _read_scalars(args.multipliers)
+    weighted = args.kind == MartingaleKind.WEIGHTED
+    multipliers = _read_scalars(args.multipliers, n=n if weighted else None)
     spec = make_spec(args.kind, pop, multipliers)
     check = check_martingale(spec, cutoff=args.cutoff)
     payload = {
@@ -343,15 +360,15 @@ def _report_text_lines(rd: dict) -> list[str]:
 
 
 def _cmd_check_inequality(args) -> int:
-    _bind("population", "inequalities")
+    _bind("population", "inequalities", "weights")
     mode = VerifyMode(args.mode)
     lenient = mode is VerifyMode.MONTE_CARLO
     seed = _default_seed(args.seed) if lenient else args.seed
-    if args.population is not None:
-        n = _count_values(args.population)
+    n = _optional(_count_values, args.population)
+    if n is not None:
         ensure_runnable(args.id, n, mode, args.samples, seed, args.cutoff)
     pop = _optional(lambda path: load_population(path, lenient), args.population)
-    weights = _read_scalars(args.weights, lenient=lenient)
+    weights = _read_scalars(args.weights, lenient, n if needs_weights(args.id) else None)
     report = verify(
         args.id,
         population=pop,
@@ -403,16 +420,15 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_dump_matrices(args) -> int:
-    _bind("population", "rationals", "construction")
-    if args.basis == Basis.WEIGHTED and (
-        args.total is not None or args.square_sum is not None
-    ):
-        raise InvalidInputError(
-            "the weighted matrices do not involve --total/--square-sum"
-        )
-    multipliers = _read_scalars(args.multipliers)
+    _bind("population", "rationals", "construction", "weights")
+    weighted = args.basis == Basis.WEIGHTED
+    if weighted and (args.total is not None or args.square_sum is not None):
+        raise InvalidInputError("the weighted matrices do not involve --total/--square-sum")
+    n = args.n
     if args.population is not None:
-        ensure_matrix_count(_count_values(args.population))
+        n = _count_values(args.population)
+        ensure_matrix_count(n)
+    multipliers = _read_scalars(args.multipliers, n=n if weighted else None)
     pop = _optional(load_population, args.population)
     system = build_transition_system(
         args.basis,
@@ -552,7 +568,8 @@ def _run_sweep_row(
             raise InvalidInputError(f"row {index}: 'weights' must be a list")
         weights = _row_scalars(row["weights"], mode)
     elif "weights_file" in row:
-        weights = _read_scalars(row["weights_file"], mode is VerifyMode.MONTE_CARLO)
+        n = pop.n if pop is not None and needs_weights(row["id"]) else None
+        weights = _read_scalars(row["weights_file"], mode is VerifyMode.MONTE_CARLO, n)
     return verify(
         row["id"],
         population=pop,
@@ -568,7 +585,7 @@ def _run_sweep_row(
 def _cmd_sweep(args) -> int:
     import json
 
-    _bind("population", "rationals", "inequalities")
+    _bind("population", "rationals", "inequalities", "weights")
     text = read_text_file(args.specfile, "spec")
     try:
         data = json.loads(text)

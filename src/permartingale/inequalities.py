@@ -28,7 +28,8 @@ arithmetic (values scaled by their common denominator), bit-for-bit an
 expectation, not an estimate, without listing the orderings.  The
 order-free ids (``max_averages``, ``garsia_unweighted``, ``quadratic``,
 ``bridge``, ``hardy``) run a chain-count engine over the lattice of the
-2^n drawn sets, whose chains are the orderings.  Chain counts per
+2^n drawn sets, whose chains are the orderings, keyed by each id's
+per-step term, the reference statistic's own.  Chain counts per
 threshold give the mean of the maximum, in passes over fixed-size
 chunks of thresholds that bound the memory; a max-plus recursion gives
 the ``hardy`` maximum.  The weighted ids (``alternating`` with its fixed
@@ -47,9 +48,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate
-from math import factorial, isfinite, lcm, sqrt
+from math import factorial, isfinite, sqrt
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
@@ -61,7 +61,10 @@ from .errors import (
     coerce_enum,
 )
 from .population import (
+    _S,
+    _T,
     Population,
+    _integer_layers,
     bridge_parameter,
     drawn_set_values,
     ensure_enumerable,
@@ -139,6 +142,11 @@ def _resolve(
     if rule.weights == "alternating":
         return iid, rule, population, alternating_weights(population.n)
     return iid, rule, population, None
+
+
+def needs_weights(id) -> bool:
+    """Whether the id's run needs caller-given weights, one per item."""
+    return _RULES[coerce_enum(InequalityId, id, "inequality id")].weights == "given"
 
 
 def lhs_statistic(
@@ -297,11 +305,7 @@ class InequalityReport(NamedTuple):
             "id": self.id.value,
             "mode": self.mode.value,
             "n": self.n,
-            "lhs": (
-                format_rational(self.lhs)
-                if isinstance(self.lhs, Fraction)
-                else self.lhs
-            ),
+            "lhs": format_rational(self.lhs) if isinstance(self.lhs, Fraction) else self.lhs,
             "rhs": format_rational(self.rhs),
             "holds": self.holds,
             "status": self.status,
@@ -309,66 +313,27 @@ class InequalityReport(NamedTuple):
             "samples": self.samples,
             "seed": self.seed,
             "params": {
-                "weights": (
-                    None
-                    if self.weights is None
-                    else [format_rational(w) for w in self.weights]
-                ),
+                "weights": (None if self.weights is None
+                            else [format_rational(w) for w in self.weights]),
                 "bridge_m": self.bridge_m,
             },
         }
 
 
-# The exact engines and the float statistics below restate each id's
-# statistic on purpose: they are independent routes that the tests check
-# against the Fraction reference ``lhs_statistic``.
-#
-# Exact engines: (xs, d, count, ws) -> exact LHS over all count = n!
-# orderings of the values xs, scaled to integers by their common
-# denominator d (weights by e).  Statistics become integers on one
-# denominator per id, which is divided out once at the end.
-#
-# Key factories, for the order-free ids: (n, d) -> (key, denominator),
-# where key(k, S_k, T_k) is an int for every subset in the id's k-range,
-# in the drawn-set table of ``population.drawn_set_values``.
-
-
-def _averages_key(n, d):
-    big = lcm(*range(1, n + 1))
-    mult = [0] + [big // k for k in range(1, n + 1)]
-    return (lambda k, s, t: (s * mult[k]) ** 2), (big * d) ** 2
-
-
-def _square_key(n, d):
-    return (lambda k, s, t: s * s), d * d
-
-
-def _quadratic_key(n, d):
-    big = lcm(*(k * (k - 1) for k in range(2, n + 1)))
-    mult = [0, 0] + [big // (k * (k - 1)) for k in range(2, n + 1)]
-    c1 = n - 1
-
-    def key(k, s, t):
-        return ((c1 * s * s - (n - k) * t) * mult[k]) ** 2
-
-    return key, (c1 * big * d * d) ** 2
-
-
-def _bridge_key(n, d):
-    c1 = n - 1
-    dd = d * d
-    return (lambda k, s, t: (c1 * s * s - k * (n - k) * dd) ** 2), (c1 * dd) ** 2
-
-
-# Chain-count engine, for the order-free ids.  A layered state graph has
-# one layer per number of draws; a state has an integer id, its
+# Exact engines run on the values xs scaled to integers by their common
+# denominator d (weights by e); a statistic becomes an integer on one
+# denominator per id, divided out once at the end.  The order-free ids run
+# the chain-count engine, keyed by their own ``term``.  A layered state
+# graph has one layer per number of draws; a state has an integer id, its
 # predecessors (one edge per draw) and a key, a square; a state outside the
 # id's k-range has the least key, 0, which passes every threshold and adds
 # 0 to a chain sum.  The chains from the root through the last layer are
 # the n! orderings.  A subset-lattice state is the drawn set D, bit i for
-# item i.  The weighted ids, ``alternating`` with its fixed signs among
-# them, whose W_k depends on the order of the draws, run the split walk
-# ``_exact_weighted`` instead.
+# item i.  The weighted ids, ``alternating`` among them, whose W_k depends
+# on the order of the draws, run the split walk ``_exact_weighted``:
+# (xs, d, count, ws) -> the LHS over all count = n! orderings.  It and the
+# float statistics restate each id's statistic on purpose: they are
+# independent routes that the tests check against ``lhs_statistic``.
 
 
 def _state_layers(n: int):
@@ -442,10 +407,22 @@ def _chain_max(layers, key, count, den) -> Fraction:
     return Fraction(max(best), den)
 
 
-def _on_lattice(engine, ks, key_factory, xs, d, count, ws) -> Fraction:
+def _on_lattice(rule, xs, d, count) -> Fraction:
+    # the term runs once per layer k, on formal S_k and T_k; over one common
+    # denominator, a drawn set's key is the integer polynomial at its sums
     n = len(xs)
-    key, den = key_factory(n, d)
-    keys = drawn_set_values(xs, key, ks(n))
+    layers = rule.ks(n)
+    den, polys = _integer_layers([rule.term(n, k, _S, _T, None) for k in layers], (0,), d)
+    by_k = {k: poly for k, (poly,) in zip(layers, polys)}
+
+    def key(k, s, t):
+        v = 0
+        for c, i, j in by_k[k]:
+            v += c * s**i * t**j
+        return v
+
+    keys = drawn_set_values(xs, key, layers)
+    engine = _chain_max if rule.over_orderings == "max" else _chain_mean
     return engine(_state_layers(n), keys.__getitem__, count, den)
 
 
@@ -618,30 +595,23 @@ class _Rule(NamedTuple):
     reduces ``term(n, k, S_k, T_k, W_k)`` over k in ``ks(n)``, for the
     reference statistic of one ordering and for each column of float
     terms in ``_mc_lhs``; the LHS is their mean or max (``over_orderings``)
-    over all orderings.  ``exact`` is the exact engine; ``floats(n, ws)``
-    maps an (n, orderings) numpy array, an ordering a column, to their
-    per-k terms, a row per k.  ``folding`` is the constant on the id's
-    folding path, if it has one.
+    over all orderings.  ``exact`` is the split walk of the weighted ids;
+    without it the chain-count engine runs, keyed by ``term``.
+    ``floats(n, ws)`` maps an (n, orderings) numpy array, an ordering a
+    column, to their per-k terms, a row per k.  ``folding`` is the
+    constant on the id's folding path, if it has one.
     """
 
     rhs: Callable[[Population, tuple[Fraction, ...] | None], Fraction]
     term: Callable[..., Fraction]
-    exact: Callable[..., Fraction]
     floats: Callable[..., Callable]
+    exact: Callable[..., Fraction] | None = None
     weights: str = "none"
     bridge: bool = False
     ks: Callable[[int], range] = _all_ks
     reduce: Callable = max
     over_orderings: str = "mean"
     folding: Callable[[str, int, int | None], Fraction] | None = None
-
-
-def _order_free(key, **fields) -> _Rule:
-    """A rule whose exact engine is the chain-count engine on the subset
-    lattice, with integer keys from the key factory ``key``."""
-    ks = fields.setdefault("ks", _all_ks)
-    engine = _chain_max if fields.get("over_orderings") == "max" else _chain_mean
-    return _Rule(exact=partial(_on_lattice, engine, ks, key), **fields)
 
 
 def _average_squared(n, k, s, t, w) -> Fraction:
@@ -653,37 +623,30 @@ def _w_squared(n, k, s, t, w) -> Fraction:
 
 
 _RULES: dict[InequalityId, _Rule] = {
-    InequalityId.MAX_AVERAGES: _order_free(
+    InequalityId.MAX_AVERAGES: _Rule(
         rhs=lambda pop, ws: Fraction(4, pop.n) * pop.square_sum,
         term=_average_squared,
-        key=_averages_key,
         floats=_float_averages,
     ),
-    InequalityId.GARSIA_UNWEIGHTED: _order_free(
+    InequalityId.GARSIA_UNWEIGHTED: _Rule(
         rhs=lambda pop, ws: Fraction(41, 5) * pop.square_sum,
         term=lambda n, k, s, t, w: s * s,
-        key=_square_key,
         floats=_float_garsia_unweighted,
-        folding=_split_folding(
-            lambda n, m: 4 * (Fraction(m, n - m) + Fraction(n - m, m))
-        ),
+        folding=_split_folding(lambda n, m: 4 * (Fraction(m, n - m) + Fraction(n - m, m))),
     ),
-    InequalityId.QUADRATIC: _order_free(
+    InequalityId.QUADRATIC: _Rule(
         rhs=lambda pop, ws: Fraction(4, (pop.n - 1) ** 2)
         * (pop.square_sum**2 - pop.fourth_sum),
         term=lambda n, k, s, t, w: (
-            (s * s - Fraction(n - k, n - 1) * t) / Fraction(k * (k - 1))
-        ) ** 2,
+            (s * s - Fraction(n - k, n - 1) * t) / Fraction(k * (k - 1))) ** 2,
         ks=lambda n: range(2, n + 1),
-        key=_quadratic_key,
         floats=_float_quadratic,
     ),
-    InequalityId.BRIDGE: _order_free(
+    InequalityId.BRIDGE: _Rule(
         bridge=True,
         rhs=lambda pop, ws: Fraction(32 * pop.n * pop.n),
         term=lambda n, k, s, t, w: (s * s - Fraction(k * (n - k), n - 1)) ** 2,
         ks=lambda n: range(1, n),
-        key=_bridge_key,
         floats=_float_bridge,
     ),
     InequalityId.ALTERNATING: _Rule(
@@ -708,22 +671,15 @@ _RULES: dict[InequalityId, _Rule] = {
         term=_w_squared,
         exact=_exact_weighted,
         floats=_float_weighted,
-        folding=_split_folding(
-            lambda n, m: 16 * (
-                2
-                + Fraction(m, n - m)
-                + Fraction(n - m, m)
-                + Fraction(m * m, n * (n - m))
-                + Fraction((n - m) ** 2, n * m)
-            )
-        ),
+        folding=_split_folding(lambda n, m: 16 * (
+            2 + Fraction(m, n - m) + Fraction(n - m, m) + Fraction(m * m, n * (n - m))
+            + Fraction((n - m) ** 2, n * m))),
     ),
-    InequalityId.HARDY: _order_free(
+    InequalityId.HARDY: _Rule(
         rhs=lambda pop, ws: 4 * pop.square_sum,
         term=_average_squared,
         reduce=sum,
         over_orderings="max",
-        key=_averages_key,
         floats=_float_averages,
     ),
 }
@@ -883,7 +839,8 @@ def verify(
         if samples is not None or seed is not None:
             raise InvalidInputError("samples and seed only apply to Monte Carlo mode")
         xs, d = pop.scaled
-        lhs = rule.exact(xs, d, factorial(n), ws)
+        count = factorial(n)
+        lhs = rule.exact(xs, d, count, ws) if rule.exact else _on_lattice(rule, xs, d, count)
         stderr = None
         status = "holds" if lhs <= rhs else "fails"
     else:

@@ -22,27 +22,27 @@ quadratic one applied to (S_k^2, S_k, T_k, 1), the weighted family row 1
 of the weighted one applied to (W_k, S_k).  The formulas above are the
 tests' labelled independent route, checked against the rows term by term.
 
-``check_martingale`` certifies E[M_{k+1} | first k draws] = M_k on
-every history by enumeration, never by algebra, so a wrong evaluator
-cannot certify itself.  Two routes report the first violating history.
-The drawn-set checker runs the evaluator once per layer k, on formal S_k
-and T_k, and gets a polynomial in them.  Scaled to one denominator per
-layer, it makes each drawn set's value an int, and each set is compared
-in ints with the average over its one-item extensions; ``Fraction``s
-build only the witness.  W_k and A_k, which WEIGHTED, CHAIN_QUADRATIC
-and the weighted-basis vector also see, enter as formal slots, and no
-product may hold two of them, so the value is affine in the slots and an
-identity in them holds at every history that reaches the set.  The
-generic ``Fraction`` walker over ordered prefixes, the independent
-route, serves ``check_sequence``.  It gives the verdict and the witness
-whenever the formal values do not certify: the slots' identity fails,
-or the evaluator does more than add, multiply and divide by numbers.
+``check_martingale`` certifies E[M_{k+1} | first k draws] = M_k on every
+history by enumeration, never by algebra, so a wrong evaluator cannot
+certify itself.  Two routes report the first violating history.  The
+drawn-set checker runs the evaluator once per layer k, on formal S_k and
+T_k, and gets a polynomial in them.  Scaled to one denominator, it makes
+each drawn set's value an int, compared with the average over its
+one-item extensions; ``Fraction``s build only the witness.  W_k and A_k,
+which WEIGHTED, CHAIN_QUADRATIC and the weighted-basis vector also see,
+enter as formal slots, and no product may hold two of them, so the value
+is affine in the slots and an identity in them holds at every history
+that reaches the set.  The generic ``Fraction`` walker over ordered
+prefixes, the independent route, serves ``check_sequence``.  It gives
+the verdict and the witness whenever the formal values do not certify:
+the slots' identity fails, or the evaluator does more than add, multiply
+and divide by numbers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, perm
+from math import perm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .choices import Basis, MartingaleKind
@@ -50,8 +50,8 @@ from .construction import (_quadratic_product, _weighted_product,
                            build_transition_system, matrix_vector,
                            vector_martingale_value)
 from .errors import DomainError, InvalidInputError, PreconditionError, coerce_enum
-from .population import (Population, drawn_prefix, drawn_set_values,
-                         ensure_enumerable, make_population)
+from .population import (_A, _S, _T, _W, Population, _Form, _integer_layers, _NotAffine,
+                         drawn_prefix, drawn_set_values, ensure_enumerable, make_population)
 from .rationals import format_rational
 from .weights import validate_weights
 
@@ -231,68 +231,6 @@ def _mean(values: list):
     return sum(values) / count
 
 
-class _NotAffine(Exception):
-    """An evaluator did more to a formal value than add, multiply where
-    at most one factor holds a slot, and divide by numbers."""
-
-
-class _Form:
-    """A polynomial in formal S_k and T_k whose coefficients are affine in
-    formal slots for W_k and A_k: ``terms`` maps (slot, i, j) to the
-    coefficient of slot S_k^i T_k^j, slot 0 for none, 1 for W_k and 2 for
-    A_k, and holds no zero.  It adds, multiplies where at most one factor
-    holds a slot, and divides by numbers; any other operation, comparison
-    and truth value included, raises ``_NotAffine``, so the formal values
-    never certify an evaluator that compares or branches on one, or that
-    multiplies two slots."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, pairs):
-        terms = {}
-        for key, c in pairs:
-            terms[key] = terms.get(key, 0) + c
-        self.terms = {key: c for key, c in terms.items() if c}
-
-    def __add__(self, other):
-        other = other.terms if isinstance(other, _Form) else {(0, 0, 0): other}
-        return _Form([*self.terms.items(), *other.items()])
-
-    def __mul__(self, other):
-        if not isinstance(other, _Form):
-            return _Form((key, other * c) for key, c in self.terms.items())
-        if any(u for u, _, _ in self.terms) and any(u for u, _, _ in other.terms):
-            raise _NotAffine
-        return _Form(((u + v, i + p, j + q), c * e) for (u, i, j), c in self.terms.items()
-                     for (v, p, q), e in other.terms.items())
-
-    __radd__, __rmul__ = __add__, __mul__
-    __neg__, __truediv__ = (lambda a: -1 * a), (lambda a, c: a * (Fraction(1) / c))
-    __sub__, __rsub__ = (lambda a, b: a + -b), (lambda a, b: -a + b)
-
-
-def _not_affine(*args):
-    raise _NotAffine
-
-
-for _op in ("eq ne lt le gt ge bool hash pos abs pow rpow rtruediv floordiv rfloordiv"
-            " mod rmod divmod rdivmod int float complex index round trunc floor"
-            " ceil getattr").split():
-    setattr(_Form, f"__{_op}__", _not_affine)
-_S, _T, _W, _A = (_Form([(key, 1)])
-                  for key in ((0, 1, 0), (0, 0, 1), (1, 0, 0), (2, 0, 0)))
-
-
-def _polynomials(v, slots: tuple) -> list:
-    """The terms (c, i, j) of c S_k^i T_k^j that a formal value ``v`` holds
-    in each of ``slots``: a form's, a number's as a constant, a vector's
-    entries' in order."""
-    if isinstance(v, tuple):
-        return [p for x in v for p in _polynomials(x, slots)]
-    terms = v.terms if isinstance(v, _Form) else {(0, 0, 0): v}
-    return [[(c, i, j) for (u, i, j), c in terms.items() if u == slot] for slot in slots]
-
-
 def _check_drawn_sets(
     population: Population,
     value_fn: Callable[[int, Fraction, Fraction], object],
@@ -303,21 +241,19 @@ def _check_drawn_sets(
     ``value_fn(k, S_k, T_k)``, must be the average over its n-k one-item
     extensions.  Every ordering of a set gives the same (k, S_k, T_k), so
     the 2^n sets cover all n! histories.  ``value_fn`` runs once per layer
-    k, on formal S_k and T_k, and gives a polynomial sum c S_k^i T_k^j.
-    Times Q_k = lcm(its denominators) d^g, g its largest i + 2j, it is an
-    integer polynomial in d S_k and d^2 T_k, the sums ``drawn_set_values``
-    gives on the ints of ``population.scaled``: each set's value is an int
-    over Q_k.  A value may also hold the slots ``_W`` and ``_A`` of the
-    histories that reach its set; for each a_{k+1} = alpha/e in
-    ``moves(k, drawn, d)`` (drawn values X = d x), an extension by x moves
-    them to W_k + a x and A_k + a.  The identity is Q_k * (sum over the
-    extensions) = (n-k) Q_{k+1} * (the set's value).  Sets go in
-    lexicographic order of their item indices; at the first that fails,
-    ``value_fn`` on the ``Fraction`` sums of the set and of its extensions
-    gives the witness, whose prefix lists the set's values in that order.
-    An evaluator whose formal call raises ``_NotAffine`` or ``TypeError``
-    goes to ``_check_ordered``, the independent route: here, or, with
-    slots, through ``_NotAffine`` to the caller's fallback."""
+    k, on formal S_k and T_k, and gives a polynomial sum c S_k^i T_k^j;
+    ``_integer_layers`` makes each set's value an int over one Q.  A value
+    may also hold the slots ``_W`` and ``_A`` of the histories that reach
+    its set; for each a_{k+1} = alpha/e in ``moves(k, drawn, d)`` (drawn
+    values X = d x), an extension by x moves them to W_k + a x and
+    A_k + a.  The identity is (sum over the extensions) = (n-k) (the set's
+    value), in ints.  Sets go in lexicographic order of their item
+    indices; at the first that fails, ``value_fn`` on the ``Fraction``
+    sums of the set and of its extensions gives the witness, whose prefix
+    lists the set's values in that order.  An evaluator whose formal call
+    raises ``_NotAffine`` or ``TypeError`` goes to ``_check_ordered``, the
+    independent route: here, or, with slots, through ``_NotAffine`` to the
+    caller's fallback."""
     n, xs = population.n, population.values
     ints, d = population.scaled
     ks = range(1, k_max + 1)
@@ -328,17 +264,9 @@ def _check_drawn_sets(
             raise _NotAffine from None
         return _check_ordered(population, lambda p: value_fn(
             len(p), sum(p, Fraction(0)), sum((x * x for x in p), Fraction(0))), 1, k_max)
-    q, polys = [1] * (n + 1), [None] * (n + 1)  # Q_k, and layer k's polynomials times Q_k
-    for k, v in zip(ks, formal):
-        layer = _polynomials(v, (0, 1, 2) if moves is not None else (0,))
-        terms = [term for poly in layer for term in poly]
-        g = max((i + 2 * j for _, i, j in terms), default=0)
-        den = lcm(*(c.denominator for c, _, _ in terms))
-        q[k] = den * d**g
-        polys[k] = [[(c.numerator * (den // c.denominator) * d ** (g - i - 2 * j), i, j)
-                     for c, i, j in poly] for poly in layer]
+    _, polys = _integer_layers(formal, (0, 1, 2) if moves is not None else (0,), d)
     coef = drawn_set_values(ints, lambda k, s, t: [
-        sum([c * s**i * t**j for c, i, j in poly]) for poly in polys[k]], ks)
+        sum([c * s**i * t**j for c, i, j in poly]) for poly in polys[k - 1]], ks)
 
     def exact(mask):  # value_fn on the Fraction sums of a drawn set
         drawn = [x for i, x in enumerate(ints) if mask >> i & 1]
@@ -351,14 +279,14 @@ def _check_drawn_sets(
         k, free = mask.bit_count(), [i for i in range(n) if not mask >> i & 1]
         rows = [coef[mask | 1 << i] for i in free]
         sums = [sum(col) for col in zip(*rows)]
-        gaps = [q[k] * s - (n - k) * q[k + 1] * p for s, p in zip(sums, coef[mask])]
+        gaps = [s - (n - k) * p for s, p in zip(sums, coef[mask])]
         if moves is None:
             fails = any(gaps)
         else:  # the c0 gap must cancel the drift, a (x c1 + c2) per child
             alphas = moves(k, [x for i, x in enumerate(ints) if mask >> i & 1], d)
             forms = range(0, len(gaps), 3)
-            drifts = [q[k] * (sum(ints[i] * row[j + 1] for i, row in zip(free, rows))
-                              + d * sums[j + 2]) for j in forms]
+            drifts = [sum(ints[i] * row[j + 1] for i, row in zip(free, rows)) + d * sums[j + 2]
+                      for j in forms]
             fails = any(gaps[j + 1] or gaps[j + 2]
                         or any(e * d * gaps[j] + alpha * drift for alpha, e in alphas)
                         for j, drift in zip(forms, drifts))

@@ -17,8 +17,8 @@ from __future__ import annotations
 import itertools
 import os
 from fractions import Fraction
-from functools import cached_property
-from math import factorial
+from functools import cached_property, reduce
+from math import factorial, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -232,6 +232,85 @@ def drawn_set_values(values: Sequence, fn: Callable, ks: range) -> list:
         k = mask.bit_count()
         out.append(fn(k, s[mask], t[mask]) if k in ks else None)
     return out
+
+
+class _NotAffine(Exception):
+    """An evaluator did more to a formal value than add, multiply where
+    at most one factor holds a slot, and divide by numbers."""
+
+
+class _Form:
+    """A polynomial in formal S_k and T_k whose coefficients are affine in
+    formal slots for W_k and A_k: ``terms`` maps (slot, i, j) to the
+    coefficient of slot S_k^i T_k^j, slot 0 for none, 1 for W_k and 2 for
+    A_k, and holds no zero.  It adds, multiplies (and so raises to int
+    powers) where at most one factor holds a slot, and divides by numbers;
+    any other operation, comparison and truth value included, raises
+    ``_NotAffine``, so no evaluator that branches on a form certifies."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, pairs):
+        terms = {}
+        for key, c in pairs:
+            terms[key] = terms.get(key, 0) + c
+        self.terms = {key: c for key, c in terms.items() if c}
+
+    def __add__(self, other):
+        other = other.terms if isinstance(other, _Form) else {(0, 0, 0): other}
+        return _Form([*self.terms.items(), *other.items()])
+
+    def __mul__(self, other):
+        if not isinstance(other, _Form):
+            return _Form((key, other * c) for key, c in self.terms.items())
+        if any(u for u, _, _ in self.terms) and any(u for u, _, _ in other.terms):
+            raise _NotAffine
+        return _Form(((u + v, i + p, j + q), c * e) for (u, i, j), c in self.terms.items()
+                     for (v, p, q), e in other.terms.items())
+
+    def __pow__(self, e, mod=None):  # by multiplying, so that a slot squared is refused
+        if mod is not None or not isinstance(e, int) or e < 0:
+            raise _NotAffine
+        return reduce(_Form.__mul__, [self] * e, _Form([((0, 0, 0), 1)]))
+
+    __radd__, __rmul__ = __add__, __mul__
+    __neg__, __truediv__ = (lambda a: -1 * a), (lambda a, c: a * (Fraction(1) / c))
+    __sub__, __rsub__ = (lambda a, b: a + -b), (lambda a, b: -a + b)
+
+
+def _not_affine(*args):
+    raise _NotAffine
+
+
+for _op in ("eq ne lt le gt ge bool hash pos abs rpow rtruediv floordiv rfloordiv"
+            " mod rmod divmod rdivmod int float complex index round trunc floor"
+            " ceil getattr").split():
+    setattr(_Form, f"__{_op}__", _not_affine)
+_S, _T, _W, _A = (_Form([(key, 1)])
+                  for key in ((0, 1, 0), (0, 0, 1), (1, 0, 0), (2, 0, 0)))
+
+
+def _polynomials(v, slots: tuple) -> list:
+    """The terms (c, i, j) of c S_k^i T_k^j that a formal value ``v`` holds
+    in each of ``slots``: a form's, a number's as a constant, a vector's
+    entries' in order."""
+    if isinstance(v, tuple):
+        return [p for x in v for p in _polynomials(x, slots)]
+    terms = v.terms if isinstance(v, _Form) else {(0, 0, 0): v}
+    return [[(c, i, j) for (u, i, j), c in terms.items() if u == slot] for slot in slots]
+
+
+def _integer_layers(formal: list, slots: tuple, d: int) -> tuple[int, list]:
+    """(Q, layers): for each formal value, its polynomials in ``slots``
+    (``_polynomials``) times one positive Q = lcm(their denominators) d^g,
+    g the largest i + 2j: integer polynomials in d S_k and d^2 T_k, the
+    sums ``drawn_set_values`` gives on a population's ``scaled`` ints."""
+    layers = [_polynomials(v, slots) for v in formal]
+    terms = [term for layer in layers for poly in layer for term in poly]
+    g = max((i + 2 * j for _, i, j in terms), default=0)
+    den = lcm(*(c.denominator for c, _, _ in terms))
+    return den * d**g, [[[(c.numerator * (den // c.denominator) * d ** (g - i - 2 * j), i, j)
+                          for c, i, j in poly] for poly in layer] for layer in layers]
 
 
 def value_lines(text: str) -> Iterator[tuple[int, str]]:

@@ -16,13 +16,17 @@ from .errors import InvalidInputError
 from .rationals import fraction_sequence
 
 
+def ensure_weight_count(count: int, n: int) -> None:
+    """Refuse ``count`` multipliers where n are needed; run on the value
+    lines of a file, it refuses before any value is parsed."""
+    if count != n:
+        raise InvalidInputError(f"expected {n} multipliers, got {count}")
+
+
 def validate_weights(weights: Sequence, n: int) -> tuple[Fraction, ...]:
     """Coerce ``weights`` to Fractions and require length ``n``."""
     ws = fraction_sequence(weights)
-    if len(ws) != n:
-        raise InvalidInputError(
-            f"expected {n} multipliers, got {len(ws)}"
-        )
+    ensure_weight_count(len(ws), n)
     return ws
 
 

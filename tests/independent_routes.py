@@ -11,12 +11,16 @@ form, and shares no code with the route it checks:
 * ``PAPER_ORDER_FREE_VALUES`` and ``paper_weighted_value`` are the
   paper's closed forms of each martingale kind, written out by hand,
   against the rows of the inverse products that ``martingales`` reads
-  each kind's value off.
+  each kind's value off;
+* ``HAND_SCALED_KEYS`` are the order-free inequality ids' statistics,
+  scaled to integers by hand, against the keys that the chain-count
+  engine derives from each id's ``term``.
 """
 
 from fractions import Fraction
+from math import lcm
 
-from permartingale import (DomainError, InvalidInputError, MartingaleKind,
+from permartingale import (DomainError, InequalityId, InvalidInputError, MartingaleKind,
                            mean_over_ordered_draws)
 from permartingale.population import ensure_enumerable
 
@@ -106,3 +110,50 @@ def paper_weighted_value(n):
     """M_k = W_k + A_k S_k / (n - k), with W_k = a_1 X_1 + ... + a_k X_k
     and A_k = a_1 + ... + a_k, for 1 <= k <= n-1."""
     return lambda k, s, w, alpha: w + alpha * s / (n - k)
+
+
+# The order-free inequality ids' per-step terms on integers, as key
+# factories (n, d) -> (key, den): on a drawn set of k values with scaled
+# sums S = d S_k and T = d^2 T_k, key(k, S, T) is den times the id's term
+# at k, for each k of the id's range, ks(n).
+
+
+def averages_key(n, d):
+    """(S_k/k)^2, over (lcm(1..n) d)^2."""
+    big = lcm(*range(1, n + 1))
+    mult = [0] + [big // k for k in range(1, n + 1)]
+    return (lambda k, s, t: (s * mult[k]) ** 2), (big * d) ** 2
+
+
+def square_key(n, d):
+    """S_k^2, over d^2."""
+    return (lambda k, s, t: s * s), d * d
+
+
+def quadratic_key(n, d):
+    """((S_k^2 - ((n-k)/(n-1)) T_k) / (k(k-1)))^2, over
+    ((n-1) lcm(k(k-1) : 2 <= k <= n) d^2)^2."""
+    big = lcm(*(k * (k - 1) for k in range(2, n + 1)))
+    mult = [0, 0] + [big // (k * (k - 1)) for k in range(2, n + 1)]
+    c1 = n - 1
+
+    def key(k, s, t):
+        return ((c1 * s * s - (n - k) * t) * mult[k]) ** 2
+
+    return key, (c1 * big * d * d) ** 2
+
+
+def bridge_key(n, d):
+    """(S_k^2 - k(n-k)/(n-1))^2, over ((n-1) d^2)^2."""
+    c1 = n - 1
+    dd = d * d
+    return (lambda k, s, t: (c1 * s * s - k * (n - k) * dd) ** 2), (c1 * dd) ** 2
+
+
+HAND_SCALED_KEYS = {
+    InequalityId.MAX_AVERAGES: (averages_key, lambda n: range(1, n + 1)),
+    InequalityId.GARSIA_UNWEIGHTED: (square_key, lambda n: range(1, n + 1)),
+    InequalityId.QUADRATIC: (quadratic_key, lambda n: range(2, n + 1)),
+    InequalityId.BRIDGE: (bridge_key, lambda n: range(1, n)),
+    InequalityId.HARDY: (averages_key, lambda n: range(1, n + 1)),
+}

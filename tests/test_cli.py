@@ -829,6 +829,50 @@ def test_oversized_exact_files_are_refused_before_parsing(tmp_path, monkeypatch)
         moment_report(make_population([1] * 11))
 
 
+def test_wrong_length_weight_files_are_refused_before_parsing(tmp_path):
+    # Where a run needs exactly n weights or multipliers, their file is
+    # counted before any value is parsed: a file of the wrong length that
+    # also holds an unparsable line gets the length message, word for
+    # word validate_weights', from every entry point; a file of the right
+    # length still gets the bad line's message.
+    four = pop_file(tmp_path, [1, -1, 2, -2], name="four.txt")
+    wrong = pop_file(tmp_path, [1, 2, "x", 3, "# six values", 4, 5], name="wrong.txt")
+    right = pop_file(tmp_path, [1, "x", 3, 4], name="right.txt")
+    message = "expected 4 multipliers, got 6"
+    mc = ["--mode", "mc", "--samples", "10", "--seed", "1"]
+    for path, expected in ((wrong, message), (right, f"{right}, line 2: ")):
+        spec = tmp_path / "rows.json"
+        spec.write_text(json.dumps(
+            [{"id": "vna_weighted", "mode": "exact", "population_file": four,
+              "weights_file": path},
+             {"id": "garsia_weighted", "mode": "mc", "samples": 10,
+              "population": [1, -1, 2, -2], "weights_file": path}]
+        ), encoding="utf-8")
+        for argv in (
+            ["check-inequality", "--id", "vna_weighted", "--mode", "exact"],
+            ["check-inequality", "--id", "garsia_weighted", *mc],
+            ["verify-martingale", "--kind", "weighted"],
+            ["dump-matrices", "--basis", "weighted"],
+        ):
+            flag = "--weights" if argv[0] == "check-inequality" else "--multipliers"
+            rc, out, err = run_cli([*argv, "--population", four, flag, path])
+            assert rc == 2 and out == "" and err.startswith(f"error: {expected}"), argv
+        rc, out, err = run_cli(["dump-matrices", "--basis", "weighted", "--n", "4",
+                                "--multipliers", path])
+        assert rc == 2 and out == "" and err.startswith(f"error: {expected}")
+        rc, out, _ = run_cli(["sweep", str(spec)])
+        errors = [row["error"] for row in json.loads(out)["rows"]]
+        assert rc == 1 and all(e.startswith(expected) for e in errors) and len(errors) == 2
+    # a file of n values runs, and ids that take no weights refuse as before
+    ws = pop_file(tmp_path, [1, -1, 1, 1], name="w.txt")
+    rc, out, _ = run_cli(["check-inequality", "--id", "vna_weighted", "--mode", "exact",
+                          "--population", four, "--weights", ws])
+    assert rc == 0 and json.loads(out)["params"]["weights"] == ["1", "-1", "1", "1"]
+    rc, _, err = run_cli(["check-inequality", "--id", "max_averages", "--mode", "exact",
+                          "--population", four, "--weights", wrong])
+    assert rc == 2 and f"{wrong}, line 3: " in err
+
+
 BIG = "9" * 5000  # past the interpreter's 4,300-digit conversion limit
 
 

@@ -27,7 +27,7 @@ from permartingale import (
     vna,
 )
 
-from independent_routes import mean_over_orderings
+from independent_routes import HAND_SCALED_KEYS, mean_over_orderings
 
 FOUR = make_population([1, -1, 2, -2])
 
@@ -103,6 +103,66 @@ def test_exact_hardy_is_the_maximum_over_orderings():
         assert report.lhs == reference_lhs(InequalityId.HARDY, pop), pop.values
         assert report.rhs == 4 * pop.square_sum
         assert report.holds
+
+
+def _key_grid(n, rng):
+    # centered p/q values, |p| <= 99 and q <= 7 ones, repeated values and
+    # 1/p for distinct primes p, whose common denominators grow large
+    primes = (2, 3, 5, 7, 11, 13, 17, 19)
+    heads = (
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n - 1)],
+        [Fraction(rng.randint(-99, 99), rng.randint(1, 7)) for _ in range(n - 1)],
+        [Fraction(rng.choice((-2, -1, 0, 1, 3))) for _ in range(n - 1)],
+        [Fraction(rng.choice((-1, 1)), p) for p in primes[: n - 1]],
+    )
+    return [make_population(head + [-sum(head, Fraction(0))]) for head in heads]
+
+
+def test_lattice_keys_are_the_hand_scaled_keys_on_a_seeded_grid(monkeypatch):
+    # The labelled independent route: the hand-scaled keys of
+    # independent_routes against the keys that the chain-count engine
+    # derives from each order-free rule's term, recorded as verify runs,
+    # set for set up to the two common scales (key * hand_den == hand_key
+    # * den), and None outside the id's k-range; each drawn set's sums are
+    # recomputed here from its items.  The chain-count engine on the hand
+    # keys gives verify's LHS.  n = 2..9 on four populations each, and the
+    # bridge at m = 1..5.
+    from permartingale import inequalities
+
+    seen = []
+    for name in ("_integer_layers", "drawn_set_values"):
+        real = getattr(inequalities, name)
+        monkeypatch.setattr(inequalities, name,
+                            lambda *a, real=real: seen.append(real(*a)) or seen[-1])
+    rng = random.Random(29)
+    cases = [(iid, pop) for n in range(2, 10) for pop in _key_grid(n, rng)
+             for iid in HAND_SCALED_KEYS if iid is not InequalityId.BRIDGE]
+    cases += [(InequalityId.BRIDGE, make_bridge_population(m)) for m in range(1, 6)]
+    compared = 0
+    for iid, pop in cases:
+        seen.clear()
+        lhs = verify(iid, population=pop).lhs
+        (den, _), keys = seen
+        n, (factory, ks) = pop.n, HAND_SCALED_KEYS[iid]
+        d = math.lcm(*(x.denominator for x in pop.values))
+        xs = [int(x * d) for x in pop.values]
+        key, hand_den = factory(n, d)
+        hand = [None] * (1 << n)
+        for mask in range(1 << n):
+            items = [x for i, x in enumerate(xs) if mask >> i & 1]
+            if len(items) in ks(n):
+                hand[mask] = key(len(items), sum(items), sum(x * x for x in items))
+                assert keys[mask] * hand_den == hand[mask] * den, (iid, pop.values, mask)
+                compared += 1
+            else:
+                assert keys[mask] is None, (iid, pop.values, mask)
+        engine = (inequalities._chain_max if iid is InequalityId.HARDY
+                  else inequalities._chain_mean)
+        layers = inequalities._state_layers(n)
+        assert engine(layers, hand.__getitem__, math.factorial(n), hand_den) == lhs, iid
+    # every nonempty set of n = 2..9 (quadratic's from k = 2) on the four
+    # populations, and the bridges' sets but the empty and the full one
+    assert len(cases) == 133 and compared == 4 * (3 * 1012 + 968) + 1354
 
 
 centered_rationals = st.lists(

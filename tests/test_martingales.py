@@ -765,6 +765,34 @@ def test_integer_drawn_set_checker_against_the_exact_routes_on_a_seeded_grid(mon
                 assert result == _table_reference(*args), (pop.values, args[2])
 
 
+def test_a_form_raises_to_int_powers_one_factor_at_a_time():
+    # On a slot-free form, exponents 0-4 give the repeated products; a
+    # slot is affine, so its first power is itself and any higher one is
+    # refused, as a product of two slots is; a negative, non-int or
+    # modular exponent, and a form as an exponent, are refused on any form.
+    from permartingale.martingales import _A, _S, _T, _W, _Form, _NotAffine
+
+    for form in (_S, _T, _S * _T - Fraction(1, 3) * _T + 2, (_S - 1) / 7, 0 * _S):
+        product = _Form([((0, 0, 0), 1)])
+        for e in range(5):
+            assert (form**e).terms == product.terms, (form.terms, e)
+            product = product * form
+    for slot in (_W, 3 * _A, _W * _S + _T):
+        assert (slot**0).terms == {(0, 0, 0): 1} and (slot**1).terms == slot.terms
+        for e in (2, 3, 4):
+            with pytest.raises(_NotAffine):
+                slot**e
+    for bad in (lambda f: f**-1, lambda f: f ** Fraction(2), lambda f: f**2.0,
+                lambda f: pow(f, 2, 5), lambda f: 2**f, lambda f: Fraction(2) ** f):
+        for form in (_S, _W):
+            with pytest.raises(_NotAffine):
+                bad(form)
+    # the power entry of _NOT_ADD_AND_SCALE is still refused on the slots,
+    # which sends it to the generic route (the test above gives the verdict)
+    with pytest.raises(_NotAffine):
+        _NOT_ADD_AND_SCALE["power"](_W, _A)
+
+
 def test_the_slot_identity_must_hold_for_every_move():
     # W_k alone drifts by a_{k+1} (M - S_k) per step: on a centered
     # population the identity holds for a = 0 and fails for a = 1, so a

@@ -4,7 +4,8 @@ Importing ``permartingale.cli`` registers ``gc.freeze`` with ``atexit``,
 so the interpreter's final collections skip what is still alive; the
 package import alone and in-process ``main`` calls must not freeze.
 Output that cannot be written ends with an ``error:`` line and exit 2,
-never with the interpreter's exit status 120 or a traceback.
+never with the interpreter's exit status 120 or a traceback; so does an
+error whose report cannot be written, without the line.
 """
 
 import contextlib
@@ -122,9 +123,8 @@ def test_output_that_cannot_be_written_exits_2(files, unbuffered):
     calls = [
         ["check-inequality", "--id", "quadratic", "--mode", "exact", "--population", four],
         ["sweep", spec, "--format", "csv"],
+        ["--help"],
     ]
-    if not unbuffered:  # unbuffered, argparse ignores a help it cannot write
-        calls.append(["--help"])
     for argv in calls:
         with open("/dev/full", "wb") as full:
             result = subprocess.run(
@@ -133,6 +133,24 @@ def test_output_that_cannot_be_written_exits_2(files, unbuffered):
             )
         assert result.returncode == 2, (argv, result.stderr)
         assert result.stderr == b"error: [Errno 28] No space left on device\n", argv
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_an_error_that_cannot_be_reported_still_exits_2(tmp_path, unbuffered):
+    # stderr on /dev/full: a usage error, which argparse reports, and a
+    # missing file, which main reports, keep exit 2 with nothing written
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    for argv in (["--bogus"], ["check-inequality", "--id", "quadratic", "--mode", "exact",
+                               "--population", str(tmp_path / "missing.txt")]):
+        with open("/dev/full", "wb") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "permartingale", *argv],
+                stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=full, env=env,
+            )
+        assert (result.returncode, result.stdout) == (2, b""), argv
 
 
 def test_a_missing_stdout_exits_2(monkeypatch, tmp_path, files):
