@@ -58,8 +58,8 @@ if TYPE_CHECKING:
 # the engine names the handlers call, by module; each handler binds those
 # of the modules it runs (_bind), keeping any name bound from outside
 _ENGINE_NAMES = {
-    "population": "load_population make_population parse_scalar_lines "
-    "random_centered_population read_text_file value_lines",
+    "population": "load_population make_population random_centered_population "
+    "read_text_file read_values",
     "rationals": "format_rational parse_rational parse_scalar",
     "inequalities": "ensure_runnable needs_weights verify",
     "martingales": "check_martingale ensure_checkable make_spec",
@@ -307,25 +307,16 @@ def _read_scalars(path: str | None, lenient: bool = False,
     run needs, if given, is refused before any value is parsed."""
     if path is None:
         return None
-    text = read_text_file(path, "scalar")
-    if n is not None:
-        ensure_weight_count(sum(1 for _ in value_lines(text)), n)
-    return parse_scalar_lines(text, lenient, f"{path}, ")
-
-
-def _count_values(path: str) -> int:
-    """The number of values in a population file, counted without
-    parsing any, so that a run too large is refused at once."""
-    return sum(1 for _ in value_lines(read_text_file(path, "population")))
+    refuse = None if n is None else partial(ensure_weight_count, n=n)
+    return read_values(path, "scalar", lenient, refuse)
 
 
 def _cmd_verify_martingale(args) -> int:
     _bind("population", "rationals", "martingales", "weights")
-    n = _count_values(args.population)
-    ensure_checkable(n, args.cutoff)
-    pop = load_population(args.population)
+    pop = load_population(args.population,
+                          refuse=partial(ensure_checkable, cutoff=args.cutoff))
     weighted = args.kind == MartingaleKind.WEIGHTED
-    multipliers = _read_scalars(args.multipliers, n=n if weighted else None)
+    multipliers = _read_scalars(args.multipliers, n=pop.n if weighted else None)
     spec = make_spec(args.kind, pop, multipliers)
     check = check_martingale(spec, cutoff=args.cutoff)
     payload = {
@@ -364,11 +355,11 @@ def _cmd_check_inequality(args) -> int:
     mode = VerifyMode(args.mode)
     lenient = mode is VerifyMode.MONTE_CARLO
     seed = _default_seed(args.seed) if lenient else args.seed
-    n = _optional(_count_values, args.population)
-    if n is not None:
-        ensure_runnable(args.id, n, mode, args.samples, seed, args.cutoff)
-    pop = _optional(lambda path: load_population(path, lenient), args.population)
-    weights = _read_scalars(args.weights, lenient, n if needs_weights(args.id) else None)
+    refuse = partial(ensure_runnable, args.id, mode=mode, samples=args.samples, seed=seed,
+                     cutoff=args.cutoff)
+    pop = _optional(lambda path: load_population(path, lenient, refuse), args.population)
+    n = pop.n if pop is not None and needs_weights(args.id) else None
+    weights = _read_scalars(args.weights, lenient, n)
     report = verify(
         args.id,
         population=pop,
@@ -391,8 +382,8 @@ def _cmd_check_inequality(args) -> int:
 
 def _cmd_moments(args) -> int:
     _bind("population", "rationals", "moments")
-    ensure_reportable(_count_values(args.population), args.cutoff)
-    pop = load_population(args.population)
+    pop = load_population(args.population,
+                          refuse=partial(ensure_reportable, cutoff=args.cutoff))
     rows = moment_report(
         pop, partial_sum_size=args.partial_sum_size, cutoff=args.cutoff
     )
@@ -424,12 +415,9 @@ def _cmd_dump_matrices(args) -> int:
     weighted = args.basis == Basis.WEIGHTED
     if weighted and (args.total is not None or args.square_sum is not None):
         raise InvalidInputError("the weighted matrices do not involve --total/--square-sum")
-    n = args.n
-    if args.population is not None:
-        n = _count_values(args.population)
-        ensure_matrix_count(n)
+    pop = _optional(partial(load_population, refuse=ensure_matrix_count), args.population)
+    n = args.n if pop is None else pop.n
     multipliers = _read_scalars(args.multipliers, n=n if weighted else None)
-    pop = _optional(load_population, args.population)
     system = build_transition_system(
         args.basis,
         multipliers=multipliers,
@@ -496,8 +484,7 @@ def _sweep_population(row: dict, index: int, master_seed: int, mode, refuse):
         refuse(len(values))
         return make_population(_row_scalars(values, mode))
     if "population_file" in row:
-        refuse(_count_values(row["population_file"]))
-        return load_population(row["population_file"], mode is VerifyMode.MONTE_CARLO)
+        return load_population(row["population_file"], mode is VerifyMode.MONTE_CARLO, refuse)
     if "random" in row:
         spec = row["random"]
         if not isinstance(spec, dict):

@@ -322,22 +322,6 @@ def value_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def parse_scalar_lines(
-    text: str, lenient: bool = False, where: str = ""
-) -> tuple[Fraction, ...]:
-    """Parse one scalar per line of ``value_lines``.
-
-    A bad line is reported by number, after ``where`` when given.
-    """
-    vals: list[Fraction] = []
-    for lineno, line in value_lines(text):
-        try:
-            vals.append(parse_scalar(line, lenient=lenient))
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"{where}line {lineno}: {exc}") from None
-    return tuple(vals)
-
-
 def read_text_file(path: str, what: str) -> str:
     """Whole text of a file; ``what`` names its kind in the error."""
     if not isinstance(path, (str, os.PathLike)):
@@ -350,11 +334,29 @@ def read_text_file(path: str, what: str) -> str:
         raise InvalidInputError(f"cannot read {what} file {path}: {exc}") from None
 
 
-def load_population(path: str, lenient: bool = False) -> Population:
+def read_values(path: str, what: str, lenient: bool = False,
+                refuse: Callable[[int], None] | None = None) -> tuple[Fraction, ...]:
+    """The values of a file, one per line of ``value_lines``, read once,
+    so the file may be a pipe.  ``refuse``, when given, is passed the
+    count of value lines before any is parsed; a bad line is reported by
+    path and number."""
+    text = read_text_file(path, what)
+    if refuse is not None:
+        refuse(sum(1 for _ in value_lines(text)))
+    vals: list[Fraction] = []
+    for lineno, line in value_lines(text):
+        try:
+            vals.append(parse_scalar(line, lenient=lenient))
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{path}, line {lineno}: {exc}") from None
+    return tuple(vals)
+
+
+def load_population(path: str, lenient: bool = False,
+                    refuse: Callable[[int], None] | None = None) -> Population:
     """Read a population file: one value per line, '#' starts a comment,
-    blank lines are ignored."""
-    text = read_text_file(path, "population")
-    return make_population(parse_scalar_lines(text, lenient, f"{path}, "))
+    blank lines are ignored; ``refuse`` as in ``read_values``."""
+    return make_population(read_values(path, "population", lenient, refuse))
 
 
 def mean_over_ordered_draws(

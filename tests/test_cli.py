@@ -691,12 +691,12 @@ def test_every_inequality_run_is_refused_before_its_population_is_built(
     tmp_path, monkeypatch, mode
 ):
     # verify, check-inequality and each sweep row source ask one refusal,
-    # on the size they know, before any population is parsed, drawn, built
-    # or read; the messages are those of the checks it replaced
+    # on the size they know, before any population value is parsed, drawn
+    # or built; the messages are those of the checks it replaced
     def work(*args, **kwargs):
         raise AssertionError("a population was built before the refusal")
 
-    for name in ("cli.load_population", "cli.make_population",
+    for name in ("population.parse_scalar", "cli.make_population",
                  "cli.random_centered_population",
                  "inequalities.make_bridge_population", "inequalities._resolve"):
         monkeypatch.setattr(f"permartingale.{name}", work)

@@ -194,6 +194,22 @@ def test_load_population_reports_path_and_line_number(tmp_path):
         load_population(str(path))
 
 
+def test_load_population_refuses_by_count_before_parsing(tmp_path):
+    path = tmp_path / "pop.txt"
+    path.write_text("# three values\n1\n\nbogus # inline\n-1\n", encoding="utf-8")
+    counts = []
+
+    def refuse(n):
+        counts.append(n)
+        raise PreconditionError("too many")
+
+    with pytest.raises(PreconditionError, match="^too many$"):
+        load_population(str(path), refuse=refuse)
+    with pytest.raises(InvalidInputError, match=f"^{path}, line 4: "):
+        load_population(str(path), refuse=counts.append)
+    assert counts == [3, 3]
+
+
 def test_load_population_refuses_unreadable_files(tmp_path):
     with pytest.raises(InvalidInputError, match="cannot read population file"):
         load_population(str(tmp_path / "missing.txt"))

@@ -170,3 +170,49 @@ def test_a_missing_stdout_exits_2(monkeypatch, tmp_path, files):
         assert main(["--help"]) == 0
     assert json.loads(out.read_text())["holds"] is True
     assert err.getvalue().startswith("usage: permartingale")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_each_input_file_may_be_a_pipe(tmp_path, files):
+    # every file is read once, so a population, weights or multipliers
+    # file given as /dev/stdin runs as the regular file does
+    four, _ = files
+    weights = pop_file(tmp_path, [1, 2, 3, 4], name="w4.txt")
+
+    def sweep_spec(name, population_file):
+        path = tmp_path / name
+        path.write_text(json.dumps(
+            [{"id": "max_averages", "population": [1, -1, 2, -2]},
+             {"id": "garsia_unweighted", "mode": "mc", "population_file": population_file,
+              "samples": 50, "seed": 5}]
+        ), encoding="utf-8")
+        return str(path)
+
+    spec, piped_spec = sweep_spec("file.json", four), sweep_spec("pipe.json", "/dev/stdin")
+    # each call, and the file whose text goes through the pipe
+    calls = [
+        (["verify-martingale", "--kind", "m2", "--population", four], four),
+        (["verify-martingale", "--kind", "weighted", "--population", four,
+          "--multipliers", weights, "--format", "text"], weights),
+        (["check-inequality", "--id", "quadratic", "--mode", "exact",
+          "--population", four], four),
+        (["check-inequality", "--id", "hardy", "--mode", "mc", "--samples", "50",
+          "--seed", "3", "--population", four, "--format", "csv"], four),
+        (["check-inequality", "--id", "vna_weighted", "--mode", "exact",
+          "--population", four, "--weights", weights], weights),
+        (["moments", "--population", four], four),
+        (["dump-matrices", "--basis", "quadratic", "--population", four], four),
+        (["dump-matrices", "--basis", "weighted", "--n", "4",
+          "--multipliers", weights], weights),
+        (["sweep", spec], four),
+    ]
+    for argv, piped in calls:
+        expected = _in_process(argv)
+        assert expected[0] in (0, 1) and expected[1], argv
+        with open(piped, "rb") as fh:
+            text = fh.read()
+        pipe_argv = [{piped: "/dev/stdin", spec: piped_spec}.get(a, a) for a in argv]
+        result = subprocess.run(
+            [sys.executable, "-m", "permartingale", *pipe_argv], input=text, capture_output=True
+        )
+        assert (result.returncode, result.stdout, result.stderr) == expected, argv
