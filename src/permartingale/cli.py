@@ -8,6 +8,12 @@ moments             formula-versus-oracle moment table
 dump-matrices       transition matrices and inverse products
 sweep               batch of inequality checks from a JSON spec file
 
+A sweep row is a ``check-inequality`` call written in JSON: both run
+through ``_run_inequality``, which refuses the run by its size, loads the
+population and weights, and verifies.  A row adds only its own checks (an
+object, known keys, an ``id``, one population and one weights source, lists
+where lists are due), its ``cutoff``, and a Monte Carlo seed it may derive.
+
 Exit codes: 0 when every requested check passed; 1 when at least one
 check failed, was inconclusive, or a sweep row errored; 2 on usage,
 input, file or limit errors, and on output that cannot be written.
@@ -350,25 +356,29 @@ def _report_text_lines(rd: dict) -> list[str]:
     return [f"{f}: {rd[f]}" for f in fields if rd[f] is not None]
 
 
+def _run_inequality(id, mode, population, weights, bridge_m, samples, seed, cutoff):
+    """One inequality run, for ``check-inequality`` and each sweep row:
+    ``population(refuse)`` gives the population, refused by its size before
+    it is built (None for a bridge_m run), and ``weights(n)`` the weights,
+    n being the population's size where the id needs given weights."""
+    refuse = partial(ensure_runnable, id, mode=mode, samples=samples, seed=seed, cutoff=cutoff)
+    pop = population(refuse)
+    n = pop.n if pop is not None and needs_weights(id) else None
+    return verify(id, population=pop, weights=weights(n), bridge_m=bridge_m, mode=mode,
+                  samples=samples, seed=seed, cutoff=cutoff)
+
+
 def _cmd_check_inequality(args) -> int:
     _bind("population", "inequalities", "weights")
     mode = VerifyMode(args.mode)
     lenient = mode is VerifyMode.MONTE_CARLO
     seed = _default_seed(args.seed) if lenient else args.seed
-    refuse = partial(ensure_runnable, args.id, mode=mode, samples=args.samples, seed=seed,
-                     cutoff=args.cutoff)
-    pop = _optional(lambda path: load_population(path, lenient, refuse), args.population)
-    n = pop.n if pop is not None and needs_weights(args.id) else None
-    weights = _read_scalars(args.weights, lenient, n)
-    report = verify(
-        args.id,
-        population=pop,
-        weights=weights,
-        bridge_m=args.bridge_m,
-        mode=mode,
-        samples=args.samples,
-        seed=seed,
-        cutoff=args.cutoff,
+    report = _run_inequality(
+        args.id, mode,
+        lambda refuse: _optional(lambda path: load_population(path, lenient, refuse),
+                                 args.population),
+        partial(_read_scalars, args.weights, lenient),
+        args.bridge_m, args.samples, seed, args.cutoff,
     )
     rd = report.to_dict()
     _emit(
@@ -513,6 +523,19 @@ def _sweep_population(row: dict, index: int, master_seed: int, mode, refuse):
     return None  # bridge_m rows build their population inside verify
 
 
+def _sweep_weights(row: dict, index: int, mode, n: int | None):
+    """The row's weights, inline or from a file, counted against n if given."""
+    if "weights" in row and "weights_file" in row:
+        raise InvalidInputError(f"row {index}: both 'weights' and 'weights_file'")
+    if "weights" in row:
+        if not isinstance(row["weights"], list):
+            raise InvalidInputError(f"row {index}: 'weights' must be a list")
+        if n is not None:  # counted before any value is parsed, as a file is
+            ensure_weight_count(len(row["weights"]), n)
+        return _row_scalars(row["weights"], mode)
+    return _read_scalars(row.get("weights_file"), mode is VerifyMode.MONTE_CARLO, n)
+
+
 def _row_scalars(values: list, mode) -> list:
     """An inline list, whose strings a Monte Carlo row reads as a file row."""
     mc = mode is VerifyMode.MONTE_CARLO
@@ -544,28 +567,10 @@ def _run_sweep_row(
     seed = row.get("seed")
     if mode is VerifyMode.MONTE_CARLO and seed is None:
         seed = _sweep_row_seed(master_seed, index)
-    refuse = partial(ensure_runnable, row["id"], mode=mode, samples=row.get("samples"),
-                     seed=seed, cutoff=cutoff)
-    pop = _sweep_population(row, index, master_seed, mode, refuse)
-    weights = None
-    if "weights" in row and "weights_file" in row:
-        raise InvalidInputError(f"row {index}: both 'weights' and 'weights_file'")
-    if "weights" in row:
-        if not isinstance(row["weights"], list):
-            raise InvalidInputError(f"row {index}: 'weights' must be a list")
-        weights = _row_scalars(row["weights"], mode)
-    elif "weights_file" in row:
-        n = pop.n if pop is not None and needs_weights(row["id"]) else None
-        weights = _read_scalars(row["weights_file"], mode is VerifyMode.MONTE_CARLO, n)
-    return verify(
-        row["id"],
-        population=pop,
-        weights=weights,
-        bridge_m=row.get("bridge_m"),
-        mode=mode,
-        samples=row.get("samples"),
-        seed=seed,
-        cutoff=cutoff,
+    return _run_inequality(
+        row["id"], mode, partial(_sweep_population, row, index, master_seed, mode),
+        partial(_sweep_weights, row, index, mode), row.get("bridge_m"), row.get("samples"),
+        seed, cutoff,
     )
 
 
@@ -582,6 +587,8 @@ def _cmd_sweep(args) -> int:
         raise InvalidInputError(
             "spec file holds a number past the interpreter's limit on integer digits"
         ) from None
+    except RecursionError:
+        raise InvalidInputError("spec file nests its JSON too deeply to parse") from None
     rows = data["rows"] if isinstance(data, dict) and set(data) == {"rows"} else data
     if not isinstance(rows, list):
         raise InvalidInputError(

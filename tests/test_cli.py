@@ -863,6 +863,14 @@ def test_wrong_length_weight_files_are_refused_before_parsing(tmp_path):
         rc, out, _ = run_cli(["sweep", str(spec)])
         errors = [row["error"] for row in json.loads(out)["rows"]]
         assert rc == 1 and all(e.startswith(expected) for e in errors) and len(errors) == 2
+    # a sweep row's inline weights list is counted the same way, in either mode
+    inline = {"population": [1, -1, 2, -2], "weights": [1, 2, "x", 3, 4, 5]}
+    spec.write_text(json.dumps(
+        [{"id": "vna_weighted", "mode": "exact", **inline},
+         {"id": "garsia_weighted", "mode": "mc", "samples": 10, "seed": 1, **inline}]
+    ), encoding="utf-8")
+    rc, out, _ = run_cli(["sweep", str(spec)])
+    assert rc == 1 and [row["error"] for row in json.loads(out)["rows"]] == [message] * 2
     # a file of n values runs, and ids that take no weights refuse as before
     ws = pop_file(tmp_path, [1, -1, 1, 1], name="w.txt")
     rc, out, _ = run_cli(["check-inequality", "--id", "vna_weighted", "--mode", "exact",
@@ -1096,6 +1104,85 @@ def test_sweep_csv_format(tmp_path):
     lines = out.strip().splitlines()
     assert lines[0] == "id,n,mode,lhs,rhs,holds,seed,samples"
     assert lines[1].startswith("max_averages,4,exact,65/24,10,true")
+
+
+def test_a_sweep_spec_nested_too_deeply_is_refused(tmp_path):
+    # json.loads recurses once a level; a spec it cannot parse for depth
+    # is an input error (exit 2), not a traceback that exits 1
+    spec = tmp_path / "deep.json"
+    spec.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    rc, out, err = run_cli(["sweep", str(spec)])
+    assert (rc, out) == (2, "") and err.startswith("error: spec file ")
+    assert "Traceback" not in err and "Recursion" not in err
+
+
+_PARITY_VALUES = {4: [1, -1, 2, -2], 5: [3, -1, "1/2", -2, "-1/2"], 6: [1, -1, 2, -2, 3, -3]}
+_PARITY_WEIGHTS = {4: [1, -1, 2, "1/2"], 5: [1, -1, 2, 1, -3], 6: [1, 1, -1, 2, -2, 1]}
+_PARITY_FLAGS = {"id": "--id", "mode": "--mode", "population_file": "--population",
+                 "weights_file": "--weights", "bridge_m": "--bridge-m",
+                 "samples": "--samples", "seed": "--seed"}
+_PARITY_RUNS = [(iid.value, mode, n) for iid in InequalityId for mode in ("exact", "mc")
+                for n in (4, 5, 6)]
+_PARITY_REFUSALS = {
+    "missing file": {"id": "quadratic", "population_file": "missing.txt"},
+    "unparsable line": {"id": "quadratic", "population_file": [1, "x", -1]},
+    "exact decimal": {"id": "quadratic", "population_file": ["0.5", "-0.5"]},
+    "eleven values": {"id": "quadratic", "population_file": [1, -1] * 5 + [0]},
+    "weights length": {"id": "vna_weighted", "population_file": [1, -1, 2, -2],
+                       "weights_file": [1, 2, 3]},
+    "uncentered": {"id": "quadratic", "population_file": [1, 2, 3]},
+    "huge samples": {"id": "quadratic", "mode": "mc", "population_file": [1, -1],
+                     "samples": 10**21, "seed": 1},
+    "negative seed": {"id": "quadratic", "mode": "mc", "population_file": [1, -1],
+                      "samples": 10, "seed": -1},
+    "unwanted weights": {"id": "max_averages", "population_file": [1, -1, 2, -2],
+                         "weights_file": [1, 1, 1, 1]},
+}
+
+
+def _parity_run(iid, mode, n):
+    run = {"id": iid, "mode": mode}
+    if iid == "bridge":
+        run["bridge_m"] = n // 2
+    else:
+        run["population_file"] = _PARITY_VALUES[n]
+        if iid in ("vna_weighted", "garsia_weighted"):
+            run["weights_file"] = _PARITY_WEIGHTS[n]
+    if mode == "mc":
+        run.update(samples=200, seed=5)
+    return run
+
+
+@pytest.mark.parametrize(
+    "run",
+    [_parity_run(*case) for case in _PARITY_RUNS] + list(_PARITY_REFUSALS.values()),
+    ids=[f"{i}-{m}-n{n}" for i, m, n in _PARITY_RUNS] + list(_PARITY_REFUSALS),
+)
+def test_a_sweep_row_is_a_check_inequality_call(tmp_path, monkeypatch, run):
+    # the same run as check-inequality flags and as a one-row sweep: the
+    # row's report is the payload without "command", and its error is the
+    # error line without "error: "; a Monte Carlo row without a seed and
+    # a row with two population sources differ by design and are left out
+    monkeypatch.delenv("PERMARTINGALE_SEED", raising=False)
+    run = {"mode": "exact", **run}
+    for key in ("population_file", "weights_file"):
+        if isinstance(run.get(key), list):
+            run[key] = pop_file(tmp_path, run[key], f"{key}.txt")
+        elif key in run:
+            run[key] = str(tmp_path / run[key])
+    flags = [a for key, value in run.items() for a in (_PARITY_FLAGS[key], str(value))]
+    rc, out, err = run_cli(["check-inequality", *flags])
+    spec = tmp_path / "row.json"
+    spec.write_text(json.dumps([run]), encoding="utf-8")
+    sweep_rc, sweep_out, _ = run_cli(["sweep", str(spec)])
+    [entry] = json.loads(sweep_out)["rows"]
+    if rc == 2:
+        assert out == "" and err.startswith("error: ") and err.endswith("\n")
+        assert (sweep_rc, entry) == (1, {"row": 0, "error": err[len("error: "):-1]})
+    else:
+        payload = json.loads(out)
+        assert payload.pop("command") == "check-inequality" and err == ""
+        assert (sweep_rc, entry) == (rc, {"row": 0, "report": payload})
 
 
 def test_module_entry_point_runs_as_subprocess(four_file):
