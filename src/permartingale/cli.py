@@ -484,13 +484,11 @@ def _sweep_population(row: dict, index: int, master_seed: int, mode, refuse):
         k for k in ("population", "population_file", "random", "bridge_m") if k in row
     ]
     if len(sources) > 1:
-        raise InvalidInputError(
-            f"row {index}: more than one population source: {sources}"
-        )
+        raise InvalidInputError(f"more than one population source: {sources}")
     if "population" in row:
         values = row["population"]
         if not isinstance(values, list):
-            raise InvalidInputError(f"row {index}: 'population' must be a list")
+            raise InvalidInputError("'population' must be a list")
         refuse(len(values))
         return make_population(_row_scalars(values, mode))
     if "population_file" in row:
@@ -498,19 +496,17 @@ def _sweep_population(row: dict, index: int, master_seed: int, mode, refuse):
     if "random" in row:
         spec = row["random"]
         if not isinstance(spec, dict):
-            raise InvalidInputError(f"row {index}: 'random' must be an object")
+            raise InvalidInputError("'random' must be an object")
         unknown = set(spec) - _SWEEP_RANDOM_KEYS
         if unknown:
-            raise InvalidInputError(
-                f"row {index}: unknown random keys {sorted(unknown)}"
-            )
+            raise InvalidInputError(f"unknown random keys {sorted(unknown)}")
         if "n" not in spec:
-            raise InvalidInputError(f"row {index}: 'random' needs 'n'")
+            raise InvalidInputError("'random' needs 'n'")
         seed = spec.get("seed")
         if not isinstance(seed, (int, str, type(None))) and not (
             isinstance(seed, float) and math.isfinite(seed)
         ):
-            raise InvalidInputError(f"row {index}: 'seed' must be a finite number or string")
+            raise InvalidInputError("'seed' must be a finite number or string")
         if isinstance(spec["n"], int):
             refuse(spec["n"])
         import random
@@ -523,17 +519,21 @@ def _sweep_population(row: dict, index: int, master_seed: int, mode, refuse):
     return None  # bridge_m rows build their population inside verify
 
 
-def _sweep_weights(row: dict, index: int, mode, n: int | None):
-    """The row's weights, inline or from a file, counted against n if given."""
+def _sweep_weights(row: dict, mode, n: int | None):
+    """The row's weights, inline or from a file, counted against n if given;
+    None when the row has neither key."""
     if "weights" in row and "weights_file" in row:
-        raise InvalidInputError(f"row {index}: both 'weights' and 'weights_file'")
+        raise InvalidInputError("both 'weights' and 'weights_file'")
     if "weights" in row:
         if not isinstance(row["weights"], list):
-            raise InvalidInputError(f"row {index}: 'weights' must be a list")
+            raise InvalidInputError("'weights' must be a list")
         if n is not None:  # counted before any value is parsed, as a file is
             ensure_weight_count(len(row["weights"]), n)
         return _row_scalars(row["weights"], mode)
-    return _read_scalars(row.get("weights_file"), mode is VerifyMode.MONTE_CARLO, n)
+    if "weights_file" in row:  # a null path is refused, not read as no file
+        refuse = None if n is None else partial(ensure_weight_count, n=n)
+        return read_values(row["weights_file"], "scalar", mode is VerifyMode.MONTE_CARLO, refuse)
+    return None
 
 
 def _row_scalars(values: list, mode) -> list:
@@ -556,12 +556,12 @@ def _run_sweep_row(
     row, index: int, master_seed: int, cutoff: int | None
 ) -> InequalityReport:
     if not isinstance(row, dict):
-        raise InvalidInputError(f"row {index}: must be a JSON object")
+        raise InvalidInputError("must be a JSON object")
     unknown = set(row) - _SWEEP_ROW_KEYS
     if unknown:
-        raise InvalidInputError(f"row {index}: unknown keys {sorted(unknown)}")
+        raise InvalidInputError(f"unknown keys {sorted(unknown)}")
     if "id" not in row:
-        raise InvalidInputError(f"row {index}: missing 'id'")
+        raise InvalidInputError("missing 'id'")
     mode = coerce_enum(VerifyMode, row.get("mode", "exact"), "verification mode")
     cutoff = row.get("cutoff", cutoff)
     seed = row.get("seed")
@@ -569,7 +569,7 @@ def _run_sweep_row(
         seed = _sweep_row_seed(master_seed, index)
     return _run_inequality(
         row["id"], mode, partial(_sweep_population, row, index, master_seed, mode),
-        partial(_sweep_weights, row, index, mode), row.get("bridge_m"), row.get("samples"),
+        partial(_sweep_weights, row, mode), row.get("bridge_m"), row.get("samples"),
         seed, cutoff,
     )
 

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from math import factorial, isfinite, sqrt
 from operator import itemgetter
@@ -329,11 +330,12 @@ class InequalityReport(NamedTuple):
 # id's k-range has the least key, 0, which passes every threshold and adds
 # 0 to a chain sum.  The chains from the root through the last layer are
 # the n! orderings.  A subset-lattice state is the drawn set D, bit i for
-# item i.  The weighted ids, ``alternating`` among them, whose W_k depends
-# on the order of the draws, run the split walk ``_exact_weighted``:
-# (xs, d, count, ws) -> the LHS over all count = n! orderings.  It and the
-# float statistics restate each id's statistic on purpose: they are
-# independent routes that the tests check against ``lhs_statistic``.
+# item i.  An id with weights (``alternating``'s fixed signs or given
+# ones), whose W_k depends on the order of the draws, runs the split walk
+# ``_exact_weighted``: (xs, d, count, ws) -> the LHS over all count = n!
+# orderings.  It and the float statistics restate each id's statistic on
+# purpose: they are independent routes that the tests check against
+# ``lhs_statistic``.
 
 
 def _state_layers(n: int):
@@ -484,8 +486,11 @@ def _exact_weighted(xs, d, count, ws) -> Fraction:
 
 # Float statistics: (n, ws) -> the per-k terms of an (n, orderings) chunk,
 # a row per k in the id's k-range and a column per ordering, for
-# ``_mc_lhs`` to reduce over k by the id's ``reduce``.  Each works in place
-# on its argument, so a run holds one chunk at a time.  ``_prefix_sums``
+# ``_mc_lhs`` to reduce over k by the id's ``reduce``.  ``_float_squares``
+# serves the six ids whose term is a running sum squared (over k for
+# ``max_averages`` and ``hardy``, weighted for the three weighted ids);
+# ``quadratic`` and ``bridge`` have their own.  Each works in place on its
+# argument, so a run holds one chunk at a time.  ``_prefix_sums``
 # adds row k-1 into row k across every ordering at once; these are the
 # adds of a row-wise ``np.cumsum``, in the same order, and every other
 # operation is elementwise, so the values keep every bit.  numpy is
@@ -504,23 +509,20 @@ def _prefix_sums(Y):
             np.add(Y[k - 1], Y[k], out=Y[k])
 
 
-def _float_averages(n, ws):
+def _float_squares(n, ws, over_k=False):
+    """W_k^2: the running sum, of the draws scaled by the weights when there
+    are any, divided by k when ``over_k``, then squared."""
     import numpy as np
 
-    ks = np.arange(1, n + 1, dtype=np.float64)[:, None]
+    a = None if ws is None else np.array(float_values(ws, "a weight"))[:, None]
+    ks = np.arange(1, n + 1, dtype=np.float64)[:, None] if over_k else None
 
-    def averages(Y):
-        _prefix_sums(Y)
-        Y /= ks
-        Y *= Y
-        return Y
-
-    return averages
-
-
-def _float_garsia_unweighted(n, ws):
     def stat(Y):
+        if a is not None:
+            Y *= a
         _prefix_sums(Y)
+        if ks is not None:
+            Y /= ks
         Y *= Y
         return Y
 
@@ -567,20 +569,6 @@ def _float_bridge(n, ws):
     return stat
 
 
-def _float_weighted(n, ws):
-    import numpy as np
-
-    a = np.array(float_values(ws, "a weight"))[:, None]
-
-    def stat(Y):
-        Y *= a
-        _prefix_sums(Y)
-        Y *= Y
-        return Y
-
-    return stat
-
-
 def _all_ks(n: int) -> range:
     return range(1, n + 1)
 
@@ -595,17 +583,16 @@ class _Rule(NamedTuple):
     reduces ``term(n, k, S_k, T_k, W_k)`` over k in ``ks(n)``, for the
     reference statistic of one ordering and for each column of float
     terms in ``_mc_lhs``; the LHS is their mean or max (``over_orderings``)
-    over all orderings.  ``exact`` is the split walk of the weighted ids;
-    without it the chain-count engine runs, keyed by ``term``.
-    ``floats(n, ws)`` maps an (n, orderings) numpy array, an ordering a
-    column, to their per-k terms, a row per k.  ``folding`` is the
-    constant on the id's folding path, if it has one.
+    over all orderings.  Exact mode runs the split walk when ``_resolve``
+    returns weights, and otherwise the chain-count engine, keyed by
+    ``term``.  ``floats(n, ws)`` maps an (n, orderings) numpy array, an
+    ordering a column, to their per-k terms, a row per k.  ``folding`` is
+    the constant on the id's folding path, if it has one.
     """
 
     rhs: Callable[[Population, tuple[Fraction, ...] | None], Fraction]
     term: Callable[..., Fraction]
     floats: Callable[..., Callable]
-    exact: Callable[..., Fraction] | None = None
     weights: str = "none"
     bridge: bool = False
     ks: Callable[[int], range] = _all_ks
@@ -626,12 +613,12 @@ _RULES: dict[InequalityId, _Rule] = {
     InequalityId.MAX_AVERAGES: _Rule(
         rhs=lambda pop, ws: Fraction(4, pop.n) * pop.square_sum,
         term=_average_squared,
-        floats=_float_averages,
+        floats=partial(_float_squares, over_k=True),
     ),
     InequalityId.GARSIA_UNWEIGHTED: _Rule(
         rhs=lambda pop, ws: Fraction(41, 5) * pop.square_sum,
         term=lambda n, k, s, t, w: s * s,
-        floats=_float_garsia_unweighted,
+        floats=_float_squares,
         folding=_split_folding(lambda n, m: 4 * (Fraction(m, n - m) + Fraction(n - m, m))),
     ),
     InequalityId.QUADRATIC: _Rule(
@@ -653,24 +640,21 @@ _RULES: dict[InequalityId, _Rule] = {
         weights="alternating",
         rhs=lambda pop, ws: Fraction(305, 17) * pop.square_sum,
         term=_w_squared,
-        exact=_exact_weighted,
-        floats=_float_weighted,
+        floats=_float_squares,
         folding=_alternating_folding,
     ),
     InequalityId.VNA_WEIGHTED: _Rule(
         weights="given",
         rhs=_vna_weighted_rhs,
         term=_w_squared,
-        exact=_exact_weighted,
-        floats=_float_weighted,
+        floats=_float_squares,
     ),
     InequalityId.GARSIA_WEIGHTED: _Rule(
         weights="given",
         rhs=lambda pop, ws: Fraction(16404, 205)
         * _weight_squares(ws)[0] * pop.square_sum / (pop.n - 1),
         term=_w_squared,
-        exact=_exact_weighted,
-        floats=_float_weighted,
+        floats=_float_squares,
         folding=_split_folding(lambda n, m: 16 * (
             2 + Fraction(m, n - m) + Fraction(n - m, m) + Fraction(m * m, n * (n - m))
             + Fraction((n - m) ** 2, n * m))),
@@ -680,7 +664,7 @@ _RULES: dict[InequalityId, _Rule] = {
         term=_average_squared,
         reduce=sum,
         over_orderings="max",
-        floats=_float_averages,
+        floats=partial(_float_squares, over_k=True),
     ),
 }
 
@@ -840,7 +824,7 @@ def verify(
             raise InvalidInputError("samples and seed only apply to Monte Carlo mode")
         xs, d = pop.scaled
         count = factorial(n)
-        lhs = rule.exact(xs, d, count, ws) if rule.exact else _on_lattice(rule, xs, d, count)
+        lhs = _on_lattice(rule, xs, d, count) if ws is None else _exact_weighted(xs, d, count, ws)
         stderr = None
         status = "holds" if lhs <= rhs else "fails"
     else:

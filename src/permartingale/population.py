@@ -330,7 +330,7 @@ def read_text_file(path: str, what: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a bad encoding, or a NUL in the path
         raise InvalidInputError(f"cannot read {what} file {path}: {exc}") from None
 
 

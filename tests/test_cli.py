@@ -1012,7 +1012,7 @@ def test_sweep_rejects_malformed_files(tmp_path):
     "row, message",
     [
         ({"id": "max_averages", "population": [1, -1], "random": {"n": 4}},
-         "more than one population source"),
+         "more than one population source: ['population', 'random']"),
         ({"id": "max_averages", "population": 5}, "'population' must be a list"),
         ({"id": "vna_weighted", "population": [1, -1], "weights": 3},
          "'weights' must be a list"),
@@ -1039,12 +1039,12 @@ def test_sweep_refuses_a_malformed_row_and_runs_the_others(
         assert (payload["passed"], payload["errors"]) == (2, 1)
         assert payload["rows"][1]["row"] == 1
         error = payload["rows"][1]["error"]
-        assert error.startswith("row 1: ") and message in error
+        assert error == message  # the entry's "row" field carries the index
         assert err == ""
     else:
         assert len(out.splitlines()) == 3  # the header and the two good rows
         [line] = err.splitlines()
-        assert line.startswith("row 1: error: row 1: ") and message in line
+        assert line == f"row 1: error: {message}"
 
 
 def test_sweep_random_rows_pass_only_the_bounds_they_give(tmp_path):
@@ -1059,6 +1059,26 @@ def test_sweep_random_rows_pass_only_the_bounds_they_give(tmp_path):
             random_centered_population(5, random.Random("7:1"), max_numerator=2)]
     assert [e["report"] for e in json.loads(out)["rows"]] == [
         verify("quadratic", population=p).to_dict() for p in pops
+    ]
+
+
+def test_sweep_refuses_null_file_fields(tmp_path):
+    # a row that has the key reads it: null is refused as a path, not
+    # taken as no file, for weights as for a population
+    four = [1, -1, 2, -2]
+    rows = [{"id": "max_averages", "population_file": None},
+            {"id": "alternating", "population": four, "weights_file": None},
+            {"id": "vna_weighted", "population": four, "weights_file": None},
+            {"id": "max_averages", "population": four, "weights_file": None}]
+    spec = tmp_path / "rows.json"
+    spec.write_text(json.dumps(rows), encoding="utf-8")
+    rc, out, err = run_cli(["sweep", str(spec)])
+    assert rc == 1 and err == ""
+    payload = json.loads(out)
+    assert payload["errors"] == 4
+    assert [r["error"] for r in payload["rows"]] == [
+        "population file must be a path, got None",
+        *["scalar file must be a path, got None"] * 3,
     ]
 
 

@@ -9,7 +9,9 @@ so every example ends quickly.  Huge sizes are drawn everywhere: each
 is refused with exit 2 before any work, ``--samples``, a Monte Carlo
 ``--bridge-m``, a sweep row's samples and a Monte Carlo row's random n
 by their count of floats, and ``dump-matrices --n`` by its count of
-matrices.
+matrices.  A second property runs one-row sweep specs, their keys given
+hostile JSON values, in every format: the call exits 0 or 1, and the
+row is a report or one error that names its row once.
 """
 
 import contextlib
@@ -23,7 +25,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from permartingale import Basis, InequalityId, MartingaleKind
-from permartingale.cli import main
+from permartingale.cli import _SWEEP_RANDOM_KEYS, _SWEEP_ROW_KEYS, main
 
 DIR = "<tmp>"  # stands for each example's own temporary directory
 BIG = "9" * 5000  # past the interpreter's 4,300-digit conversion limit
@@ -297,3 +299,80 @@ def test_every_invocation_keeps_the_exit_code_contract(case):
             if flag == "--format":
                 fmt = value
         assert failed_check(argv[0], fmt, text, err), (argv, text, err)
+
+
+# hostile JSON values for any key of a sweep row or of its random object
+JSON_HOSTILE = st.one_of(
+    st.sampled_from((None, True, False, 0.0, -0.0, 2.5, 1e308, float("inf"),
+                     float("nan"), 10**30, -(10**30), 2**64, "", " ", "é", "½",
+                     "nan", "1/0", "0x10", "--", "\x00", HUGE, BIG)),
+    st.recursive(st.integers(-3, 3) | st.none() | st.text(max_size=2),
+                 lambda inner: st.lists(inner, max_size=3), max_leaves=6),
+    st.dictionaries(st.sampled_from(sorted(_SWEEP_RANDOM_KEYS)), st.integers(-2, 6),
+                    max_size=2),
+)
+# values a row can run on, so that some rows reach verify
+ROW_VALID = {
+    "id": choice([i.value for i in InequalityId]),
+    "mode": choice(("exact", "mc")),
+    "population": CENTERED,
+    "random": st.fixed_dictionaries({"n": st.integers(1, 6)}),
+    "bridge_m": st.integers(1, 3),
+    "weights": st.lists(st.integers(-3, 3), min_size=2, max_size=8),
+    "samples": st.integers(1, 50),
+    "seed": st.integers(0, 10**30),
+    "cutoff": st.integers(2, 8),
+}
+
+
+@st.composite
+def hostile_row(draw):
+    """A one-row spec: an id, half the time a centered population, and up to
+    three keys of a sweep row, each a value it can run on or a hostile one;
+    a random object's keys are drawn the same way."""
+    row = {"id": draw(ROW_VALID["id"])}
+    if draw(st.booleans()):
+        row["population"] = draw(CENTERED)
+    for key in draw(st.lists(st.sampled_from(sorted(_SWEEP_ROW_KEYS)), max_size=3,
+                             unique=True)):
+        valid = ROW_VALID.get(key)
+        row[key] = draw(valid if valid is not None and draw(st.booleans())
+                        else JSON_HOSTILE)
+    if isinstance(row.get("random"), dict) and draw(st.booleans()):
+        row["random"] = {k: draw(st.integers(1, 6) | JSON_HOSTILE)
+                         for k in draw(st.lists(st.sampled_from(sorted(_SWEEP_RANDOM_KEYS)),
+                                                max_size=4, unique=True))}
+    if not draw(LIKELY):
+        del row["id"]
+    return [row]
+
+
+# a NUL in a path, which open() refuses with a ValueError, not an OSError
+@example([{"id": "max_averages", "population_file": "\x00"}])
+@example([{"id": "vna_weighted", "population": [1, -1], "weights_file": "\x00"}])
+@settings(max_examples=350, derandomize=True, database=None, deadline=5_000,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(hostile_row())
+def test_every_sweep_row_is_a_report_or_one_error(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = os.path.join(tmp, "spec.json")
+        with open(spec, "w", encoding="utf-8") as fh:
+            json.dump(rows, fh)
+        for fmt in ("json", "csv", "text"):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = main(["sweep", spec, "--format", fmt])
+            text, err = stdout.getvalue(), stderr.getvalue()
+            assert rc in (0, 1), (rows, fmt, rc, err)
+            assert "Traceback" not in err, (rows, fmt)
+            for line in (text + err).splitlines():
+                assert line.count("row 0:") <= 1, (rows, fmt, line)
+            if fmt == "json":
+                [entry] = json.loads(text)["rows"]
+                assert set(entry) in ({"row", "report"}, {"row", "error"}), entry
+                assert "row 0:" not in entry.get("error", ""), entry
+            elif fmt == "csv":
+                # a report is a csv row; an error is one stderr line
+                assert len(text.splitlines()) + len(err.splitlines()) == 2, (rows, text, err)
+            else:
+                assert len(text.splitlines()) == 2, (rows, text)

@@ -45,7 +45,7 @@ RECORDS = [
      dict(id=InequalityId.QUADRATIC, mode=VerifyMode.EXACT, n=4, lhs=F(5, 2),
           rhs=F(10), status="holds"),
      dict(stderr=None, samples=None, seed=None, weights=None)),
-    (_Rule, dict(rhs=abs, term=max, exact=min, floats=sum),
+    (_Rule, dict(rhs=abs, term=max, floats=sum),
      dict(weights="none", bridge=False, ks=_all_ks, reduce=max,
           over_orderings="mean", folding=None)),
     (WeightedMomentParts,
