@@ -309,12 +309,15 @@ def _rationals(values) -> list[str] | None:
 def _read_scalars(path: str | None, lenient: bool = False,
                   n: int | None = None) -> tuple[Fraction, ...] | None:
     """One scalar per line; '#' comments and blank lines ignored.  None
-    when no file is given.  A file that does not hold the ``n`` values a
-    run needs, if given, is refused before any value is parsed."""
+    when no file is given, and () unread when no run reads it (``n``
+    None), so that the run's own refusal names the fault.  A file that
+    does not hold the ``n`` values a run needs is refused before any value
+    is parsed."""
     if path is None:
         return None
-    refuse = None if n is None else partial(ensure_weight_count, n=n)
-    return read_values(path, "scalar", lenient, refuse)
+    if n is None:
+        return ()
+    return read_values(path, "scalar", lenient, partial(ensure_weight_count, n=n))
 
 
 def _cmd_verify_martingale(args) -> int:
@@ -639,7 +642,7 @@ def _cmd_sweep(args) -> int:
     )
     table = [_report_csv_row(e["report"]) for e in entries if "report" in e]
     _emit(args, payload, lines, (_CSV_REPORT_FIELDS, table))
-    if args.format == "csv":
+    if args.format == "csv" and sys.stderr is not None:
         for e in entries:
             if "error" in e:
                 print(f"row {e['row']}: error: {e['error']}", file=sys.stderr)

@@ -62,12 +62,9 @@ from .errors import (
     coerce_enum,
 )
 from .population import (
-    _S,
-    _T,
     Population,
-    _integer_layers,
+    _drawn_set_table,
     bridge_parameter,
-    drawn_set_values,
     ensure_enumerable,
     make_bridge_population,
     validate_permutation,
@@ -324,14 +321,15 @@ class InequalityReport(NamedTuple):
 # Exact engines run on the values xs scaled to integers by their common
 # denominator d (weights by e); a statistic becomes an integer on one
 # denominator per id, divided out once at the end.  The order-free ids run
-# the chain-count engine, keyed by their own ``term``.  A layered state
-# graph has one layer per number of draws; a state has an integer id, its
-# predecessors (one edge per draw) and a key, a square; a state outside the
-# id's k-range has the least key, 0, which passes every threshold and adds
-# 0 to a chain sum.  The chains from the root through the last layer are
-# the n! orderings.  A subset-lattice state is the drawn set D, bit i for
-# item i.  An id with weights (``alternating``'s fixed signs or given
-# ones), whose W_k depends on the order of the draws, runs the split walk
+# the chain-count engine, keyed by their own ``term`` through the drawn-set
+# table that the martingale checker reads too.  A layered state graph has
+# one layer per number of draws; a state has an integer id, its predecessors
+# (one edge per draw) and a key, a square; a state outside the id's k-range
+# has the least key, 0, which passes every threshold and adds 0 to a chain
+# sum.  The chains from the root through the last layer are the n!
+# orderings.  A subset-lattice state is the drawn set D, bit i for item i.
+# An id with weights (``alternating``'s fixed signs or given ones), whose
+# W_k depends on the order of the draws, runs the split walk
 # ``_exact_weighted``: (xs, d, count, ws) -> the LHS over all count = n!
 # orderings.  It and the float statistics restate each id's statistic on
 # purpose: they are independent routes that the tests check against
@@ -410,20 +408,13 @@ def _chain_max(layers, key, count, den) -> Fraction:
 
 
 def _on_lattice(rule, xs, d, count) -> Fraction:
-    # the term runs once per layer k, on formal S_k and T_k; over one common
-    # denominator, a drawn set's key is the integer polynomial at its sums
+    # a drawn set's key is its row of the drawn-set table: the term, run
+    # once per layer k on formal S_k and T_k, at the set's sums over one
+    # common denominator
     n = len(xs)
-    layers = rule.ks(n)
-    den, polys = _integer_layers([rule.term(n, k, _S, _T, None) for k in layers], (0,), d)
-    by_k = {k: poly for k, (poly,) in zip(layers, polys)}
-
-    def key(k, s, t):
-        v = 0
-        for c, i, j in by_k[k]:
-            v += c * s**i * t**j
-        return v
-
-    keys = drawn_set_values(xs, key, layers)
+    den, table = _drawn_set_table(xs, d, lambda k, s, t: rule.term(n, k, s, t, None),
+                                  rule.ks(n))
+    keys = [row and row[0] for row in table]
     engine = _chain_max if rule.over_orderings == "max" else _chain_mean
     return engine(_state_layers(n), keys.__getitem__, count, den)
 

@@ -50,8 +50,8 @@ from .construction import (_quadratic_product, _weighted_product,
                            build_transition_system, matrix_vector,
                            vector_martingale_value)
 from .errors import DomainError, InvalidInputError, PreconditionError, coerce_enum
-from .population import (_A, _S, _T, _W, Population, _Form, _integer_layers, _NotAffine,
-                         drawn_prefix, drawn_set_values, ensure_enumerable, make_population)
+from .population import (_A, _W, Population, _drawn_set_table, _NotAffine, drawn_prefix,
+                         ensure_enumerable, make_population)
 from .rationals import format_rational
 from .weights import validate_weights
 
@@ -242,7 +242,7 @@ def _check_drawn_sets(
     extensions.  Every ordering of a set gives the same (k, S_k, T_k), so
     the 2^n sets cover all n! histories.  ``value_fn`` runs once per layer
     k, on formal S_k and T_k, and gives a polynomial sum c S_k^i T_k^j;
-    ``_integer_layers`` makes each set's value an int over one Q.  A value
+    ``_drawn_set_table`` gives each set's value as ints over one Q.  A value
     may also hold the slots ``_W`` and ``_A`` of the histories that reach
     its set; for each a_{k+1} = alpha/e in ``moves(k, drawn, d)`` (drawn
     values X = d x), an extension by x moves them to W_k + a x and
@@ -256,17 +256,14 @@ def _check_drawn_sets(
     caller's fallback."""
     n, xs = population.n, population.values
     ints, d = population.scaled
-    ks = range(1, k_max + 1)
     try:
-        formal = [value_fn(k, _S, _T) for k in ks]
-    except (_NotAffine, TypeError):
+        _, coef = _drawn_set_table(ints, d, value_fn, range(1, k_max + 1),
+                                   (0,) if moves is None else (0, 1, 2))
+    except _NotAffine:
         if moves is not None:
-            raise _NotAffine from None
+            raise
         return _check_ordered(population, lambda p: value_fn(
             len(p), sum(p, Fraction(0)), sum((x * x for x in p), Fraction(0))), 1, k_max)
-    _, polys = _integer_layers(formal, (0, 1, 2) if moves is not None else (0,), d)
-    coef = drawn_set_values(ints, lambda k, s, t: [
-        sum([c * s**i * t**j for c, i, j in poly]) for poly in polys[k - 1]], ks)
 
     def exact(mask):  # value_fn on the Fraction sums of a drawn set
         drawn = [x for i, x in enumerate(ints) if mask >> i & 1]

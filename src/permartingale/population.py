@@ -218,22 +218,6 @@ def random_centered_population(
             return make_population(vals)
 
 
-def drawn_set_values(values: Sequence, fn: Callable, ks: range) -> list:
-    """The drawn-set table, indexed by mask (bit i = item i): fn(|S|, sum
-    of S, sum of squares of S) for each subset S of ``values`` (Fractions
-    or scaled ints) with |S| in ``ks``, None for the other subsets."""
-    s, t = [0], [0]
-    for x in values:
-        s += [v + x for v in s]
-        square = x * x
-        t += [v + square for v in t]
-    out = []
-    for mask in range(len(s)):
-        k = mask.bit_count()
-        out.append(fn(k, s[mask], t[mask]) if k in ks else None)
-    return out
-
-
 class _NotAffine(Exception):
     """An evaluator did more to a formal value than add, multiply where
     at most one factor holds a slot, and divide by numbers."""
@@ -300,17 +284,41 @@ def _polynomials(v, slots: tuple) -> list:
     return [[(c, i, j) for (u, i, j), c in terms.items() if u == slot] for slot in slots]
 
 
-def _integer_layers(formal: list, slots: tuple, d: int) -> tuple[int, list]:
-    """(Q, layers): for each formal value, its polynomials in ``slots``
-    (``_polynomials``) times one positive Q = lcm(their denominators) d^g,
-    g the largest i + 2j: integer polynomials in d S_k and d^2 T_k, the
-    sums ``drawn_set_values`` gives on a population's ``scaled`` ints."""
+def _drawn_set_table(ints: Sequence[int], d: int, fn: Callable, ks: range,
+                     slots: tuple = (0,)) -> tuple[int, list]:
+    """(Q, table), the drawn-set table of both exact engines.  ``fn(k,
+    _S, _T)`` runs once per layer k in ``ks`` (a ``TypeError`` there
+    raises ``_NotAffine``); its polynomials in ``slots`` (``_polynomials``)
+    times one positive Q = lcm(their denominators) d^g, g the largest
+    i + 2j, are integer polynomials in d S_k and d^2 T_k.  table[mask]
+    (bit i = item i of ``ints``, a population's ``scaled`` ints) lists
+    them at that drawn set's sums, or is None where |D| is not in ``ks``."""
+    try:
+        formal = [fn(k, _S, _T) for k in ks]
+    except TypeError:
+        raise _NotAffine from None
     layers = [_polynomials(v, slots) for v in formal]
     terms = [term for layer in layers for poly in layer for term in poly]
     g = max((i + 2 * j for _, i, j in terms), default=0)
     den = lcm(*(c.denominator for c, _, _ in terms))
-    return den * d**g, [[[(c.numerator * (den // c.denominator) * d ** (g - i - 2 * j), i, j)
-                          for c, i, j in poly] for poly in layer] for layer in layers]
+    by_k = {k: [[(c.numerator * (den // c.denominator) * d ** (g - i - 2 * j), i, j)
+                 for c, i, j in poly] for poly in layer] for k, layer in zip(ks, layers)}
+    s, t = [0], [0]
+    for x in ints:
+        s += [v + x for v in s]
+        square = x * x
+        t += [v + square for v in t]
+    table = [None] * len(s)
+    for mask, (sm, tm) in enumerate(zip(s, t)):
+        polys = by_k.get(mask.bit_count())
+        if polys is not None:
+            table[mask] = row = []
+            for poly in polys:
+                v = 0
+                for c, i, j in poly:
+                    v += c * sm**i * tm**j
+                row.append(v)
+    return den * d**g, table
 
 
 def value_lines(text: str) -> Iterator[tuple[int, str]]:

@@ -871,14 +871,42 @@ def test_wrong_length_weight_files_are_refused_before_parsing(tmp_path):
     ), encoding="utf-8")
     rc, out, _ = run_cli(["sweep", str(spec)])
     assert rc == 1 and [row["error"] for row in json.loads(out)["rows"]] == [message] * 2
-    # a file of n values runs, and ids that take no weights refuse as before
+    # a file of n values runs, and an id that takes no weights refuses
+    # before its file is read
     ws = pop_file(tmp_path, [1, -1, 1, 1], name="w.txt")
     rc, out, _ = run_cli(["check-inequality", "--id", "vna_weighted", "--mode", "exact",
                           "--population", four, "--weights", ws])
     assert rc == 0 and json.loads(out)["params"]["weights"] == ["1", "-1", "1", "1"]
     rc, _, err = run_cli(["check-inequality", "--id", "max_averages", "--mode", "exact",
                           "--population", four, "--weights", wrong])
-    assert rc == 2 and f"{wrong}, line 3: " in err
+    assert rc == 2 and err == "error: the max_averages inequality takes no weights\n"
+
+
+def test_a_value_file_that_no_run_reads_is_not_opened(tmp_path):
+    # a --weights or --multipliers file that the run refuses is never
+    # opened, so a directory given as one gets the run's own refusal, not
+    # a read error; a run that takes the file still reads it
+    four = pop_file(tmp_path, [1, -1, 2, -2], name="four.txt")
+    folder = str(tmp_path)
+    exact = ["--mode", "exact"]
+    for argv, message in (
+        (["check-inequality", "--id", "max_averages", *exact, "--population", four,
+          "--weights", folder], "the max_averages inequality takes no weights"),
+        (["check-inequality", "--id", "bridge", *exact, "--bridge-m", "2",
+          "--weights", folder], "the bridge inequality takes no weights"),
+        (["check-inequality", "--id", "vna_weighted", *exact, "--weights", folder],
+         "a population is required"),
+        (["verify-martingale", "--kind", "m2", "--population", four,
+          "--multipliers", folder], "martingale kind 'm2' takes no multipliers"),
+        (["dump-matrices", "--basis", "quadratic", "--population", four,
+          "--multipliers", folder], "the quadratic basis takes no multipliers"),
+        (["dump-matrices", "--basis", "weighted", "--multipliers", folder],
+         "the weighted basis needs a population or n"),
+        (["check-inequality", "--id", "vna_weighted", *exact, "--population", four,
+          "--weights", folder], f"cannot read scalar file {folder}: "),
+    ):
+        rc, out, err = run_cli(argv)
+        assert rc == 2 and out == "" and err.startswith(f"error: {message}"), argv
 
 
 BIG = "9" * 5000  # past the interpreter's 4,300-digit conversion limit

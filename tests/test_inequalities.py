@@ -130,10 +130,9 @@ def test_lattice_keys_are_the_hand_scaled_keys_on_a_seeded_grid(monkeypatch):
     from permartingale import inequalities
 
     seen = []
-    for name in ("_integer_layers", "drawn_set_values"):
-        real = getattr(inequalities, name)
-        monkeypatch.setattr(inequalities, name,
-                            lambda *a, real=real: seen.append(real(*a)) or seen[-1])
+    real = inequalities._drawn_set_table
+    monkeypatch.setattr(inequalities, "_drawn_set_table",
+                        lambda *a: seen.append(real(*a)) or seen[-1])
     rng = random.Random(29)
     cases = [(iid, pop) for n in range(2, 10) for pop in _key_grid(n, rng)
              for iid in HAND_SCALED_KEYS if iid is not InequalityId.BRIDGE]
@@ -142,7 +141,8 @@ def test_lattice_keys_are_the_hand_scaled_keys_on_a_seeded_grid(monkeypatch):
     for iid, pop in cases:
         seen.clear()
         lhs = verify(iid, population=pop).lhs
-        (den, _), keys = seen
+        (den, table), = seen
+        keys = [row and row[0] for row in table]
         n, (factory, ks) = pop.n, HAND_SCALED_KEYS[iid]
         d = math.lcm(*(x.denominator for x in pop.values))
         xs = [int(x * d) for x in pop.values]
@@ -261,12 +261,13 @@ def graph_alternating(pop):
     positions), the chain-count engine over the odd-position graph, whose
     last layer holds one state per O."""
     from permartingale.inequalities import _chain_mean
-    from permartingale.population import drawn_set_values
     from permartingale.rationals import scaled_integers
 
     xs, d = scaled_integers(pop.values)
     n, low = len(xs), (1 << len(xs)) - 1
-    sums = drawn_set_values(xs, lambda k, s, t: s, range(n + 1))
+    sums = [0]
+    for x in xs:
+        sums += [s + x for s in sums]
     return _chain_mean(odd_position_layers(n),
                        lambda sid: (sums[sid & low] - 2 * sums[sid >> n]) ** 2,
                        math.factorial(n), d * d)

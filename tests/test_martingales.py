@@ -633,7 +633,8 @@ def _table_reference(pop, fn, k_max, slots=None):
     lexicographic order.  With ``slots`` (the multipliers, or "chain")
     values are forms in W_k and A_k, and each a_{k+1} must carry the
     extensions' forms, shifted by a (x c1 + c2), to the set's."""
-    from permartingale.martingales import MartingaleCheck, MartingaleViolation, _Form
+    from permartingale.martingales import MartingaleCheck, MartingaleViolation
+    from permartingale.population import _Form
 
     n, xs = pop.n, pop.values
 
@@ -770,7 +771,7 @@ def test_a_form_raises_to_int_powers_one_factor_at_a_time():
     # slot is affine, so its first power is itself and any higher one is
     # refused, as a product of two slots is; a negative, non-int or
     # modular exponent, and a form as an exponent, are refused on any form.
-    from permartingale.martingales import _A, _S, _T, _W, _Form, _NotAffine
+    from permartingale.population import _A, _S, _T, _W, _Form, _NotAffine
 
     for form in (_S, _T, _S * _T - Fraction(1, 3) * _T + 2, (_S - 1) / 7, 0 * _S):
         product = _Form([((0, 0, 0), 1)])
@@ -896,8 +897,8 @@ def test_each_kind_is_the_papers_closed_form_on_a_seeded_grid():
     # k = n-1 and n = 2 for M2 and M3, n = 3 for MTILDE, which the paper
     # gives for centered populations.  evaluate_prefix must give the same
     # value as the formula on a seeded prefix.
-    from permartingale.martingales import (ORDER_FREE_VALUES, _A, _S, _T, _W, _Form,
-                                           weighted_value)
+    from permartingale.martingales import ORDER_FREE_VALUES, weighted_value
+    from permartingale.population import _A, _S, _T, _W, _Form
 
     def terms(v):
         return v.terms if isinstance(v, _Form) else {(0, 0, 0): v} if v else {}

@@ -172,6 +172,40 @@ def test_a_missing_stdout_exits_2(monkeypatch, tmp_path, files):
     assert err.getvalue().startswith("usage: permartingale")
 
 
+def _errored_sweep(tmp_path):
+    # a csv sweep whose first row is refused (the population is not
+    # centered) and whose second runs
+    spec = tmp_path / "errored.json"
+    spec.write_text(json.dumps(
+        [{"id": "quadratic", "population": [1, 2]},
+         {"id": "max_averages", "population": [1, -1]}]
+    ), encoding="utf-8")
+    return ["sweep", str(spec), "--format", "csv"]
+
+
+def test_a_missing_stderr_drops_the_sweep_row_errors(monkeypatch, tmp_path):
+    # a csv sweep writes its row errors to standard error; with none, they
+    # are dropped, as main's own error line is, and stdout is the CSV alone
+    argv = _errored_sweep(tmp_path)
+    rc, csv_text, err = _in_process(argv)
+    assert rc == 1 and err.startswith(b"row 0: error: ") and b"error" not in csv_text
+    monkeypatch.setattr(sys, "stderr", None)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 1
+    assert out.getvalue().encode() == csv_text
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_sweep_row_errors_that_cannot_be_written_exit_2(tmp_path):
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "permartingale", *_errored_sweep(tmp_path)],
+            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=full,
+        )
+    assert result.returncode == 2
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
 def test_each_input_file_may_be_a_pipe(tmp_path, files):
     # every file is read once, so a population, weights or multipliers
