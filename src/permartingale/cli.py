@@ -533,9 +533,12 @@ def _sweep_weights(row: dict, mode, n: int | None):
         if n is not None:  # counted before any value is parsed, as a file is
             ensure_weight_count(len(row["weights"]), n)
         return _row_scalars(row["weights"], mode)
-    if "weights_file" in row:  # a null path is refused, not read as no file
-        refuse = None if n is None else partial(ensure_weight_count, n=n)
-        return read_values(row["weights_file"], "scalar", mode is VerifyMode.MONTE_CARLO, refuse)
+    if "weights_file" in row:
+        if n is None:  # unread, as in _read_scalars: the run's own refusal names the fault
+            return ()
+        # a null path is refused, not read as no file
+        return read_values(row["weights_file"], "scalar", mode is VerifyMode.MONTE_CARLO,
+                           partial(ensure_weight_count, n=n))
     return None
 
 

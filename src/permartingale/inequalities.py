@@ -29,19 +29,21 @@ expectation, not an estimate, without listing the orderings.  The
 order-free ids (``max_averages``, ``garsia_unweighted``, ``quadratic``,
 ``bridge``, ``hardy``) run a chain-count engine over the lattice of the
 2^n drawn sets, whose chains are the orderings, keyed by each id's
-per-step term, the reference statistic's own.  Chain counts per
-threshold give the mean of the maximum, in passes over fixed-size
-chunks of thresholds that bound the memory; a max-plus recursion gives
-the ``hardy`` maximum.  The weighted ids (``alternating`` with its fixed
-signs, ``vna_weighted``, ``garsia_weighted``) meet in the middle: the
-first n - n//2 draws are walked forward and the last n//2 back from the
-end, each half merged by its state, and the halves on complementary
-drawn sets are joined by sorted sums.  All refuse n above the
-enumeration cutoff (default 10, hard maximum 12).  Monte Carlo mode
-samples uniformly random orderings in floating point with a block-seeded
-generator, so results are reproducible bit-for-bit for a fixed seed and
-sample count.  A Monte Carlo run can never prove an inequality: its
-verdict is "consistent", "inconclusive", or "violation-suspected".
+per-step term, the reference statistic's own.  It walks the sets in
+mask order, where every set one item smaller comes first.  Chain counts
+per threshold give the mean of the maximum, in passes over fixed-size
+chunks of thresholds, so memory is 2^n times a chunk; a max-plus
+recursion over the same lattice gives the ``hardy`` maximum.  The
+weighted ids (``alternating`` with its fixed signs, ``vna_weighted``,
+``garsia_weighted``) meet in the middle: the first n - n//2 draws are
+walked forward and the last n//2 back from the end, each half merged by
+its state, and the halves on complementary drawn sets are joined by
+sorted sums.  All refuse n above the enumeration cutoff (default 10,
+hard maximum 12).  Monte Carlo mode samples uniformly random orderings
+in floating point with a block-seeded generator, so results are
+reproducible bit-for-bit for a fixed seed and sample count.  A Monte
+Carlo run can never prove an inequality: its verdict is "consistent",
+"inconclusive", or "violation-suspected".
 """
 
 from __future__ import annotations
@@ -321,75 +323,57 @@ class InequalityReport(NamedTuple):
 # Exact engines run on the values xs scaled to integers by their common
 # denominator d (weights by e); a statistic becomes an integer on one
 # denominator per id, divided out once at the end.  The order-free ids run
-# the chain-count engine, keyed by their own ``term`` through the drawn-set
-# table that the martingale checker reads too.  A layered state graph has
-# one layer per number of draws; a state has an integer id, its predecessors
-# (one edge per draw) and a key, a square; a state outside the id's k-range
-# has the least key, 0, which passes every threshold and adds 0 to a chain
-# sum.  The chains from the root through the last layer are the n!
-# orderings.  A subset-lattice state is the drawn set D, bit i for item i.
-# An id with weights (``alternating``'s fixed signs or given ones), whose
-# W_k depends on the order of the draws, runs the split walk
-# ``_exact_weighted``: (xs, d, count, ws) -> the LHS over all count = n!
-# orderings.  It and the float statistics restate each id's statistic on
-# purpose: they are independent routes that the tests check against
-# ``lhs_statistic``.
+# the chain-count engine on the subset lattice: an ordering is a chain of
+# drawn sets from the empty set to the full one, one item added a step, and
+# a set is its mask D, bit i for item i, so that every set one item smaller
+# comes before it in mask order.  A set's key is its row of the drawn-set
+# table that the martingale checker reads too, the id's ``term`` at the
+# set's sums; a set outside the id's k-range has the least key, 0, which
+# passes every threshold and adds 0 to a chain sum.  An id with weights
+# (``alternating``'s fixed signs or given ones), whose W_k depends on the
+# order of the draws, runs the split walk ``_exact_weighted``: (xs, d,
+# count, ws) -> the LHS over all count = n! orderings.  It and the float
+# statistics restate each id's statistic on purpose: they are independent
+# routes that the tests check against ``lhs_statistic``.
 
 
-def _state_layers(n: int):
-    """Layers 1..n of the subset lattice; each maps a state id to its
-    predecessors' places in the prior layer."""
-    low = (1 << n) - 1
-    layer = [0]
-    for _ in range(n):
-        nxt: dict[int, list[int]] = {}
-        for i, sid in enumerate(layer):
-            free = low & ~sid
-            while free:
-                bit = free & -free
-                free ^= bit
-                nxt.setdefault(sid | bit, []).append(i)
-        yield nxt
-        layer = list(nxt)
+def _predecessors(n: int) -> list:
+    """Per nonempty drawn set, in mask order from 1, a getter of the
+    values of the sets one item smaller that always returns a sequence."""
+    # the sets with item i are those without it plus bit i, so each
+    # doubling adds bit i to every set so far and to its predecessors
+    preds = [[]]
+    for i in range(n):
+        bit = 1 << i
+        preds += [[p | bit for p in ps] + [mask] for mask, ps in enumerate(preds)]
+    # a one-item set's only predecessor is the empty set
+    return [itemgetter(*ps) if len(ps) > 1 else itemgetter(slice(0, 1)) for ps in preds[1:]]
 
 
-def _chain_plan(layers, key):
-    """Per layer, each state's key (0, the least key, for none) and a
-    getter of its predecessors' values that always returns a sequence."""
-    return [
-        ([key(sid) or 0 for sid in layer],
-         [itemgetter(*ps) if len(ps) > 1 else itemgetter(slice(ps[0], ps[0] + 1))
-          for ps in layer.values()])
-        for layer in layers
-    ]
-
-
-def _chain_mean(layers, key, count, den) -> Fraction:
+def _chain_mean(n, keys, count, den) -> Fraction:
     # E max = (1/count) sum_j v_j (C_j - C_{j-1}) over the sorted distinct
-    # keys v_j, where C_j counts the chains whose keys are all <= v_j.  Each
-    # chunk of _CHAIN_CHUNK thresholds is one pass holding two layers, so
-    # memory is states x chunk.  A state's count packs, slot j at bit
-    # j*width, its chains from the root whose keys all pass threshold j (no
-    # count exceeds ``count``, so no slot carries): the sum of its
-    # predecessors' counts, with the slots below its key's rank r cleared,
-    # or 0 when r is past the chunk.
-    plan = _chain_plan(layers, key)
-    values = sorted({v for keys, _ in plan for v in keys})
+    # keys v_j (``keys`` by mask), where C_j counts the chains whose keys
+    # are all <= v_j.  Each chunk of _CHAIN_CHUNK thresholds is one pass in
+    # mask order, so memory is 2^n x chunk.  A set's count packs, slot j at
+    # bit j*width, its chains from the empty set whose keys all pass
+    # threshold j (no count exceeds ``count``, so no slot carries): the sum
+    # of its predecessors' counts, with the slots below its key's rank r
+    # cleared, or 0 when r is past the chunk.
+    values = sorted(set(keys))
     rank = {v: j for j, v in enumerate(values)}
-    steps = [(getters, [rank[v] for v in keys]) for keys, getters in plan]
+    steps = list(zip(_predecessors(n), [rank[v] for v in keys[1:]]))
     width = count.bit_length()
     slot = (1 << width) - 1
     total = below = 0
     for lo in range(0, len(values), _CHAIN_CHUNK):
         hi = min(lo + _CHAIN_CHUNK, len(values))
-        ones = ((1 << (width * (hi - lo))) - 1) // slot
         # shifts[r] drops the slots of the thresholds that key rank r fails
         shifts = [0] * lo + [j * width for j in range(hi - lo)]
-        cur = [ones]
-        for getters, ranks in steps:
-            cur = [sum(get(cur)) >> shifts[r] << shifts[r] if r < hi else 0
-                   for get, r in zip(getters, ranks)]
-        full = sum(cur)  # over every state of the last layer
+        cur = [((1 << (width * (hi - lo))) - 1) // slot]
+        append = cur.append
+        for get, r in steps:
+            append(sum(get(cur)) >> shifts[r] << shifts[r] if r < hi else 0)
+        full = cur[-1]  # the full set's
         for v in values[lo:hi]:
             passing = full & slot
             total += v * (passing - below)
@@ -398,13 +382,15 @@ def _chain_mean(layers, key, count, den) -> Fraction:
     return Fraction(total, count * den)
 
 
-def _chain_max(layers, key, count, den) -> Fraction:
-    # the largest chain sum of the keys, by the max-plus recursion of Held
-    # and Karp: best(state) = key + max over its predecessors
+def _chain_max(n, keys, count, den) -> Fraction:
+    # the largest chain sum of the keys (``keys`` by mask), by the max-plus
+    # recursion of Held and Karp: best(D) = key(D) + max over its
+    # predecessors
     best = [0]
-    for keys, getters in _chain_plan(layers, key):
-        best = [max(get(best)) + v for get, v in zip(getters, keys)]
-    return Fraction(max(best), den)
+    append = best.append
+    for get, v in zip(_predecessors(n), keys[1:]):
+        append(max(get(best)) + v)
+    return Fraction(best[-1], den)
 
 
 def _on_lattice(rule, xs, d, count) -> Fraction:
@@ -414,9 +400,8 @@ def _on_lattice(rule, xs, d, count) -> Fraction:
     n = len(xs)
     den, table = _drawn_set_table(xs, d, lambda k, s, t: rule.term(n, k, s, t, None),
                                   rule.ks(n))
-    keys = [row and row[0] for row in table]
     engine = _chain_max if rule.over_orderings == "max" else _chain_mean
-    return engine(_state_layers(n), keys.__getitem__, count, den)
+    return engine(n, [row[0] if row else 0 for row in table], count, den)
 
 
 def _half_walk(xs, wsc, step):

@@ -56,9 +56,9 @@ def isserlis_moment(population: Population, pattern) -> Fraction:
     n = population.n
     b = population.square_sum
     q = population.fourth_sum
-    if p in ("1111", "211") and n < 4:
+    if n < len(p):
         raise DomainError(
-            f"pattern {p} touches {len(p)} distinct draws and needs n >= 4, "
+            f"pattern {p} touches {len(p)} distinct draws and needs n >= {len(p)}, "
             f"got n={n}"
         )
     if p == "1111":
@@ -287,9 +287,9 @@ def moment_report(
 ) -> list[MomentRow]:
     """Run every applicable moment formula against its oracle.
 
-    ``partial_sum_size`` defaults to floor(n/2).  Patterns touching
-    four distinct draws are skipped below n=4, as is the terminal
-    compensated-square moment.
+    ``partial_sum_size`` defaults to floor(n/2).  A pattern is skipped
+    when it touches more distinct draws than n (``1111`` needs n >= 4 and
+    ``211`` n >= 3), and the terminal compensated-square moment below n=4.
     """
     n = population.n
     ensure_reportable(n, cutoff)
@@ -297,7 +297,7 @@ def moment_report(
     m = partial_sum_size if partial_sum_size is not None else n // 2
     rows: list[MomentRow] = []
     for p in PATTERNS:
-        if p in ("1111", "211") and n < 4:
+        if n < len(p):
             continue
         rows.append(
             MomentRow(

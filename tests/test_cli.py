@@ -1091,8 +1091,10 @@ def test_sweep_random_rows_pass_only_the_bounds_they_give(tmp_path):
 
 
 def test_sweep_refuses_null_file_fields(tmp_path):
-    # a row that has the key reads it: null is refused as a path, not
-    # taken as no file, for weights as for a population
+    # a row that has the key and whose run reads it: null is refused as a
+    # path, not taken as no file, for weights as for a population; a
+    # weights file that the run does not take is not read, so the run's
+    # own refusal names the fault, as on the command line
     four = [1, -1, 2, -2]
     rows = [{"id": "max_averages", "population_file": None},
             {"id": "alternating", "population": four, "weights_file": None},
@@ -1106,7 +1108,9 @@ def test_sweep_refuses_null_file_fields(tmp_path):
     assert payload["errors"] == 4
     assert [r["error"] for r in payload["rows"]] == [
         "population file must be a path, got None",
-        *["scalar file must be a path, got None"] * 3,
+        "the alternating inequality takes no weights; its signs (-1)^i are fixed",
+        "scalar file must be a path, got None",
+        "the max_averages inequality takes no weights",
     ]
 
 
@@ -1185,6 +1189,9 @@ _PARITY_REFUSALS = {
                       "samples": 10, "seed": -1},
     "unwanted weights": {"id": "max_averages", "population_file": [1, -1, 2, -2],
                          "weights_file": [1, 1, 1, 1]},
+    # "." is the test's own directory, which cannot be read as a file
+    "unwanted weights directory": {"id": "max_averages",
+                                   "population_file": [1, -1, 2, -2], "weights_file": "."},
 }
 
 

@@ -147,7 +147,7 @@ def test_lattice_keys_are_the_hand_scaled_keys_on_a_seeded_grid(monkeypatch):
         d = math.lcm(*(x.denominator for x in pop.values))
         xs = [int(x * d) for x in pop.values]
         key, hand_den = factory(n, d)
-        hand = [None] * (1 << n)
+        hand = [0] * (1 << n)
         for mask in range(1 << n):
             items = [x for i, x in enumerate(xs) if mask >> i & 1]
             if len(items) in ks(n):
@@ -158,8 +158,7 @@ def test_lattice_keys_are_the_hand_scaled_keys_on_a_seeded_grid(monkeypatch):
                 assert keys[mask] is None, (iid, pop.values, mask)
         engine = (inequalities._chain_max if iid is InequalityId.HARDY
                   else inequalities._chain_mean)
-        layers = inequalities._state_layers(n)
-        assert engine(layers, hand.__getitem__, math.factorial(n), hand_den) == lhs, iid
+        assert engine(n, hand, math.factorial(n), hand_den) == lhs, iid
     # every nonempty set of n = 2..9 (quadratic's from k = 2) on the four
     # populations, and the bridges' sets but the empty and the full one
     assert len(cases) == 133 and compared == 4 * (3 * 1012 + 968) + 1354
@@ -238,39 +237,32 @@ def engine_grid(n, rng):
     ]
 
 
-def odd_position_layers(n):
-    """Layers 1..n of the odd-position graph: a state is D | O << n, the
-    drawn set D and O, the part of D drawn at odd positions; each layer
-    maps a state to its predecessors' places in the prior layer."""
-    low = (1 << n) - 1
-    layer = [0]
-    for k in range(1, n + 1):
-        # a draw at an odd position joins O as well as D
-        tag = 1 + (1 << n) if k % 2 else 1
-        nxt = {}
-        for i, sid in enumerate(layer):
-            for bit in (1 << j for j in range(n) if not sid & low & 1 << j):
-                nxt.setdefault(sid | bit * tag, []).append(i)
-        yield nxt
-        layer = list(nxt)
-
-
 def graph_alternating(pop):
-    """The independent route to exact ``alternating``, the engine it ran on
-    before the split walk: since W_k = S_k - 2 (the sum drawn at odd
-    positions), the chain-count engine over the odd-position graph, whose
-    last layer holds one state per O."""
-    from permartingale.inequalities import _chain_mean
-    from permartingale.rationals import scaled_integers
-
-    xs, d = scaled_integers(pop.values)
-    n, low = len(xs), (1 << len(xs)) - 1
+    """The independent route to exact ``alternating``, the graph it ran on
+    before the split walk, restated here with no code of the package:
+    since W_k = S_k - 2 (the sum drawn at odd positions), a walk over the
+    states (D, O), the drawn set and its part drawn at odd positions, each
+    holding its orderings so far by their running max of W_k^2."""
+    d = math.lcm(*(x.denominator for x in pop.values))
+    xs = [int(x * d) for x in pop.values]
+    n = len(xs)
     sums = [0]
     for x in xs:
         sums += [s + x for s in sums]
-    return _chain_mean(odd_position_layers(n),
-                       lambda sid: (sums[sid & low] - 2 * sums[sid >> n]) ** 2,
-                       math.factorial(n), d * d)
+    layer = {(0, 0): {0: 1}}
+    for k in range(1, n + 1):
+        nxt = {}
+        for (drawn, odd), tops in layer.items():
+            for bit in (1 << i for i in range(n) if not drawn >> i & 1):
+                state = (drawn | bit, odd | bit if k % 2 else odd)
+                sq = (sums[state[0]] - 2 * sums[state[1]]) ** 2
+                out = nxt.setdefault(state, {})
+                for top, c in tops.items():
+                    top = max(top, sq)
+                    out[top] = out.get(top, 0) + c
+        layer = nxt
+    total = sum(top * c for tops in layer.values() for top, c in tops.items())
+    return Fraction(total, math.factorial(n) * d * d)
 
 
 def prefix_walk(xs, d, count, ws):
@@ -385,9 +377,7 @@ def test_alternating_on_the_odd_position_graph():
 @pytest.mark.parametrize("chunk", [1, 3])
 def test_chain_counts_across_threshold_chunks(chunk, monkeypatch):
     # thresholds one or three to a pass, so that chains cross chunk edges;
-    # up to n = 7 against the reference, then against the default chunk.
-    # alternating runs the split walk, which has no thresholds, so the
-    # odd-position graph of the tests runs in its place
+    # up to n = 7 against the reference, then against the default chunk
     import permartingale.inequalities as ineq
 
     rng = random.Random(f"chunks:{chunk}")
@@ -398,22 +388,14 @@ def test_chain_counts_across_threshold_chunks(chunk, monkeypatch):
         grid += pops if n < 7 else pops[2:3] if n == 7 else pops[:3]
     cases = [(iid, pop) for pop in grid for iid in ORDER_FREE_IDS]
     cases += [(InequalityId.BRIDGE, make_bridge_population(m)) for m in range(1, 5)]
-    cases += [(InequalityId.ALTERNATING, pop) for pop in grid if pop.n <= 8]
     for iid, pop in cases:
-        def run():
-            if iid is InequalityId.ALTERNATING:
-                return graph_alternating(pop)
-            return verify(iid, population=pop).lhs
-
-        whole = run()
+        whole = verify(iid, population=pop).lhs
         if pop.n <= 7:
             assert whole == reference_lhs(iid, pop, m=pop.n // 2
                                           if iid is InequalityId.BRIDGE else None)
-        elif iid is InequalityId.ALTERNATING:
-            assert whole == verify(iid, population=pop).lhs
         with monkeypatch.context() as m:
             m.setattr(ineq, "_CHAIN_CHUNK", chunk)
-            assert run() == whole, (iid, pop.values)
+            assert verify(iid, population=pop).lhs == whole, (iid, pop.values)
 
 
 def test_alternating_memory_is_bounded():
@@ -430,6 +412,25 @@ def test_alternating_memory_is_bounded():
         tracemalloc.stop()
     assert report.holds
     assert peak < 32 * 2**20, peak
+
+
+@pytest.mark.parametrize("iid", [InequalityId.MAX_AVERAGES, InequalityId.QUADRATIC])
+def test_lattice_memory_is_bounded_by_the_chunk(iid):
+    # the chain-count engine holds one count per drawn set, each packing a
+    # chunk of thresholds: a few MiB at n = 12 on p/q values with
+    # thousands of distinct keys, where one pass over every threshold
+    # would hold tens of MiB
+    import tracemalloc
+
+    pop = random_centered_population(12, random.Random(12), 99, 7)
+    tracemalloc.start()
+    try:
+        report = verify(iid, population=pop, cutoff=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.holds
+    assert peak < 16 * 2**20, peak
 
 
 def test_pinned_examples():

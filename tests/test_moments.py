@@ -58,8 +58,13 @@ def test_isserlis_domain_checks():
     three = make_population([2, -1, -1])
     with pytest.raises(DomainError):
         isserlis_moment(three, "1111")
-    with pytest.raises(DomainError):
-        isserlis_moment(three, "211")
+    # a pattern needs as many draws as it has digits: 211 takes three
+    assert isserlis_moment(three, "211") == isserlis_oracle(three, "211")
+    rng = random.Random(3)
+    for pop in (random_centered_population(3, rng, 99, 7) for _ in range(20)):
+        assert isserlis_moment(pop, "211") == isserlis_oracle(pop, "211"), pop.values
+    with pytest.raises(DomainError, match="needs n >= 3, got n=2"):
+        isserlis_moment(make_population([1, -1]), "211")
     assert isserlis_moment(three, "22") == isserlis_oracle(three, "22")
     with pytest.raises(PreconditionError):
         isserlis_moment(make_population([1, 2, 3, 4]), "22")
@@ -255,7 +260,7 @@ def test_moment_report_small_population_skips_wide_patterns():
     rows = moment_report(make_population([2, -1, -1]))
     names = {r.name for r in rows}
     assert "E[X1 X2 X3 X4]" not in names
-    assert "E[X1^2 X2 X3]" not in names
+    assert "E[X1^2 X2 X3]" in names
     assert not any(name.startswith("4 E[Mtilde") for name in names)
     assert all(r.equal for r in rows)
 
