@@ -523,23 +523,23 @@ def _sweep_population(row: dict, index: int, master_seed: int, mode, refuse):
 
 
 def _sweep_weights(row: dict, mode, n: int | None):
-    """The row's weights, inline or from a file, counted against n if given;
-    None when the row has neither key."""
+    """The row's weights, inline or from a file, counted against n; None
+    without either key, and () unread when no run reads them (``n`` None),
+    as in _read_scalars, so that the run's own refusal names the fault."""
     if "weights" in row and "weights_file" in row:
         raise InvalidInputError("both 'weights' and 'weights_file'")
-    if "weights" in row:
-        if not isinstance(row["weights"], list):
-            raise InvalidInputError("'weights' must be a list")
-        if n is not None:  # counted before any value is parsed, as a file is
-            ensure_weight_count(len(row["weights"]), n)
+    if "weights" in row and not isinstance(row["weights"], list):
+        raise InvalidInputError("'weights' must be a list")
+    if "weights" not in row and "weights_file" not in row:
+        return None
+    if n is None:
+        return ()
+    if "weights" in row:  # counted before any value is parsed, as a file is
+        ensure_weight_count(len(row["weights"]), n)
         return _row_scalars(row["weights"], mode)
-    if "weights_file" in row:
-        if n is None:  # unread, as in _read_scalars: the run's own refusal names the fault
-            return ()
-        # a null path is refused, not read as no file
-        return read_values(row["weights_file"], "scalar", mode is VerifyMode.MONTE_CARLO,
-                           partial(ensure_weight_count, n=n))
-    return None
+    # a null path is refused, not read as no file
+    return read_values(row["weights_file"], "scalar", mode is VerifyMode.MONTE_CARLO,
+                       partial(ensure_weight_count, n=n))
 
 
 def _row_scalars(values: list, mode) -> list:

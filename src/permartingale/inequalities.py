@@ -66,6 +66,7 @@ from .errors import (
 from .population import (
     Population,
     _drawn_set_table,
+    _lattice,
     bridge_parameter,
     ensure_enumerable,
     make_bridge_population,
@@ -323,31 +324,18 @@ class InequalityReport(NamedTuple):
 # Exact engines run on the values xs scaled to integers by their common
 # denominator d (weights by e); a statistic becomes an integer on one
 # denominator per id, divided out once at the end.  The order-free ids run
-# the chain-count engine on the subset lattice: an ordering is a chain of
-# drawn sets from the empty set to the full one, one item added a step, and
-# a set is its mask D, bit i for item i, so that every set one item smaller
-# comes before it in mask order.  A set's key is its row of the drawn-set
-# table that the martingale checker reads too, the id's ``term`` at the
-# set's sums; a set outside the id's k-range has the least key, 0, which
-# passes every threshold and adds 0 to a chain sum.  An id with weights
+# the chain-count engine on the subset lattice that the martingale checker
+# walks too, ``population._lattice``: an ordering is a chain of drawn sets
+# from the empty set to the full one, one item a step, and a set is its
+# mask, so that every set one item smaller comes first in mask order.  A
+# set's key is its entry in column 0 of the drawn-set table, the id's
+# ``term`` at its sums; 0, the least key, outside the id's k-range passes
+# every threshold and adds 0 to a chain sum.  An id with weights
 # (``alternating``'s fixed signs or given ones), whose W_k depends on the
 # order of the draws, runs the split walk ``_exact_weighted``: (xs, d,
 # count, ws) -> the LHS over all count = n! orderings.  It and the float
 # statistics restate each id's statistic on purpose: they are independent
 # routes that the tests check against ``lhs_statistic``.
-
-
-def _predecessors(n: int) -> list:
-    """Per nonempty drawn set, in mask order from 1, a getter of the
-    values of the sets one item smaller that always returns a sequence."""
-    # the sets with item i are those without it plus bit i, so each
-    # doubling adds bit i to every set so far and to its predecessors
-    preds = [[]]
-    for i in range(n):
-        bit = 1 << i
-        preds += [[p | bit for p in ps] + [mask] for mask, ps in enumerate(preds)]
-    # a one-item set's only predecessor is the empty set
-    return [itemgetter(*ps) if len(ps) > 1 else itemgetter(slice(0, 1)) for ps in preds[1:]]
 
 
 def _chain_mean(n, keys, count, den) -> Fraction:
@@ -361,7 +349,7 @@ def _chain_mean(n, keys, count, den) -> Fraction:
     # cleared, or 0 when r is past the chunk.
     values = sorted(set(keys))
     rank = {v: j for j, v in enumerate(values)}
-    steps = list(zip(_predecessors(n), [rank[v] for v in keys[1:]]))
+    steps = list(zip(_lattice(n)[0][1:], [rank[v] for v in keys[1:]]))
     width = count.bit_length()
     slot = (1 << width) - 1
     total = below = 0
@@ -388,20 +376,20 @@ def _chain_max(n, keys, count, den) -> Fraction:
     # predecessors
     best = [0]
     append = best.append
-    for get, v in zip(_predecessors(n), keys[1:]):
+    for get, v in zip(_lattice(n)[0][1:], keys[1:]):
         append(max(get(best)) + v)
     return Fraction(best[-1], den)
 
 
 def _on_lattice(rule, xs, d, count) -> Fraction:
-    # a drawn set's key is its row of the drawn-set table: the term, run
-    # once per layer k on formal S_k and T_k, at the set's sums over one
-    # common denominator
+    # a drawn set's key is its entry in column 0 of the drawn-set table: the
+    # term, run once per layer k on formal S_k and T_k, at the set's sums
+    # over one common denominator
     n = len(xs)
     den, table = _drawn_set_table(xs, d, lambda k, s, t: rule.term(n, k, s, t, None),
                                   rule.ks(n))
     engine = _chain_max if rule.over_orderings == "max" else _chain_mean
-    return engine(n, [row[0] if row else 0 for row in table], count, den)
+    return engine(n, table[0], count, den)
 
 
 def _half_walk(xs, wsc, step):

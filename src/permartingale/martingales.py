@@ -27,16 +27,16 @@ history by enumeration, never by algebra, so a wrong evaluator cannot
 certify itself.  Two routes report the first violating history.  The
 drawn-set checker runs the evaluator once per layer k, on formal S_k and
 T_k, and gets a polynomial in them.  Scaled to one denominator, it makes
-each drawn set's value an int, compared with the average over its
-one-item extensions; ``Fraction``s build only the witness.  W_k and A_k,
-which WEIGHTED, CHAIN_QUADRATIC and the weighted-basis vector also see,
-enter as formal slots, and no product may hold two of them, so the value
-is affine in the slots and an identity in them holds at every history
-that reaches the set.  The generic ``Fraction`` walker over ordered
-prefixes, the independent route, serves ``check_sequence``.  It gives
-the verdict and the witness whenever the formal values do not certify:
-the slots' identity fails, or the evaluator does more than add, multiply
-and divide by numbers.
+each drawn set's value an int, compared with its one-item extensions'
+sum, one getter call of the subset lattice; ``Fraction``s build only the
+witness.  W_k and A_k, which WEIGHTED, CHAIN_QUADRATIC and the
+weighted-basis vector also see, enter as formal slots, and no product
+may hold two of them, so the value is affine in the slots and an
+identity in them holds at every history that reaches the set.  The
+generic ``Fraction`` walker over ordered prefixes, the independent
+route, serves ``check_sequence``.  It gives the verdict and the witness
+whenever the formal values do not certify: the slots' identity fails, or
+the evaluator does more than add, multiply and divide by numbers.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ from .construction import (_quadratic_product, _weighted_product,
                            build_transition_system, matrix_vector,
                            vector_martingale_value)
 from .errors import DomainError, InvalidInputError, PreconditionError, coerce_enum
-from .population import (_A, _W, Population, _drawn_set_table, _NotAffine, drawn_prefix,
-                         ensure_enumerable, make_population)
+from .population import (_A, _W, Population, _drawn_set_table, _lattice, _NotAffine,
+                         drawn_prefix, ensure_enumerable, make_population)
 from .rationals import format_rational
 from .weights import validate_weights
 
@@ -237,60 +237,55 @@ def _check_drawn_sets(
     k_max: int,
     moves: Callable[[int, list, int], Iterable] | None = None,
 ) -> MartingaleCheck:
-    """The one drawn-set loop: for 1 <= k < k_max, each set's value,
+    """The one drawn-set check: for 1 <= k < k_max, each set's value,
     ``value_fn(k, S_k, T_k)``, must be the average over its n-k one-item
-    extensions.  Every ordering of a set gives the same (k, S_k, T_k), so
-    the 2^n sets cover all n! histories.  ``value_fn`` runs once per layer
-    k, on formal S_k and T_k, and gives a polynomial sum c S_k^i T_k^j;
-    ``_drawn_set_table`` gives each set's value as ints over one Q.  A value
-    may also hold the slots ``_W`` and ``_A`` of the histories that reach
-    its set; for each a_{k+1} = alpha/e in ``moves(k, drawn, d)`` (drawn
-    values X = d x), an extension by x moves them to W_k + a x and
-    A_k + a.  The identity is (sum over the extensions) = (n-k) (the set's
-    value), in ints.  Sets go in lexicographic order of their item
-    indices; at the first that fails, ``value_fn`` on the ``Fraction``
-    sums of the set and of its extensions gives the witness, whose prefix
-    lists the set's values in that order.  An evaluator whose formal call
-    raises ``_NotAffine`` or ``TypeError`` goes to ``_check_ordered``, the
-    independent route: here, or, with slots, through ``_NotAffine`` to the
-    caller's fallback."""
-    n, xs = population.n, population.values
-    ints, d = population.scaled
+    extensions; every ordering of a set gives the same (k, S_k, T_k), so the
+    2^n sets cover all n! histories.  ``_drawn_set_table`` runs ``value_fn``
+    once per layer on formal S_k and T_k and gives each polynomial's column
+    of ints over one Q, by mask; a set's gap in a column, its extensions'
+    sum (one ``_lattice`` getter call) less n-k times its entry, must be 0.
+    A value c0 + W_k c1 + A_k c2 may hold the slots ``_W`` and ``_A`` of the
+    histories that reach its set; each a = alpha/e in ``moves(k, drawn ints,
+    d)`` moves them to W_k + a X and A_k + a on the extension by X.  So c1's
+    and c2's gaps must be 0, and so must e c0's gap + alpha times the drift,
+    the extensions' sum of X c1 + c2, which is S_k c1's gap plus (n-k) c2.
+    Sets go in lexicographic order of their items; at the first that fails,
+    ``value_fn`` on the ``Fraction`` sums of the set and of its extensions
+    gives the witness, whose prefix lists the set's values in that order.
+    An evaluator whose formal call raises ``_NotAffine`` or ``TypeError``
+    goes to ``_check_ordered``, the independent route: here, or, with slots,
+    through ``_NotAffine`` to the caller's fallback."""
+    n, (ints, d) = population.n, population.scaled
+
+    def value(p):  # value_fn on the Fraction sums of the drawn values p
+        return value_fn(len(p), sum(p, Fraction(0)), sum((x * x for x in p), Fraction(0)))
+
     try:
-        _, coef = _drawn_set_table(ints, d, value_fn, range(1, k_max + 1),
-                                   (0,) if moves is None else (0, 1, 2))
+        _, columns = _drawn_set_table(  # with slots, c0, c1, c2 and S_k c1 per form
+            ints, d, value_fn, range(1, k_max + 1),
+            ((0, 0),) if moves is None else ((0, 0), (1, 0), (2, 0), (1, 1)))
     except _NotAffine:
         if moves is not None:
             raise
-        return _check_ordered(population, lambda p: value_fn(
-            len(p), sum(p, Fraction(0)), sum((x * x for x in p), Fraction(0))), 1, k_max)
+        return _check_ordered(population, value, 1, k_max)
 
-    def exact(mask):  # value_fn on the Fraction sums of a drawn set
-        drawn = [x for i, x in enumerate(ints) if mask >> i & 1]
-        return value_fn(len(drawn), Fraction(sum(drawn), d),
-                        Fraction(sum(x * x for x in drawn), d * d))
-
-    sets = [mask for mask in range(1 << n) if 1 <= mask.bit_count() < k_max]
-    sets.sort(key=lambda mask: [i for i in range(n) if mask >> i & 1])
+    _, succs, lex = _lattice(n)
+    sets = [mask for mask in lex if mask.bit_count() < k_max]
     for states, mask in enumerate(sets, start=1):
-        k, free = mask.bit_count(), [i for i in range(n) if not mask >> i & 1]
-        rows = [coef[mask | 1 << i] for i in free]
-        sums = [sum(col) for col in zip(*rows)]
-        gaps = [s - (n - k) * p for s, p in zip(sums, coef[mask])]
+        k, get = mask.bit_count(), succs[mask]
+        gaps = [sum(get(column)) - (n - k) * column[mask] for column in columns]
         if moves is None:
             fails = any(gaps)
-        else:  # the c0 gap must cancel the drift, a (x c1 + c2) per child
+        else:
             alphas = moves(k, [x for i, x in enumerate(ints) if mask >> i & 1], d)
-            forms = range(0, len(gaps), 3)
-            drifts = [sum(ints[i] * row[j + 1] for i, row in zip(free, rows)) + d * sums[j + 2]
-                      for j in forms]
-            fails = any(gaps[j + 1] or gaps[j + 2]
-                        or any(e * d * gaps[j] + alpha * drift for alpha, e in alphas)
-                        for j, drift in zip(forms, drifts))
-        if fails:
-            drawn = tuple(x for i, x in enumerate(xs) if mask >> i & 1)
-            mean = _mean([exact(mask | 1 << i) for i in free])
-            return MartingaleCheck(MartingaleViolation(drawn, exact(mask), mean), states)
+            fails = any(gaps[1::4] + gaps[2::4]) or any(
+                e * g0 + alpha * (gs + (n - k) * c2[mask]) for alpha, e in alphas
+                for g0, gs, c2 in zip(gaps[::4], gaps[3::4], columns[2::4]))
+        if fails:  # the set's values, then each extension's
+            drawn = [tuple(x for i, x in enumerate(population.values) if m >> i & 1)
+                     for m in (mask, *get(range(1 << n)))]
+            mean = _mean([value(p) for p in drawn[1:]])
+            return MartingaleCheck(MartingaleViolation(drawn[0], value(drawn[0]), mean), states)
     return MartingaleCheck(None, len(sets))
 
 
@@ -317,8 +312,7 @@ def _check_slots(
 
     try:
         if _check_drawn_sets(population, value_fn, k_max, moves).holds:
-            histories = sum(perm(population.n, k) for k in range(1, k_max))
-            return MartingaleCheck(None, histories)
+            return MartingaleCheck(None, sum(perm(population.n, k) for k in range(1, k_max)))
     except _NotAffine:
         pass
     return _check_ordered(population, prefix_value, 1, k_max)  # the fallback route

@@ -17,8 +17,9 @@ from __future__ import annotations
 import itertools
 import os
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from math import factorial, lcm
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -276,23 +277,23 @@ _S, _T, _W, _A = (_Form([(key, 1)])
 
 def _polynomials(v, slots: tuple) -> list:
     """The terms (c, i, j) of c S_k^i T_k^j that a formal value ``v`` holds
-    in each of ``slots``: a form's, a number's as a constant, a vector's
-    entries' in order."""
+    in each (slot, p) of ``slots``, times S_k^p: a form's, a number's as a
+    constant, a vector's entries' in order."""
     if isinstance(v, tuple):
         return [p for x in v for p in _polynomials(x, slots)]
     terms = v.terms if isinstance(v, _Form) else {(0, 0, 0): v}
-    return [[(c, i, j) for (u, i, j), c in terms.items() if u == slot] for slot in slots]
+    return [[(c, i + p, j) for (u, i, j), c in terms.items() if u == slot] for slot, p in slots]
 
 
 def _drawn_set_table(ints: Sequence[int], d: int, fn: Callable, ks: range,
-                     slots: tuple = (0,)) -> tuple[int, list]:
-    """(Q, table), the drawn-set table of both exact engines.  ``fn(k,
-    _S, _T)`` runs once per layer k in ``ks`` (a ``TypeError`` there
-    raises ``_NotAffine``); its polynomials in ``slots`` (``_polynomials``)
-    times one positive Q = lcm(their denominators) d^g, g the largest
-    i + 2j, are integer polynomials in d S_k and d^2 T_k.  table[mask]
-    (bit i = item i of ``ints``, a population's ``scaled`` ints) lists
-    them at that drawn set's sums, or is None where |D| is not in ``ks``."""
+                     slots: tuple = ((0, 0),)) -> tuple[int, list]:
+    """(Q, columns), the drawn-set table of both exact engines.  ``fn(k, _S,
+    _T)`` runs once per layer k in ``ks`` (a ``TypeError`` there raises
+    ``_NotAffine``); its polynomials in ``slots`` (``_polynomials``) times one
+    positive Q = lcm(their denominators) d^g, g the largest i + 2j, are
+    integer polynomials in d S_k and d^2 T_k.  One column per polynomial, in
+    order, holds it at each drawn set's sums, by mask (bit i for item i of
+    ``ints``, a population's ``scaled``), and 0 where |D| is not in ``ks``."""
     try:
         formal = [fn(k, _S, _T) for k in ks]
     except TypeError:
@@ -308,17 +309,34 @@ def _drawn_set_table(ints: Sequence[int], d: int, fn: Callable, ks: range,
         s += [v + x for v in s]
         square = x * x
         t += [v + square for v in t]
-    table = [None] * len(s)
+    columns = [[0] * len(s) for _ in layers[0]]
     for mask, (sm, tm) in enumerate(zip(s, t)):
-        polys = by_k.get(mask.bit_count())
-        if polys is not None:
-            table[mask] = row = []
-            for poly in polys:
-                v = 0
-                for c, i, j in poly:
-                    v += c * sm**i * tm**j
-                row.append(v)
-    return den * d**g, table
+        for column, poly in zip(columns, by_k.get(mask.bit_count(), ())):
+            v = 0
+            for c, i, j in poly:
+                v += c * sm**i * tm**j
+            column[mask] = v
+    return den * d**g, columns
+
+
+@cache
+def _lattice(n: int) -> tuple[tuple, tuple, tuple]:
+    """(preds, succs, lex) of the 2^n drawn sets, each a mask (bit i for item
+    i), built once per n <= 12: preds[mask] and succs[mask] get from a
+    sequence by mask, as a sequence, the entries of the sets one item smaller
+    and one larger; lex is the nonempty sets in lexicographic item order."""
+    preds, lex = [[]], []
+    for i in range(n):  # preds: the sets so far, then each with bit i added
+        bit, top = 1 << i, 1 << n - 1 - i
+        preds += [[p | bit for p in ps] + [mask] for mask, ps in enumerate(preds)]
+        lex = [top, *(mask | top for mask in lex), *lex]  # the sets of items n-1-i on
+    full = len(preds) - 1  # a set's successors: its complement's predecessors' complements
+    succs = [[full ^ p for p in ps] for ps in reversed(preds)]
+
+    def getter(masks):  # a slice for one mask or none, so that it gets a sequence
+        return itemgetter(*masks) if len(masks) > 1 else itemgetter(
+            slice(masks[0], masks[0] + 1) if masks else slice(0))
+    return tuple(map(getter, preds)), tuple(map(getter, succs)), tuple(lex)
 
 
 def value_lines(text: str) -> Iterator[tuple[int, str]]:

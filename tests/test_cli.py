@@ -1192,6 +1192,9 @@ _PARITY_REFUSALS = {
     # "." is the test's own directory, which cannot be read as a file
     "unwanted weights directory": {"id": "max_averages",
                                    "population_file": [1, -1, 2, -2], "weights_file": "."},
+    # an inline list in the row, a file for the flags: unread, so unparsed
+    "unwanted inline weights": {"id": "max_averages", "mode": "mc", "population_file": [1, -1],
+                                "weights": ["x"], "samples": 5, "seed": 1},
 }
 
 
@@ -1219,16 +1222,19 @@ def test_a_sweep_row_is_a_check_inequality_call(tmp_path, monkeypatch, run):
     # error line without "error: "; a Monte Carlo row without a seed and
     # a row with two population sources differ by design and are left out
     monkeypatch.delenv("PERMARTINGALE_SEED", raising=False)
-    run = {"mode": "exact", **run}
+    row = run = {"mode": "exact", **run}
     for key in ("population_file", "weights_file"):
         if isinstance(run.get(key), list):
             run[key] = pop_file(tmp_path, run[key], f"{key}.txt")
         elif key in run:
             run[key] = str(tmp_path / run[key])
+    if "weights" in row:  # inline in the row, a file of the same values for the flags
+        run = {key: value for key, value in row.items() if key != "weights"}
+        run["weights_file"] = pop_file(tmp_path, row["weights"], "weights.txt")
     flags = [a for key, value in run.items() for a in (_PARITY_FLAGS[key], str(value))]
     rc, out, err = run_cli(["check-inequality", *flags])
     spec = tmp_path / "row.json"
-    spec.write_text(json.dumps([run]), encoding="utf-8")
+    spec.write_text(json.dumps([row]), encoding="utf-8")
     sweep_rc, sweep_out, _ = run_cli(["sweep", str(spec)])
     [entry] = json.loads(sweep_out)["rows"]
     if rc == 2:

@@ -123,7 +123,8 @@ def test_lattice_keys_are_the_hand_scaled_keys_on_a_seeded_grid(monkeypatch):
     # independent_routes against the keys that the chain-count engine
     # derives from each order-free rule's term, recorded as verify runs,
     # set for set up to the two common scales (key * hand_den == hand_key
-    # * den), and None outside the id's k-range; each drawn set's sums are
+    # * den), and 0, the least key, outside the id's k-range, read from the
+    # table's column 0 as the engine reads it; each drawn set's sums are
     # recomputed here from its items.  The chain-count engine on the hand
     # keys gives verify's LHS.  n = 2..9 on four populations each, and the
     # bridge at m = 1..5.
@@ -142,7 +143,7 @@ def test_lattice_keys_are_the_hand_scaled_keys_on_a_seeded_grid(monkeypatch):
         seen.clear()
         lhs = verify(iid, population=pop).lhs
         (den, table), = seen
-        keys = [row and row[0] for row in table]
+        keys = table[0]
         n, (factory, ks) = pop.n, HAND_SCALED_KEYS[iid]
         d = math.lcm(*(x.denominator for x in pop.values))
         xs = [int(x * d) for x in pop.values]
@@ -155,7 +156,7 @@ def test_lattice_keys_are_the_hand_scaled_keys_on_a_seeded_grid(monkeypatch):
                 assert keys[mask] * hand_den == hand[mask] * den, (iid, pop.values, mask)
                 compared += 1
             else:
-                assert keys[mask] is None, (iid, pop.values, mask)
+                assert keys[mask] == 0, (iid, pop.values, mask)
         engine = (inequalities._chain_max if iid is InequalityId.HARDY
                   else inequalities._chain_mean)
         assert engine(n, hand, math.factorial(n), hand_den) == lhs, iid

@@ -1000,6 +1000,31 @@ def test_weighted_checker_holds_on_seeded_populations():
         assert fast.states_checked == generic.states_checked
 
 
+def test_relabelling_keeps_every_check_at_n12():
+    # metamorphic, where no reference reaches: permuting a centered
+    # population's distinct values, the multipliers kept by position,
+    # keeps every verdict and every holding check's states
+    rng = random.Random(36)
+    head = [Fraction(rng.randint(-99, 99), rng.randint(1, 7)) for _ in range(11)]
+    values = head + [-sum(head, Fraction(0))]
+    moved = rng.sample(values, 12)
+    assert len(set(values)) == 12 and moved != values
+    ws = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(12)]
+
+    def checks(values):
+        pop = make_population(values)
+        kinds = [check_martingale(make_spec(kind, pop, ws if kind is MartingaleKind.WEIGHTED
+                                            else None), cutoff=12)
+                 for kind in MartingaleKind]
+        vectors = [check_vector_martingale(pop, basis, ws if basis is Basis.WEIGHTED else None,
+                                           cutoff=12) for basis in Basis]
+        controls = counterexample_suite(pop, cutoff=12).entries
+        return ([(c.holds, c.states_checked) for c in kinds + vectors],
+                [(e.name, e.holds, e.ok) for e in controls])
+
+    assert checks(moved) == checks(values)
+
+
 def test_first_draw_mean_is_zero_for_all_kinds():
     rng = random.Random(41)
     for n in (4, 6):

@@ -286,3 +286,20 @@ def test_factorial_sanity_for_cutoff_choice():
     # 10! enumerations stay desk-scale; 13! would not.
     assert math.factorial(DEFAULT_ENUMERATION_CUTOFF) == 3628800
     assert math.factorial(MAX_ENUMERATION_CUTOFF) < 5 * 10**8
+
+
+def test_the_drawn_set_lattice_on_every_small_n():
+    # read off the masks themselves, each getter lists the sets one item
+    # smaller or larger, so the two are each other's inverse; lex is the
+    # nonempty sets in lexicographic order of their items
+    from permartingale.population import _lattice
+
+    for n in range(9):
+        preds, succs, lex = _lattice(n)
+        masks = range(1 << n)
+        below = {mask: sorted(preds[mask](masks)) for mask in masks}
+        above = {mask: sorted(succs[mask](masks)) for mask in masks}
+        for mask in masks:
+            assert below[mask] == sorted(mask ^ 1 << i for i in range(n) if mask >> i & 1)
+            assert above[mask] == sorted(m for m in masks if mask in below[m])
+        assert list(lex) == sorted(range(1, 1 << n), key=lambda m: [i for i in range(n) if m >> i & 1])
