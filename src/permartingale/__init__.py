@@ -52,8 +52,10 @@ _SUBMODULES = {
         "make_population mean_over_ordered_draws mean_over_subsets "
         "random_centered_population validate_permutation"
     ),
-    "rationals": "as_fraction format_rational parse_rational parse_scalar",
-    "weights": "alternating_weights validate_weights",
+    "rationals": (
+        "alternating_weights as_fraction format_rational parse_rational parse_scalar "
+        "validate_weights"
+    ),
 }
 _HOME = {n: m for m, names in _SUBMODULES.items() for n in names.split()}
 

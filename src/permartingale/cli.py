@@ -20,12 +20,12 @@ input, file or limit errors, and on output that cannot be written.
 
 Start-up: this module imports only ``choices`` (the parser's enums) and
 ``errors``, so ``--help`` and usage errors load no engine.  Each handler
-binds the engine names it calls: beside ``population``, ``rationals``
-and ``weights``, ``check-inequality`` and ``sweep`` load
-``inequalities``, ``verify-martingale`` ``construction`` and
-``martingales``, ``moments`` those and ``moments``, and ``dump-matrices``
-``construction``.  numpy loads only for Monte Carlo sampling and sweep
-seeds, csv only for csv output.  No call loads ``dataclasses``, nor
+binds the engine names it calls: beside ``population`` and
+``rationals``, ``check-inequality`` and ``sweep`` load ``inequalities``,
+``verify-martingale`` ``construction`` and ``martingales``, ``moments``
+those and ``moments``, and ``dump-matrices`` ``construction``.  numpy
+loads only for Monte Carlo sampling and sweep seeds, csv only for csv
+output.  No call loads ``dataclasses``, nor
 ``inspect`` unless numpy imports it.  A name bound from outside first (a
 tracer's wrapper, a test's stand-in) is kept.  At exit, the ``gc.freeze``
 this module registers with ``atexit`` spares the final cyclic collections
@@ -66,12 +66,11 @@ if TYPE_CHECKING:
 _ENGINE_NAMES = {
     "population": "load_population make_population random_centered_population "
     "read_text_file read_values",
-    "rationals": "format_rational parse_rational parse_scalar",
+    "rationals": "ensure_weight_count format_rational parse_rational parse_scalar",
     "inequalities": "ensure_runnable needs_weights verify",
     "martingales": "check_martingale ensure_checkable make_spec",
     "moments": "ensure_reportable moment_report",
     "construction": "build_transition_system ensure_matrix_count matrix_as_strings",
-    "weights": "ensure_weight_count",
 }
 _HOME = {n: m for m, names in _ENGINE_NAMES.items() for n in names.split()}
 
@@ -321,7 +320,7 @@ def _read_scalars(path: str | None, lenient: bool = False,
 
 
 def _cmd_verify_martingale(args) -> int:
-    _bind("population", "rationals", "martingales", "weights")
+    _bind("population", "rationals", "martingales")
     pop = load_population(args.population,
                           refuse=partial(ensure_checkable, cutoff=args.cutoff))
     weighted = args.kind == MartingaleKind.WEIGHTED
@@ -372,7 +371,7 @@ def _run_inequality(id, mode, population, weights, bridge_m, samples, seed, cuto
 
 
 def _cmd_check_inequality(args) -> int:
-    _bind("population", "inequalities", "weights")
+    _bind("population", "rationals", "inequalities")
     mode = VerifyMode(args.mode)
     lenient = mode is VerifyMode.MONTE_CARLO
     seed = _default_seed(args.seed) if lenient else args.seed
@@ -424,7 +423,7 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_dump_matrices(args) -> int:
-    _bind("population", "rationals", "construction", "weights")
+    _bind("population", "rationals", "construction")
     weighted = args.basis == Basis.WEIGHTED
     if weighted and (args.total is not None or args.square_sum is not None):
         raise InvalidInputError("the weighted matrices do not involve --total/--square-sum")
@@ -583,7 +582,7 @@ def _run_sweep_row(
 def _cmd_sweep(args) -> int:
     import json
 
-    _bind("population", "rationals", "inequalities", "weights")
+    _bind("population", "rationals", "inequalities")
     text = read_text_file(args.specfile, "spec")
     try:
         data = json.loads(text)

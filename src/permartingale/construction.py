@@ -45,8 +45,7 @@ from typing import NamedTuple, Sequence
 from .choices import Basis
 from .errors import DomainError, InvalidInputError, PreconditionError, coerce_enum
 from .population import Population
-from .rationals import as_fraction, format_rational
-from .weights import validate_weights
+from .rationals import as_fraction, format_rational, validate_weights
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]

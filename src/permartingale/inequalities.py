@@ -72,8 +72,10 @@ from .population import (
     make_bridge_population,
     validate_permutation,
 )
-from .rationals import float_values, format_rational, fraction_sequence, scaled_integers
-from .weights import alternating_weights, validate_weights
+from .rationals import (
+    alternating_weights, float_values, format_rational, fraction_sequence, scaled_integers,
+    validate_weights,
+)
 
 MC_BLOCK_SIZE = 1 << 16
 # the floats (samples x n) above which a Monte Carlo run is refused:
@@ -177,7 +179,7 @@ def lhs_statistic(
             w += ws[k - 1] * x
         if k in ks:
             terms.append(rule.term(n, k, s, t, w))
-    return rule.reduce(terms)
+    return sum(terms) if rule.over_orderings == "max" else max(terms)
 
 
 def vna(weights: Sequence) -> Fraction:
@@ -450,15 +452,15 @@ def _exact_weighted(xs, d, count, ws) -> Fraction:
 
 # Float statistics: (n, ws) -> the per-k terms of an (n, orderings) chunk,
 # a row per k in the id's k-range and a column per ordering, for
-# ``_mc_lhs`` to reduce over k by the id's ``reduce``.  ``_float_squares``
-# serves the six ids whose term is a running sum squared (over k for
-# ``max_averages`` and ``hardy``, weighted for the three weighted ids);
-# ``quadratic`` and ``bridge`` have their own.  Each works in place on its
-# argument, so a run holds one chunk at a time.  ``_prefix_sums``
-# adds row k-1 into row k across every ordering at once; these are the
-# adds of a row-wise ``np.cumsum``, in the same order, and every other
-# operation is elementwise, so the values keep every bit.  numpy is
-# imported here and in ``_mc_lhs`` only, not by exact routes.
+# ``_mc_lhs`` to reduce over k as the id's ``over_orderings`` says.
+# ``_float_squares`` serves the six ids whose term is a running sum
+# squared (over k for ``max_averages`` and ``hardy``, weighted for the
+# three weighted ids); ``quadratic`` and ``bridge`` have their own.  Each
+# works in place on its argument, so a run holds one chunk at a time.
+# ``_prefix_sums`` adds row k-1 into row k across every ordering at once;
+# these are the adds of a row-wise ``np.cumsum``, in the same order, and
+# every other operation is elementwise, so the values keep every bit.
+# numpy is imported here and in ``_mc_lhs`` only, not by exact routes.
 
 
 def _prefix_sums(Y):
@@ -543,15 +545,18 @@ class _Rule(NamedTuple):
     ``weights`` is the weight policy: "none", "given" (the caller must
     pass them) or "alternating" (the fixed signs (-1)^i).  ``bridge``
     means the id needs the ±1 bridge population, whose m is n/2.
-    ``rhs(pop, ws)`` is the closed-form bound.  ``reduce`` (max or sum)
-    reduces ``term(n, k, S_k, T_k, W_k)`` over k in ``ks(n)``, for the
-    reference statistic of one ordering and for each column of float
-    terms in ``_mc_lhs``; the LHS is their mean or max (``over_orderings``)
-    over all orderings.  Exact mode runs the split walk when ``_resolve``
-    returns weights, and otherwise the chain-count engine, keyed by
-    ``term``.  ``floats(n, ws)`` maps an (n, orderings) numpy array, an
-    ordering a column, to their per-k terms, a row per k.  ``folding`` is
-    the constant on the id's folding path, if it has one.
+    ``rhs(pop, ws)`` is the closed-form bound.  ``over_orderings`` is the
+    one field that says how the id reduces ``term(n, k, S_k, T_k, W_k)``
+    for k in ``ks(n)``: "mean" is the mean over all orderings of the max
+    over k, and "max" (``hardy``) the max over orderings of the sum over
+    k.  Every route reads it: the reference statistic of one ordering,
+    each column of float terms in ``_mc_lhs``, the chain-count engine
+    (``_chain_mean`` or ``_chain_max``) and the Monte Carlo verdict.
+    Exact mode runs the split walk when ``_resolve`` returns weights, and
+    otherwise the chain-count engine, keyed by ``term``.  ``floats(n, ws)``
+    maps an (n, orderings) numpy array, an ordering a column, to their
+    per-k terms, a row per k.  ``folding`` is the constant on the id's
+    folding path, if it has one.
     """
 
     rhs: Callable[[Population, tuple[Fraction, ...] | None], Fraction]
@@ -560,7 +565,6 @@ class _Rule(NamedTuple):
     weights: str = "none"
     bridge: bool = False
     ks: Callable[[int], range] = _all_ks
-    reduce: Callable = max
     over_orderings: str = "mean"
     folding: Callable[[str, int, int | None], Fraction] | None = None
 
@@ -626,7 +630,6 @@ _RULES: dict[InequalityId, _Rule] = {
     InequalityId.HARDY: _Rule(
         rhs=lambda pop, ws: 4 * pop.square_sum,
         term=_average_squared,
-        reduce=sum,
         over_orderings="max",
         floats=partial(_float_squares, over_k=True),
     ),
@@ -649,13 +652,13 @@ def _mc_lhs(
     is never held whole: one buffer of about ``_MC_CHUNK_FLOATS`` floats
     is refilled, permuted and reduced in place one chunk at a time, an
     (n, orderings) view with an ordering a column, each column's terms
-    by the rule's ``reduce``, into the block's vector of per-ordering
-    values.  ``permuted`` draws from the stream column by column, so the
-    chunks see exactly the orderings of the whole block.  A chunk of at
-    least ``_MC_WIDE_CHUNK`` orderings is laid out k-major, so that each
-    step of the running sums is one add across its orderings; a narrower
-    one keeps each ordering contiguous.  A MemoryError from the float
-    image of the values on, the statistic's own arrays included, is
+    over k as the rule's ``over_orderings`` says, into the block's vector
+    of per-ordering values.  ``permuted`` draws from the stream column by
+    column, so the chunks see exactly the orderings of the whole block.  A
+    chunk of at least ``_MC_WIDE_CHUNK`` orderings is laid out k-major, so
+    that each step of the running sums is one add across its orderings; a
+    narrower one keeps each ordering contiguous.  A MemoryError from the
+    float image of the values on, the statistic's own arrays included, is
     refused as a block that does not fit.
     """
     import numpy as np
@@ -689,9 +692,10 @@ def _mc_lhs(
                     y[...] = base
                     rng.permuted(y, axis=0, out=y)
                     terms = stat(y)
-                    if rule.reduce is sum:
-                        # numpy sums a contiguous row pairwise: the same
-                        # rows, and so the same bits, as one ordering a row
+                    if take_max:
+                        # a sum over k; numpy sums a contiguous row pairwise:
+                        # the same rows, and so the same bits, as one
+                        # ordering a row
                         np.sum(np.ascontiguousarray(terms.T), axis=1,
                                out=values[lo : lo + m])
                     else:

@@ -52,8 +52,7 @@ from .construction import (_quadratic_product, _weighted_product,
 from .errors import DomainError, InvalidInputError, PreconditionError, coerce_enum
 from .population import (_A, _W, Population, _drawn_set_table, _lattice, _NotAffine,
                          drawn_prefix, ensure_enumerable, make_population)
-from .rationals import format_rational
-from .weights import validate_weights
+from .rationals import format_rational, validate_weights
 
 
 def _apply(row: Sequence, state: Sequence):

@@ -5,6 +5,9 @@ population (total M = 0) with square sum B and fourth-power sum Q.
 Every closed form here has a brute-force enumeration oracle next to it;
 the tests assert exact equality between the two routes, and the report
 builder runs both so a report is never produced from one route alone.
+An oracle whose closed form takes the same arguments calls it first for
+its refusals only, so that both routes refuse the same inputs with the
+same errors; the oracle's value never reads the closed form's.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ from .population import (
     mean_over_ordered_draws,
     mean_over_subsets,
 )
-from .rationals import format_rational
-from .weights import validate_weights
+from .rationals import format_rational, validate_weights
 
 PATTERNS = ("1111", "211", "22", "31", "4")
 
@@ -75,7 +77,7 @@ def isserlis_moment(population: Population, pattern) -> Fraction:
 def isserlis_oracle(population: Population, pattern) -> Fraction:
     """The same moment by direct enumeration of ordered distinct draws."""
     p = _normalize_pattern(pattern)
-    population.require_centered(f"the pattern-{p} moment")
+    isserlis_moment(population, p)  # for its refusals
     # draw i appears as a factor int(p[i]) times
     factors = [i for i, e in enumerate(p) for _ in range(int(e))]
     return mean_over_ordered_draws(
@@ -102,11 +104,8 @@ def partial_sum_second_moment_oracle(
     population: Population, m: int, cutoff: int | None = None
 ) -> Fraction:
     """E[S_m^2] by enumerating the C(n, m) equally likely drawn sets."""
-    population.require_centered("the partial-sum second moment")
-    n = population.n
-    if not 1 <= m <= n:
-        raise DomainError(f"need 1 <= m <= {n}, got m={m}")
-    ensure_enumerable(n, cutoff, "the partial-sum moment oracle")
+    partial_sum_second_moment(population, m)  # for its refusals
+    ensure_enumerable(population.n, cutoff, "the partial-sum moment oracle")
     return mean_over_subsets(
         population, m, lambda sub: sum(sub, Fraction(0)) ** 2
     )
@@ -171,10 +170,8 @@ def mtilde_terminal_oracle(population: Population) -> Fraction:
     items left behind, and Mtilde_{n-2} depends only on (S, T); each
     unordered pair is equally likely.
     """
-    population.require_centered("the terminal compensated-square moment")
+    mtilde_terminal_second_moment(population)  # for its refusals
     n = population.n
-    if n < 4:
-        raise DomainError(f"need n >= 4, got n={n}")
     b = population.square_sum
     mtilde = ORDER_FREE_VALUES[MartingaleKind.MTILDE](population)
 
@@ -243,11 +240,9 @@ def weighted_second_moment_oracle(
     cutoff: int | None = None,
 ) -> Fraction:
     """E[M_k^2] by enumerating all ordered k-prefixes."""
-    population.require_centered("the weighted second moment")
+    weighted_moment_parts(population, multipliers, k)  # for its refusals
     n = population.n
     ws = validate_weights(multipliers, n)
-    if not 1 <= k <= n - 1:
-        raise DomainError(f"need 1 <= k <= {n - 1}, got k={k}")
     ensure_enumerable(n, cutoff, "the weighted moment oracle")
     return mean_over_ordered_draws(
         population, k, lambda *draws: weighted_prefix_value(n, ws, draws) ** 2

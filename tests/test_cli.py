@@ -1259,8 +1259,7 @@ def test_module_entry_point_runs_as_subprocess(four_file):
 
 CORE_MODULES = {"permartingale", "permartingale.choices", "permartingale.cli",
                 "permartingale.errors"}
-SHARED = CORE_MODULES | {"permartingale.population", "permartingale.rationals",
-                         "permartingale.weights"}
+SHARED = CORE_MODULES | {"permartingale.population", "permartingale.rationals"}
 INEQUALITIES = SHARED | {"permartingale.inequalities"}
 MARTINGALES = SHARED | {"permartingale.construction", "permartingale.martingales"}
 # the standard modules whose loading is pinned, beyond those of a bare start

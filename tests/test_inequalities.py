@@ -917,7 +917,7 @@ def test_float_statistic_matches_reference_on_every_ordering(iid):
                     math.sqrt(value), math.sqrt(want),
                     rel_tol=1e-12, abs_tol=1e-12 * float(scale),
                 ), (iid, pop.values, perm, k, value, want)
-            got = {max: np.max, sum: np.sum}[rule.reduce](row)
+            got = {"mean": np.max, "max": np.sum}[rule.over_orderings](row)
             want = float(lhs_statistic(iid, pop, perm, weights=ws, bridge_m=m))
             assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (
                 iid, pop.values, perm, got, want
@@ -1038,3 +1038,62 @@ def test_mc_working_set_does_not_grow_with_the_block(iid, n, samples):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, (iid, n, peak)
+
+
+def test_monte_carlo_scaling_and_negation_keep_every_bit():
+    # metamorphic, where no reference reaches: the permutation stream does
+    # not read the values, and scaling by a power of two commutes with
+    # every rounding, so doubling the values multiplies the estimate and
+    # its standard error by 4 (16 for quadratic) and keeps the status,
+    # doubling the given weights does the same, and negating the values
+    # changes no bit.  n=160 runs k-major chunks, n=700 contiguous ones
+    from permartingale.inequalities import _MC_CHUNK_FLOATS, _MC_WIDE_CHUNK
+
+    assert _MC_CHUNK_FLOATS // 700 < _MC_WIDE_CHUNK <= _MC_CHUNK_FLOATS // 160
+    rng = random.Random("mc-metamorphic")
+    for n, samples in ((160, 2_000), (700, 600)):
+        pop = random_centered_population(n, rng, 99, 7)
+        doubled = make_population([2 * v for v in pop.values])
+        negated = make_population([-v for v in pop.values])
+        for iid in InequalityId:
+            if iid is InequalityId.BRIDGE:
+                continue  # its population is fixed
+            ws = weights_for(iid, n, rng)
+
+            def run(case, weights=ws):
+                r = verify(iid, population=case, weights=weights, mode="mc",
+                           samples=samples, seed=n)
+                return r.lhs, r.stderr, r.status
+
+            lhs, stderr, status = run(pop)
+            c = 16 if iid is InequalityId.QUADRATIC else 4
+            scaled = (c * lhs, None if stderr is None else c * stderr, status)
+            assert run(doubled) == scaled, (iid, n)
+            assert run(negated) == (lhs, stderr, status), (iid, n)
+            if ws is not None:
+                assert run(pop, [2 * w for w in ws]) == (4 * lhs, 4 * stderr, status), (iid, n)
+
+
+def test_exact_relabelling_and_scaling_past_the_references():
+    # metamorphic, past the n! reference: permuting the values (the
+    # weights kept by position) keeps every exact LHS, and scaling them by
+    # 3/2 multiplies it by 9/4 (81/16 for quadratic); the order-free ids
+    # on the lattice at n=12 with |p| <= 99 and q <= 7, two split-walk ids
+    # at n=10 with |p| <= 9 and q <= 4
+    rng = random.Random("exact-metamorphic")
+    cases = [(iid, 12, 99, 7) for iid in ORDER_FREE_IDS]
+    cases += [(iid, 10, 9, 4) for iid in (InequalityId.ALTERNATING, InequalityId.GARSIA_WEIGHTED)]
+    for iid, n, p, q in cases:
+        pop = random_centered_population(n, rng, p, q)
+        ws = weights_for(iid, n, rng)
+        moved = make_population(rng.sample(pop.values, n))
+        scaled = make_population([Fraction(3, 2) * v for v in pop.values])
+        assert moved != pop
+
+        def lhs(case):
+            return verify(iid, population=case, weights=ws, cutoff=12).lhs
+
+        want = lhs(pop)
+        c = Fraction(81, 16) if iid is InequalityId.QUADRATIC else Fraction(9, 4)
+        assert lhs(moved) == want, iid
+        assert lhs(scaled) == c * want, iid

@@ -31,7 +31,7 @@ from permartingale import (
     weighted_second_moment_oracle,
 )
 from permartingale.moments import PATTERNS
-from permartingale.weights import validate_weights
+from permartingale.rationals import validate_weights
 
 from conftest import centered_pops
 

@@ -89,6 +89,8 @@ LIBRARY_REFUSALS = [
     (lambda p: p.mtilde_coefficients(1), DomainError, "need n >= 2, got 1"),
     (lambda p: p.mtilde_terminal_oracle(p.make_population([1, -1, 0])),
      DomainError, "need n >= 4, got n=3"),
+    (lambda p: p.isserlis_oracle(p.make_population([1, -1, 0]), "1111"),
+     DomainError, "pattern 1111 touches 4 distinct draws and needs n >= 4, got n=3"),
     (lambda p: p.weighted_second_moment_oracle(FOUR, [1, 1, 1, 1], 4),
      DomainError, "need 1 <= k <= 3, got k=4"),
     (lambda p: p.population.resolve_cutoff(10.0),

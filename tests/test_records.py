@@ -46,8 +46,8 @@ RECORDS = [
           rhs=F(10), status="holds"),
      dict(stderr=None, samples=None, seed=None, weights=None)),
     (_Rule, dict(rhs=abs, term=max, floats=sum),
-     dict(weights="none", bridge=False, ks=_all_ks, reduce=max,
-          over_orderings="mean", folding=None)),
+     dict(weights="none", bridge=False, ks=_all_ks, over_orderings="mean",
+          folding=None)),
     (WeightedMomentParts,
      dict(w_square=F(1), cross=F(-1, 3), sum_square=F(2), combined=F(7, 2)), {}),
     (MomentRow, dict(name="E[X1^4]", formula=F(17, 2), oracle=F(17, 2)), {}),

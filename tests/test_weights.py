@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from permartingale import InvalidInputError, alternating_weights
-from permartingale.weights import validate_weights
+from permartingale.rationals import validate_weights
 
 
 def test_validate_weights_converts_and_checks_length():
