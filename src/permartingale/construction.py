@@ -307,7 +307,7 @@ def build_transition_system(
         if n < 3:
             raise DomainError(f"quadratic basis needs n >= 3, got n={n}")
         products = tuple(
-            quadratic_inverse_product(n, total, square_sum, k)
+            _as_matrix(_quadratic_product(n, total, square_sum, k))
             for k in range(1, n - 1)
         )
     return TransitionSystem(

@@ -614,7 +614,7 @@ def test_huge_sizes_are_refused_by_their_estimate(tmp_path, four_file, monkeypat
         raise AssertionError("work began before the size check")
 
     monkeypatch.setattr("permartingale.inequalities._mc_lhs", work)
-    monkeypatch.setattr("permartingale.construction.quadratic_inverse_product", work)
+    monkeypatch.setattr("permartingale.construction._quadratic_product", work)
     monkeypatch.setattr("permartingale.cli.random_centered_population", work)
     huge = 10**21
     rc, out, err = run_cli(

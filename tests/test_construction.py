@@ -253,7 +253,7 @@ def test_build_transition_system_refuses_more_matrices_than_its_ceiling(monkeypa
     def product(*args):
         raise AssertionError("a product was built before the matrix ceiling")
 
-    monkeypatch.setattr(construction, "quadratic_inverse_product", product)
+    monkeypatch.setattr(construction, "_quadratic_product", product)
     monkeypatch.setattr(construction, "_weighted_product", product)
     for n, kwargs in ((10**6, dict(total=0, square_sum=1)),
                       (50_001, dict(multipliers=[1] * 50_001))):

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import importlib
+import importlib.util
 import io
 import pkgutil
 import re
@@ -40,7 +41,8 @@ def test_every_export_is_the_object_its_submodules_hold():
     assert repr(permartingale.VerifyMode.MONTE_CARLO) == "<VerifyMode.MONTE_CARLO: 'mc'>"
 
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_readme_examples_print_what_they_say():
@@ -106,3 +108,38 @@ def test_library_refusals_name_their_fault(call, error, fragment):
     with pytest.raises(error) as caught:
         call(permartingale)
     assert caught.type is error and fragment in str(caught.value)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # __future__ imports aside
+    unused = []
+    for path in sorted(Path(permartingale.__file__).parent.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text("utf-8"))))
+        read = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for n in nodes:
+            if isinstance(n, (ast.Import, ast.ImportFrom)) and \
+                    getattr(n, "module", None) != "__future__":
+                unused += [f"{path.name}:{n.lineno}: {name} is imported and never read"
+                           for a in n.names
+                           if (name := (a.asname or a.name).split(".")[0]) not in read]
+    assert not unused, "\n".join(unused)
+
+
+def test_measure_script_keeps_every_case():
+    # builds the case table of tools/measure.py, drawing its seeded inputs,
+    # and runs no case
+    spec = importlib.util.spec_from_file_location("measure", ROOT / "tools" / "measure.py")
+    measure = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(measure)
+    labels = {name: [label for label, _ in build()] for name, build in measure.SECTIONS.items()}
+    assert {name: len(cases) for name, cases in labels.items()} == {
+        "Source line count": 1, "Package import cost": 6, "CLI process times": 4,
+        "Monte Carlo working set": 1, "Monte Carlo times": 20, "Exact engine times": 25,
+        "Martingale checker times": 22,
+    }
+    # "--help" names both an import-cost and a process-time case
+    assert all(len(cases) == len(set(cases)) for cases in labels.values())
+    assert labels["Monte Carlo times"][-1] == "mc hardy n=2000, 2000 samples"
+    assert labels["Exact engine times"][-1] == "exact bridge m=6"
+    assert labels["Martingale checker times"][-1] == \
+        "Population total, square_sum and fourth_sum n=20000"
