@@ -12,9 +12,8 @@ same errors; the oracle's value never reads the closed form's.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from functools import reduce
-from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, InvalidInputError
@@ -28,7 +27,9 @@ from .population import (
 )
 from .rationals import format_rational, validate_weights
 
-PATTERNS = ("1111", "211", "22", "31", "4")
+# pattern -> (c_B, c_Q) of its closed form; see isserlis_moment
+_ISSERLIS = {"1111": (3, -6), "211": (-1, 2), "22": (1, -1), "31": (0, -1), "4": (0, 1)}
+PATTERNS = tuple(_ISSERLIS)
 
 
 def _normalize_pattern(pattern) -> str:
@@ -44,44 +45,31 @@ def isserlis_moment(population: Population, pattern) -> Fraction:
     """Mixed moment of the first draws, by exponent pattern.
 
     Pattern digits are the exponents on distinct draws: ``"211"`` is
-    E[X1^2 X2 X3], ``"4"`` is E[X1^4], and so on.  Closed forms in n,
-    B, Q hold for centered populations:
+    E[X1^2 X2 X3], ``"4"`` is E[X1^4], and so on.  For a centered
+    population every pattern touching r = len(pattern) distinct draws has
+    the same closed form in n, B, Q, with (c_B, c_Q) its row of _ISSERLIS:
 
-        E[X1 X2 X3 X4] = (3 B^2 - 6 Q) / (n(n-1)(n-2)(n-3))
-        E[X1^2 X2 X3]  = (2 Q - B^2) / (n(n-1)(n-2))
-        E[X1^2 X2^2]   = (B^2 - Q) / (n(n-1))
-        E[X1^3 X2]     = -Q / (n(n-1))
-        E[X1^4]        = Q / n
+        (c_B B^2 + c_Q Q) / (n(n-1)...(n-r+1))
     """
     p = _normalize_pattern(pattern)
     population.require_centered(f"the pattern-{p} moment")
     n = population.n
-    b = population.square_sum
-    q = population.fourth_sum
     if n < len(p):
         raise DomainError(
             f"pattern {p} touches {len(p)} distinct draws and needs n >= {len(p)}, "
             f"got n={n}"
         )
-    if p == "1111":
-        return (3 * b * b - 6 * q) / Fraction(n * (n - 1) * (n - 2) * (n - 3))
-    if p == "211":
-        return (2 * q - b * b) / Fraction(n * (n - 1) * (n - 2))
-    if p == "22":
-        return (b * b - q) / Fraction(n * (n - 1))
-    if p == "31":
-        return -q / Fraction(n * (n - 1))
-    return q / Fraction(n)
+    c_b, c_q = _ISSERLIS[p]
+    b = population.square_sum
+    return (c_b * b * b + c_q * population.fourth_sum) / Fraction(math.perm(n, len(p)))
 
 
 def isserlis_oracle(population: Population, pattern) -> Fraction:
     """The same moment by direct enumeration of ordered distinct draws."""
     p = _normalize_pattern(pattern)
     isserlis_moment(population, p)  # for its refusals
-    # draw i appears as a factor int(p[i]) times
-    factors = [i for i, e in enumerate(p) for _ in range(int(e))]
     return mean_over_ordered_draws(
-        population, len(p), lambda *draws: reduce(mul, [draws[i] for i in factors])
+        population, len(p), lambda *draws: math.prod(x ** int(e) for x, e in zip(draws, p))
     )
 
 

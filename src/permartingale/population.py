@@ -357,7 +357,7 @@ def read_text_file(path: str, what: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, ValueError) as exc:  # a bad encoding, or a NUL in the path
-        raise InvalidInputError(f"cannot read {what} file {path}: {exc}") from None
+        raise InvalidInputError(f"cannot read {what} file {os.fspath(path)!r}: {exc}") from None
 
 
 def read_values(path: str, what: str, lenient: bool = False,
@@ -374,7 +374,7 @@ def read_values(path: str, what: str, lenient: bool = False,
         try:
             vals.append(parse_scalar(line, lenient=lenient))
         except InvalidInputError as exc:
-            raise InvalidInputError(f"{path}, line {lineno}: {exc}") from None
+            raise InvalidInputError(f"{os.fspath(path)!r}, line {lineno}: {exc}") from None
     return tuple(vals)
 
 

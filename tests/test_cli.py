@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -229,6 +230,39 @@ def test_verify_martingale_reports_a_failing_check(
         assert f"violation at k={w['k']} after prefix ({prefix}):" in out
 
 
+def test_echoed_file_paths_are_quoted(tmp_path, four_file):
+    # a newline or an escape byte in a path neither splits the error line
+    # nor reaches the terminal raw: a path is echoed as its repr
+    hostile = "\n\x1b[31m"
+    bad = pop_file(tmp_path, [1, "x", 3, 4], name=f"bad{hostile}.txt")
+    missing = str(tmp_path / f"missing{hostile}.txt")
+    exact = ["--mode", "exact"]
+    for argv, formats in (
+        (["check-inequality", "--id", "quadratic", *exact, "--population", bad], ("text", "csv")),
+        (["check-inequality", "--id", "vna_weighted", *exact, "--population", four_file,
+          "--weights", missing], ("text", "csv")),
+        (["verify-martingale", "--kind", "m2", "--population", missing], ("text", "json")),
+        (["verify-martingale", "--kind", "weighted", "--population", four_file,
+          "--multipliers", bad], ("text", "json")),
+        (["moments", "--population", bad], ("text", "csv")),
+        (["dump-matrices", "--basis", "quadratic", "--population", missing], ("text", "json")),
+        (["sweep", missing], ("text", "csv")),
+    ):
+        path = bad if bad in argv else missing
+        for fmt in formats:
+            rc, out, err = run_cli([*argv, "--format", fmt])
+            assert rc == 2 and out == "" and err.count("\n") == 1, (argv, fmt)
+            assert "\x1b" not in err and repr(path) in err, (argv, fmt)
+    spec = tmp_path / "rows.json"
+    for row in ({"id": "max_averages", "population_file": bad},
+                {"id": "vna_weighted", "population_file": four_file, "weights_file": bad}):
+        spec.write_text(json.dumps([{"mode": "exact", **row}]), encoding="utf-8")
+        for fmt in ("text", "csv"):
+            rc, out, err = run_cli(["sweep", str(spec), "--format", fmt])
+            assert rc == 1 and len((out + err).splitlines()) == 2, (row, fmt)
+            assert "\x1b" not in out + err and f"row 0: error: {bad!r}, line 2: " in out + err
+
+
 def test_exit_codes_for_bad_input(tmp_path, four_file):
     rc, _, _ = run_cli(["check-inequality", "--id", "no_such", "--mode",
                         "exact", "--population", four_file])
@@ -239,7 +273,7 @@ def test_exit_codes_for_bad_input(tmp_path, four_file):
     bad = tmp_path / "bad.txt"
     bad.write_text("1\nnot-a-number\n", encoding="utf-8")
     rc, _, err = run_cli(["moments", "--population", str(bad)])
-    assert rc == 2 and f"{bad}, line 2" in err
+    assert rc == 2 and f"{str(bad)!r}, line 2" in err
     rc, _, err = run_cli(
         ["check-inequality", "--id", "max_averages", "--population",
          four_file, "--mode", "mc", "--samples", "100"]
@@ -840,7 +874,7 @@ def test_wrong_length_weight_files_are_refused_before_parsing(tmp_path):
     right = pop_file(tmp_path, [1, "x", 3, 4], name="right.txt")
     message = "expected 4 multipliers, got 6"
     mc = ["--mode", "mc", "--samples", "10", "--seed", "1"]
-    for path, expected in ((wrong, message), (right, f"{right}, line 2: ")):
+    for path, expected in ((wrong, message), (right, f"{right!r}, line 2: ")):
         spec = tmp_path / "rows.json"
         spec.write_text(json.dumps(
             [{"id": "vna_weighted", "mode": "exact", "population_file": four,
@@ -903,7 +937,7 @@ def test_a_value_file_that_no_run_reads_is_not_opened(tmp_path):
         (["dump-matrices", "--basis", "weighted", "--multipliers", folder],
          "the weighted basis needs a population or n"),
         (["check-inequality", "--id", "vna_weighted", *exact, "--population", four,
-          "--weights", folder], f"cannot read scalar file {folder}: "),
+          "--weights", folder], f"cannot read scalar file {folder!r}: "),
     ):
         rc, out, err = run_cli(argv)
         assert rc == 2 and out == "" and err.startswith(f"error: {message}"), argv
@@ -1337,6 +1371,26 @@ def test_each_entry_point_imports_only_its_modules(tmp_path, four_file):
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_cli_small_calls_without_a_sample_match_the_golden_digests(tmp_path, monkeypatch):
+    # the benchmark's byte check, in process, on the 70 seed-0 cli_small calls
+    # that draw no Monte Carlo sample; the other 30 hold bits of numpy's
+    # generator, so they stay the benchmark's own check
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    digests = json.loads((PERFBENCH / "golden" / "cli_small-seed0.json").read_text("utf-8"))
+    rng = random.Random("cli_small:0")
+    checked = 0
+    for i in range(workloads.CLI_CALLS):
+        args = workloads._cli_args(i, rng, str(tmp_path))  # each call draws from rng
+        if args[0] == "sweep" or "mc" in args:
+            continue
+        rc, out = workloads.cli_expected(args)
+        assert rc == 0 and hashlib.sha256(out).hexdigest() == digests[f"{i:03d}.{args[0]}"], args
+        checked += 1
+    assert checked == 70
 
 
 def test_traced_calls_record_every_layer_span(tmp_path, four_file):

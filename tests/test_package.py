@@ -135,7 +135,7 @@ def test_measure_script_keeps_every_case():
     assert {name: len(cases) for name, cases in labels.items()} == {
         "Source line count": 1, "Package import cost": 6, "CLI process times": 4,
         "Monte Carlo working set": 1, "Monte Carlo times": 20, "Exact engine times": 25,
-        "Martingale checker times": 22,
+        "Martingale checker times": 24,
     }
     # "--help" names both an import-cost and a process-time case
     assert all(len(cases) == len(set(cases)) for cases in labels.values())

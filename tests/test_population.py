@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -190,7 +191,7 @@ def test_load_population_handles_comments_and_blanks(tmp_path):
 def test_load_population_reports_path_and_line_number(tmp_path):
     path = tmp_path / "pop.txt"
     path.write_text("1\n-1\nbogus\n", encoding="utf-8")
-    with pytest.raises(InvalidInputError, match=f"^{path}, line 3: "):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(repr(str(path)))}, line 3: "):
         load_population(str(path))
 
 
@@ -205,7 +206,7 @@ def test_load_population_refuses_by_count_before_parsing(tmp_path):
 
     with pytest.raises(PreconditionError, match="^too many$"):
         load_population(str(path), refuse=refuse)
-    with pytest.raises(InvalidInputError, match=f"^{path}, line 4: "):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(repr(str(path)))}, line 4: "):
         load_population(str(path), refuse=counts.append)
     assert counts == [3, 3]
 

@@ -27,7 +27,8 @@ import permartingale
 from permartingale import (InequalityId, MartingaleKind, Population, build_transition_system,
                            check_martingale, check_sequence, check_vector_martingale,
                            counterexample_suite, evaluate_prefix, make_bridge_population,
-                           make_spec, random_centered_population, vector_martingale_value, verify)
+                           make_spec, moment_report, random_centered_population,
+                           vector_martingale_value, verify)
 
 ROOT = Path(__file__).resolve().parents[1]
 GIVEN_WEIGHTS = ("vna_weighted", "garsia_weighted")
@@ -185,7 +186,8 @@ def exact():
 
 def checkers():
     """martingale_walk's checks at n=10 and 7, the drawn-set route at n=12, the
-    ordered walk at n=7, the k = n-1 product block at n=3, Population's sums."""
+    ordered walk at n=7, the k = n-1 product block at n=3, the moments report
+    at n=8 and 10 (a fifth of cli_small's calls), Population's sums."""
     rng = random.Random(0)
     multipliers = partial(seeded_weights, rng, numerators=range(-9, 10), denominators=range(1, 5))
     pop = random_centered_population(10, rng)
@@ -220,6 +222,9 @@ def checkers():
     pop3 = random_centered_population(3, random.Random(3))
     for kind in ("m2", "m3"):
         yield timed(f"check_martingale {kind} n=3", check_martingale, make_spec(kind, pop3))
+    for n in (8, 10):
+        yield timed(f"moment_report n={n}", moment_report,
+                    random_centered_population(n, random.Random(n)))
     big = Population(random_centered_population(20_000, rng).values)
     yield timed("Population total, square_sum and fourth_sum n=20000",
                 lambda: (big.total, big.square_sum, big.fourth_sum))
